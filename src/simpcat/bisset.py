@@ -15,8 +15,8 @@ independent oracle for this normalization.
 from __future__ import annotations
 
 from .names import sort_key
-from .sset import (SimplicialError, SimplicialMap, TruncatedSimplicialSet,
-                   _monotone_maps, _tuple_degen, _tuple_face)
+from .sset import (SimplicialError, TruncatedSimplicialSet, _monotone_maps,
+                   _tuple_degen, _tuple_face)
 
 
 class BidegreeShape:
@@ -58,6 +58,28 @@ class TruncatedBisimplicialSet:
         self.basepoint = basepoint
         self._index = {pq: frozenset(self.simplices[pq]) for pq in self.simplices}
 
+    @classmethod
+    def from_operators(cls, shape, simplices, htable, vtable, basepoint=None):
+        """Build from two callbacks: `htable(p, q, m, k)` returns the
+        table of the horizontal operator from (p, q) to (m, q), d_k when
+        m = p - 1 and s_k when m = p + 1; `vtable(p, q, m, k)` likewise
+        to (p, m).  A degeneracy table exists exactly where its target
+        bidegree is in the shape."""
+        hfaces, hdegens, vfaces, vdegens = {}, {}, {}, {}
+        for (p, q) in shape.support:
+            for i in range(p + 1) if p >= 1 else ():
+                hfaces[(p, q, i)] = htable(p, q, p - 1, i)
+            if (p + 1, q) in shape:
+                for j in range(p + 1):
+                    hdegens[(p, q, j)] = htable(p, q, p + 1, j)
+            for j in range(q + 1) if q >= 1 else ():
+                vfaces[(p, q, j)] = vtable(p, q, q - 1, j)
+            if (p, q + 1) in shape:
+                for j in range(q + 1):
+                    vdegens[(p, q, j)] = vtable(p, q, q + 1, j)
+        return cls(shape, simplices, hfaces, hdegens, vfaces, vdegens,
+                   basepoint)
+
     def hface(self, p, q, i, x):
         return self.hfaces[(p, q, i)][x]
 
@@ -69,6 +91,14 @@ class TruncatedBisimplicialSet:
 
     def vdegen(self, p, q, j, x):
         return self.vdegens[(p, q, j)][x]
+
+    def htable(self, p, q, m, k):
+        """Table of the horizontal d_k (m = p - 1) or s_k (m = p + 1)."""
+        return self.hfaces[(p, q, k)] if m < p else self.hdegens[(p, q, k)]
+
+    def vtable(self, p, q, m, k):
+        """Table of the vertical d_k (m = q - 1) or s_k (m = q + 1)."""
+        return self.vfaces[(p, q, k)] if m < q else self.vdegens[(p, q, k)]
 
     def size(self, p, q):
         return len(self.simplices[(p, q)])
@@ -83,24 +113,8 @@ class TruncatedBisimplicialSet:
             raise SimplicialError(f"no bidegrees with vertical index {q}")
         bound = max(ps)
         simplices = {p: self.simplices[(p, q)] for p in range(bound + 1)}
-        faces = {(p, i): self.hfaces[(p, q, i)]
-                 for p in range(1, bound + 1) for i in range(p + 1)}
-        degens = {(p, j): self.hdegens[(p, q, j)]
-                  for p in range(bound) for j in range(p + 1)}
-        return TruncatedSimplicialSet(bound, simplices, faces, degens)
-
-    def vertical_face_map(self, q, j):
-        """d^v_j as a simplicial map row(q) -> row(q-1)."""
-        src, tgt = self.row(q), self.row(q - 1)
-        assign = {p: {x: self.vface(p, q, j, x) for x in src.simplices[p]}
-                  for p in src.degrees() if p <= tgt.bound}
-        return SimplicialMap(
-            TruncatedSimplicialSet(min(src.bound, tgt.bound),
-                                   {p: src.simplices[p] for p in assign},
-                                   {k: t for k, t in src.faces.items() if k[0] in assign},
-                                   {k: t for k, t in src.degens.items()
-                                    if k[0] + 1 in assign}),
-            tgt, assign)
+        return TruncatedSimplicialSet.from_operators(
+            bound, simplices, lambda p, m, k: self.htable(p, q, m, k))
 
     def audit(self, max_violations=20):
         v = []
@@ -241,22 +255,17 @@ def box_product(X, Y):
     shape = BidegreeShape.rectangle(X.bound, Y.bound)
     simplices = {(p, q): tuple((x, y) for x in X.simplices[p] for y in Y.simplices[q])
                  for (p, q) in shape.support}
-    hfaces, hdegens, vfaces, vdegens = {}, {}, {}, {}
-    for (p, q) in shape.support:
-        cells = simplices[(p, q)]
-        for i in range(p + 1) if p >= 1 else ():
-            hfaces[(p, q, i)] = {(x, y): (X.face(p, i, x), y) for x, y in cells}
-        if p < X.bound:
-            for j in range(p + 1):
-                hdegens[(p, q, j)] = {(x, y): (X.degen(p, j, x), y) for x, y in cells}
-        for j in range(q + 1) if q >= 1 else ():
-            vfaces[(p, q, j)] = {(x, y): (x, Y.face(q, j, y)) for x, y in cells}
-        if q < Y.bound:
-            for j in range(q + 1):
-                vdegens[(p, q, j)] = {(x, y): (x, Y.degen(q, j, y)) for x, y in cells}
+
+    def htable(p, q, m, k):
+        t = X.table(p, m, k)
+        return {(x, y): (t[x], y) for x, y in simplices[(p, q)]}
+
+    def vtable(p, q, m, k):
+        t = Y.table(q, m, k)
+        return {(x, y): (x, t[y]) for x, y in simplices[(p, q)]}
     bp = (X.basepoint, Y.basepoint) if X.is_pointed() and Y.is_pointed() else None
-    return TruncatedBisimplicialSet(shape, simplices, hfaces, hdegens, vfaces,
-                                    vdegens, basepoint=bp)
+    return TruncatedBisimplicialSet.from_operators(shape, simplices, htable,
+                                                   vtable, basepoint=bp)
 
 
 def diag(B):
@@ -266,14 +275,12 @@ def diag(B):
         raise SimplicialError("shape has empty diagonal")
     bound = max(ns)
     simplices = {n: B.simplices[(n, n)] for n in range(bound + 1)}
-    faces = {(n, i): {x: B.hface(n, n - 1, i, B.vface(n, n, i, x))
-                      for x in simplices[n]}
-             for n in range(1, bound + 1) for i in range(n + 1)}
-    degens = {(n, j): {x: B.hdegen(n, n + 1, j, B.vdegen(n, n, j, x))
-                       for x in simplices[n]}
-              for n in range(bound) for j in range(n + 1)}
-    return TruncatedSimplicialSet(bound, simplices, faces, degens,
-                                  basepoint=B.basepoint)
+
+    def table(n, m, k):
+        v, h = B.vtable(n, n, m, k), B.htable(n, m, m, k)
+        return {x: h[v[x]] for x in simplices[n]}
+    return TruncatedSimplicialSet.from_operators(bound, simplices, table,
+                                                 basepoint=B.basepoint)
 
 
 def dec(Y):
@@ -283,33 +290,18 @@ def dec(Y):
         raise SimplicialError("decalage needs bound >= 1")
     shape = BidegreeShape.staircase(Y.bound - 1)
     simplices = {(p, q): Y.simplices[p + q + 1] for (p, q) in shape.support}
-    hfaces, hdegens, vfaces, vdegens = {}, {}, {}, {}
-    for (p, q) in shape.support:
-        n = p + q + 1
-        cells = simplices[(p, q)]
-        for i in range(p + 1) if p >= 1 else ():
-            hfaces[(p, q, i)] = {x: Y.face(n, i, x) for x in cells}
-        if (p + 1, q) in shape.support:
-            for j in range(p + 1):
-                hdegens[(p, q, j)] = {x: Y.degen(n, j, x) for x in cells}
-        for j in range(q + 1) if q >= 1 else ():
-            vfaces[(p, q, j)] = {x: Y.face(n, p + 1 + j, x) for x in cells}
-        if (p, q + 1) in shape.support:
-            for j in range(q + 1):
-                vdegens[(p, q, j)] = {x: Y.degen(n, p + 1 + j, x) for x in cells}
+
+    def restrict(n, m, k):
+        t = Y.table(n, m, k)
+        return {x: t[x] for x in Y.simplices[n]}
     bp = None
     if Y.is_pointed():
         bp = Y.degen(0, 0, Y.basepoint)
-    return TruncatedBisimplicialSet(shape, simplices, hfaces, hdegens, vfaces,
-                                    vdegens, basepoint=bp)
-
-
-def dec_map(f):
-    """Functoriality of the decalage on simplicial maps."""
-    B, C = dec(f.source), dec(f.target)
-    assign = {(p, q): {x: f(p + q + 1, x) for x in B.simplices[(p, q)]}
-              for (p, q) in B.shape.support}
-    return BisimplicialMap(B, C, assign)
+    return TruncatedBisimplicialSet.from_operators(
+        shape, simplices,
+        lambda p, q, m, k: restrict(p + q + 1, m + q + 1, k),
+        lambda p, q, m, k: restrict(p + q + 1, p + m + 1, p + 1 + k),
+        basepoint=bp)
 
 
 # ---------------------------------------------------------------------
@@ -370,30 +362,24 @@ def d_star(X):
                             cells.append((n, x, alpha, beta))
         simplices[(p, q)] = tuple(sorted(cells, key=sort_key))
 
-    hfaces, hdegens, vfaces, vdegens = {}, {}, {}, {}
-    for (p, q) in shape.support:
+    def htable(p, q, m, k):
         cells = simplices[(p, q)]
-        for i in range(p + 1) if p >= 1 else ():
-            hfaces[(p, q, i)] = {
-                c: dstar_normalize(X, c[0], c[1], _tuple_face(c[2], i), c[3])
-                for c in cells}
-        if (p + 1, q) in shape.support:
-            for j in range(p + 1):
-                hdegens[(p, q, j)] = {
-                    c: (c[0], c[1], _tuple_degen(c[2], j), c[3]) for c in cells}
-        for j in range(q + 1) if q >= 1 else ():
-            vfaces[(p, q, j)] = {
-                c: dstar_normalize(X, c[0], c[1], c[2], _tuple_face(c[3], j))
-                for c in cells}
-        if (p, q + 1) in shape.support:
-            for j in range(q + 1):
-                vdegens[(p, q, j)] = {
-                    c: (c[0], c[1], c[2], _tuple_degen(c[3], j)) for c in cells}
+        if m < p:
+            return {c: dstar_normalize(X, c[0], c[1], _tuple_face(c[2], k), c[3])
+                    for c in cells}
+        return {c: (c[0], c[1], _tuple_degen(c[2], k), c[3]) for c in cells}
+
+    def vtable(p, q, m, k):
+        cells = simplices[(p, q)]
+        if m < q:
+            return {c: dstar_normalize(X, c[0], c[1], c[2], _tuple_face(c[3], k))
+                    for c in cells}
+        return {c: (c[0], c[1], c[2], _tuple_degen(c[3], k)) for c in cells}
     bp = None
     if X.is_pointed():
         bp = (0, X.basepoint, (0,), (0,))
-    return TruncatedBisimplicialSet(shape, simplices, hfaces, hdegens, vfaces,
-                                    vdegens, basepoint=bp)
+    return TruncatedBisimplicialSet.from_operators(shape, simplices, htable,
+                                                   vtable, basepoint=bp)
 
 
 def d_star_map(f):
@@ -460,9 +446,9 @@ def wbar(B):
             raise SimplicialError(f"codiagonal degeneracy left the matching set at degree {n}")
         return cell
 
-    faces = {(n, i): {t: face(n, i, t) for t in simplices[n]}
-             for n in range(1, bound + 1) for i in range(n + 1)}
-    degens = {(n, j): {t: degen(n, j, t) for t in simplices[n]}
-              for n in range(bound) for j in range(n + 1)}
+    def table(n, m, k):
+        op = face if m < n else degen
+        return {t: op(n, k, t) for t in simplices[n]}
     bp = (B.basepoint,) if B.is_pointed() else None
-    return TruncatedSimplicialSet(bound, simplices, faces, degens, basepoint=bp)
+    return TruncatedSimplicialSet.from_operators(bound, simplices, table,
+                                                 basepoint=bp)

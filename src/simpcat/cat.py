@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-from .names import least, sort_key
-from .sset import SimplicialError, TruncatedSimplicialSet
+from .names import sort_key
+from .sset import SimplicialMap, TruncatedSimplicialSet
 
 
 class CategoryError(Exception):
@@ -21,6 +21,10 @@ class CategoryError(Exception):
 
 class BoundExceeded(CategoryError):
     """Closure did not terminate within the requested bound."""
+
+
+class CapExceeded(BoundExceeded):
+    """An enumeration produced more results than its cap allows."""
 
 
 class FinCategory:
@@ -55,6 +59,37 @@ class FinCategory:
 
     def is_groupoid(self):
         return all(self.inverse(m) is not None for m in self.morphisms)
+
+    # -- nerve chains -------------------------------------------------
+
+    def chains(self, degrees):
+        """{k: composable k-chains of morphisms, sorted} for each k in
+        `degrees`; degree 0 holds the objects.  The chains grow by one
+        morphism per degree."""
+        out = {0: self.objects} if 0 in degrees else {}
+        chains = [()]
+        for k in range(1, max(degrees) + 1):
+            chains = [c + (m,) for c in chains for m in self.morphisms
+                      if not c or self.tgt[c[-1]] == self.src[m]]
+            if k in degrees:
+                out[k] = tuple(sorted(chains, key=sort_key))
+        return out
+
+    def chain_operator(self, k, m, i, c):
+        """Nerve operator on the k-chain c: d_i when m = k - 1, s_i when
+        m = k + 1."""
+        if m > k:
+            if k == 0:
+                return (self.ident[c],)
+            at = self.src[c[i]] if i < k else self.tgt[c[-1]]
+            return c[:i] + (self.ident[at],) + c[i:]
+        if k == 1:
+            return self.tgt[c[0]] if i == 0 else self.src[c[0]]
+        if i == 0:
+            return c[1:]
+        if i == k:
+            return c[:-1]
+        return c[:i - 1] + (self.comp[(c[i], c[i - 1])],) + c[i + 1:]
 
     def validate(self, max_violations=20):
         v = []
@@ -99,10 +134,6 @@ class FinCategory:
 
     def __repr__(self):
         return f"FinCategory({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
-
-
-def validate_category(C):
-    return C.validate()
 
 
 # ---------------------------------------------------------------------
@@ -207,8 +238,11 @@ class Functor:
     def __call__(self, m):
         return self.mor_map[m]
 
-    def on_object(self, o):
-        return self.obj_map[o]
+    def on_chain(self, k, c):
+        """Image of a k-chain of the source's nerve."""
+        if k == 0:
+            return self.obj_map[c]
+        return tuple(self.mor_map[m] for m in c)
 
     @classmethod
     def identity(cls, C):
@@ -294,46 +328,18 @@ def iso_subgroupoid(C):
 
 def nerve(C, bound):
     """Composable chains: degree k simplices are k-tuples of morphisms."""
-    simplices = {0: C.objects}
-    chains = [()]
-    for k in range(1, bound + 1):
-        chains = [c + (m,) for c in chains for m in C.morphisms
-                  if not c or C.tgt[c[-1]] == C.src[m]]
-        simplices[k] = tuple(sorted(chains, key=sort_key))
-    faces, degens = {}, {}
-    for k in range(1, bound + 1):
-        for i in range(k + 1):
-            table = {}
-            for c in simplices[k]:
-                if k == 1:
-                    table[c] = C.tgt[c[0]] if i == 0 else C.src[c[0]]
-                elif i == 0:
-                    table[c] = c[1:]
-                elif i == k:
-                    table[c] = c[:-1]
-                else:
-                    table[c] = c[:i - 1] + (C.comp[(c[i], c[i - 1])],) + c[i + 1:]
-            faces[(k, i)] = table
-    for k in range(bound):
-        for j in range(k + 1):
-            table = {}
-            for c in simplices[k]:
-                if k == 0:
-                    table[c] = (C.ident[c],)
-                else:
-                    at = C.src[c[j]] if j < k else C.tgt[c[-1]]
-                    table[c] = c[:j] + (C.ident[at],) + c[j:]
-            degens[(k, j)] = table
-    return TruncatedSimplicialSet(bound, simplices, faces, degens)
+    simplices = C.chains(range(bound + 1))
+
+    def table(k, m, i):
+        return {c: C.chain_operator(k, m, i, c) for c in simplices[k]}
+    return TruncatedSimplicialSet.from_operators(bound, simplices, table)
 
 
 def nerve_functor(F, bound):
     """Induced simplicial map between nerves."""
-    from .sset import SimplicialMap
     X, Y = nerve(F.source, bound), nerve(F.target, bound)
-    assign = {0: {o: F.obj_map[o] for o in F.source.objects}}
-    for k in range(1, bound + 1):
-        assign[k] = {c: tuple(F.mor_map[m] for m in c) for c in X.simplices[k]}
+    assign = {k: {c: F.on_chain(k, c) for c in X.simplices[k]}
+              for k in X.degrees()}
     return SimplicialMap(X, Y, assign)
 
 
@@ -861,7 +867,7 @@ def enumerate_functors(C, D, cap=10 ** 6):
                         nxt.append(trial)
             assignments = nxt
             if len(assignments) > cap:
-                raise CategoryError("functor enumeration cap exceeded")
+                raise CapExceeded("functor enumeration cap exceeded")
         return assignments
 
     def assign(k, obj_map):
@@ -869,7 +875,7 @@ def enumerate_functors(C, D, cap=10 ** 6):
             for mor_map in close(obj_map):
                 out.append(Functor(C, D, dict(obj_map), mor_map))
                 if len(out) > cap:
-                    raise CategoryError("functor enumeration cap exceeded")
+                    raise CapExceeded("functor enumeration cap exceeded")
             return
         o = ordered[k]
         for img in D.objects:
@@ -902,34 +908,3 @@ def enumerate_transformations(F, G):
         if not nt.validate():
             out.append(nt)
     return out
-
-
-def functor_category(C, D, cap=10 ** 6):
-    """Objects are functors, morphisms natural transformations; names
-    are canonical signature tuples."""
-    functors = sorted(enumerate_functors(C, D, cap),
-                      key=lambda F: sort_key(F.signature()))
-    objects = [F.signature() for F in functors]
-    morphisms, src, tgt, comp = [], {}, {}, {}
-    nts = {}
-    for F in functors:
-        for G in functors:
-            for nt in enumerate_transformations(F, G):
-                name = (F.signature(), G.signature(),
-                        tuple(nt.components[o] for o in C.objects))
-                morphisms.append(name)
-                src[name], tgt[name] = F.signature(), G.signature()
-                nts[name] = nt
-    ident = {}
-    for F in functors:
-        name = (F.signature(), F.signature(),
-                tuple(D.ident[F.obj_map[o]] for o in C.objects))
-        ident[F.signature()] = name
-    for n2 in morphisms:
-        for n1 in morphisms:
-            if tgt[n1] != src[n2]:
-                continue
-            comps = tuple(D.comp[(n2[2][k], n1[2][k])]
-                          for k in range(len(C.objects)))
-            comp[(n2, n1)] = (n1[0], n2[1], comps)
-    return FinCategory(objects, morphisms, src, tgt, ident, comp)

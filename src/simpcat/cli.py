@@ -23,7 +23,7 @@ from .document import (DocumentError, parse_document, serialize_document,
 from .homology import (CertificationError, abelianization, edge_path_group,
                        homology_list, pi0)
 from .scat import SimplicialCategory, diag_nerve_iso, wbar_nerve_iso
-from .spectra import k_groups, mapping_space, omega_spectrum_probe
+from .spectra import k_groups, mapping_space
 from .sset import SimplicialError, TruncatedSimplicialSet
 from .suites import SUITES, run_suite
 
@@ -33,9 +33,12 @@ EXIT_BAD_INPUT = 2
 EXIT_BOUND = 3
 
 
-def _emit(payload, out):
-    text = json.dumps(payload, sort_keys=True, indent=2,
+def _json(payload):
+    return json.dumps(payload, sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"
+
+
+def _emit(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -66,13 +69,7 @@ def _bisset_report(B):
 
 
 def cmd_build(args):
-    doc = _load(args.document)
-    _emit_text = serialize_document(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_emit_text)
-    else:
-        sys.stdout.write(_emit_text)
+    _emit(serialize_document(_load(args.document)), args.out)
     return EXIT_OK
 
 
@@ -167,7 +164,7 @@ def cmd_compute(args):
         raise DocumentError(f"unknown operation {op!r}")
     report["operation"] = op
     report["entity"] = args.entity
-    _emit(report, args.out)
+    _emit(_json(report), args.out)
     return EXIT_OK
 
 
@@ -210,9 +207,9 @@ def cmd_report(args):
             raise DocumentError(f"unknown suite {name!r}")
         reports.append(run_suite(name, config).to_dict())
     overall = all(r["overall"] == "pass" for r in reports)
-    _emit({"schema": "simpcat-report/1",
-           "overall": "pass" if overall else "fail",
-           "suites": reports}, args.out)
+    _emit(_json({"schema": "simpcat-report/1",
+                 "overall": "pass" if overall else "fail",
+                 "suites": reports}), args.out)
     return EXIT_OK if overall else EXIT_CHECK_FAILED
 
 
@@ -238,10 +235,7 @@ def make_parser():
     p.add_argument("--source", help="second entity for mapspace")
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--degree", type=int)
-    p.add_argument("--rho", choices=["dec", "dstar"], default="dec")
     p.add_argument("--pointed", action="store_true")
-    p.add_argument("--closure-bound", type=int, default=20000)
-    p.add_argument("--cap", type=int, default=10 ** 6)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compute)
 
@@ -271,13 +265,8 @@ def main(argv=None):
     except BoundExceeded as e:
         print(f"error: bound exceeded: {e}", file=sys.stderr)
         return EXIT_BOUND
-    except CategoryError as e:
-        if "cap" in str(e) or "bound" in str(e):
-            print(f"error: bound exceeded: {e}", file=sys.stderr)
-            return EXIT_BOUND
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (DocumentError, SimplicialError, CertificationError, KeyError) as e:
+    except (CategoryError, DocumentError, SimplicialError, CertificationError,
+            KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

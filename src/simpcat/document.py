@@ -18,7 +18,7 @@ from .cat import (BoundExceeded, CategoryError, FinCategory, arrow_cat,
 from .names import sort_key
 from .scat import (add_basepoint, constant_pointed_scat, constant_scat,
                    pi_levelwise, s0_scat)
-from .spectra import SpectrumObject, sigma_infinity, terminal_spectrum
+from .spectra import sigma_infinity, terminal_spectrum
 from .sset import (SimplicialError, SimplicialMap, TruncatedSimplicialSet,
                    boundary, c_sigma, delta, horn, point, sphere, two_point)
 

@@ -120,18 +120,6 @@ class ChainComplex:
                 if any(acc.values()):
                     raise SimplicialError(f"boundary composite nonzero at degree {i}")
 
-    @classmethod
-    def from_dense(cls, ranks, dense):
-        boundaries = {}
-        for i, rows in dense.items():
-            cols = {}
-            for r, row in enumerate(rows):
-                for c, v in enumerate(row):
-                    if v:
-                        cols.setdefault(c, {})[r] = v
-            boundaries[i] = cols
-        return cls(ranks, boundaries)
-
 
 def normalized_chains(X):
     """Chains on nondegenerate simplices; degenerate face images vanish."""

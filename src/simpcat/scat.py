@@ -12,8 +12,8 @@ suspension, and the pointed cotensor.
 from __future__ import annotations
 
 from .bisset import BidegreeShape, TruncatedBisimplicialSet, d_star, dec, wbar
-from .cat import (BoundExceeded, CategoryError, FinCategory, Functor,
-                  _materialize, colimit_record, coproduct_cat,
+from .cat import (BoundExceeded, CapExceeded, CategoryError, FinCategory,
+                  Functor, _materialize, colimit_record, coproduct_cat,
                   enumerate_functors, enumerate_transformations,
                   fundamental_groupoid, iso_subgroupoid, product_cat,
                   terminal_cat)
@@ -36,6 +36,20 @@ class SimplicialCategory:
         self.basepoints = dict(basepoints) if basepoints is not None else None
         self.records = records          # optional per-level Materializations
 
+    @classmethod
+    def from_operators(cls, bound, levels, table, basepoints=None,
+                       records=None):
+        """Build from one callback: `table(n, m, k)` returns the
+        structure functor from level n to level m, d_k when m = n - 1 and
+        s_k when m = n + 1.  With basepoints the result is pointed."""
+        faces = {(n, i): table(n, n - 1, i)
+                 for n in range(1, bound + 1) for i in range(n + 1)}
+        degens = {(n, j): table(n, n + 1, j)
+                  for n in range(bound) for j in range(n + 1)}
+        if basepoints is not None:
+            cls = PointedSimplicialCategory
+        return cls(bound, levels, faces, degens, basepoints, records)
+
     def level(self, n):
         return self.levels[n]
 
@@ -44,6 +58,10 @@ class SimplicialCategory:
 
     def degen(self, n, j):
         return self.degens[(n, j)]
+
+    def table(self, n, m, k):
+        """Structure functor d_k (m = n - 1) or s_k (m = n + 1)."""
+        return self.faces[(n, k)] if m < n else self.degens[(n, k)]
 
     def is_pointed(self):
         return self.basepoints is not None
@@ -156,11 +174,9 @@ class SimplicialFunctor:
 # ---------------------------------------------------------------------
 
 def constant_scat(C, bound):
-    levels = {n: C for n in range(bound + 1)}
     ident = Functor.identity(C)
-    faces = {(n, i): ident for n in range(1, bound + 1) for i in range(n + 1)}
-    degens = {(n, j): ident for n in range(bound) for j in range(n + 1)}
-    return SimplicialCategory(bound, levels, faces, degens)
+    return SimplicialCategory.from_operators(
+        bound, {n: C for n in range(bound + 1)}, lambda n, m, k: ident)
 
 
 def terminal_scat(bound):
@@ -169,25 +185,9 @@ def terminal_scat(bound):
 
 def add_basepoint(S):
     """Disjoint terminal object per level; levelwise C |-> C + *."""
-    pt = terminal_cat()
-    levels, injections = {}, {}
-    for n in range(S.bound + 1):
-        levels[n], injections[n] = coproduct_cat([S.levels[n], pt])
-    faces, degens = {}, {}
-    for (n, i), F in S.faces.items():
-        obj_map = {(0, o): (0, F.obj_map[o]) for o in F.source.objects}
-        obj_map[(1, "*")] = (1, "*")
-        mor_map = {(0, m): (0, F.mor_map[m]) for m in F.source.morphisms}
-        mor_map[(1, ("id", "*"))] = (1, ("id", "*"))
-        faces[(n, i)] = Functor(levels[n], levels[n - 1], obj_map, mor_map)
-    for (n, j), F in S.degens.items():
-        obj_map = {(0, o): (0, F.obj_map[o]) for o in F.source.objects}
-        obj_map[(1, "*")] = (1, "*")
-        mor_map = {(0, m): (0, F.mor_map[m]) for m in F.source.morphisms}
-        mor_map[(1, ("id", "*"))] = (1, ("id", "*"))
-        degens[(n, j)] = Functor(levels[n], levels[n + 1], obj_map, mor_map)
-    basepoints = {n: (1, "*") for n in range(S.bound + 1)}
-    return PointedSimplicialCategory(S.bound, levels, faces, degens, basepoints)
+    C, _ = colimit_scat([S, terminal_scat(S.bound)], [])
+    return PointedSimplicialCategory(C.bound, C.levels, C.faces, C.degens,
+                                     {n: (1, "*") for n in range(C.bound + 1)})
 
 
 def s0_scat(bound):
@@ -221,21 +221,12 @@ def pi_levelwise(B, closure_bound=20000):
         except BoundExceeded as e:
             raise BoundExceeded(f"row {n}: {e}") from e
         levels[n] = records[n].category
-    faces, degens = {}, {}
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            obj_map = {v: B.vface(0, n, i, v) for v in B.simplices[(0, n)]}
-            gen_map = {e: records[n - 1].genmap[B.vface(1, n, i, e)]
-                       for e in B.simplices[(1, n)]}
-            faces[(n, i)] = records[n].induced_functor(levels[n - 1], obj_map,
-                                                       gen_map)
-    for n in range(top):
-        for j in range(n + 1):
-            obj_map = {v: B.vdegen(0, n, j, v) for v in B.simplices[(0, n)]}
-            gen_map = {e: records[n + 1].genmap[B.vdegen(1, n, j, e)]
-                       for e in B.simplices[(1, n)]}
-            degens[(n, j)] = records[n].induced_functor(levels[n + 1], obj_map,
-                                                        gen_map)
+
+    def table(n, m, k):
+        vertices, edges = B.vtable(0, n, m, k), B.vtable(1, n, m, k)
+        obj_map = {v: vertices[v] for v in B.simplices[(0, n)]}
+        gen_map = {e: records[m].genmap[edges[e]] for e in B.simplices[(1, n)]}
+        return records[n].induced_functor(levels[m], obj_map, gen_map)
     basepoints = None
     if B.is_pointed():
         basepoints = {0: B.basepoint}
@@ -243,8 +234,8 @@ def pi_levelwise(B, closure_bound=20000):
         for n in range(top):
             bp = B.vdegen(0, n, 0, bp)
             basepoints[n + 1] = bp
-    cls = PointedSimplicialCategory if basepoints is not None else SimplicialCategory
-    return cls(top, levels, faces, degens, basepoints, records=records)
+    return SimplicialCategory.from_operators(top, levels, table, basepoints,
+                                             records=records)
 
 
 def pi_functor(f, source_pi=None, target_pi=None, closure_bound=20000):
@@ -265,88 +256,40 @@ def pi_functor(f, source_pi=None, target_pi=None, closure_bound=20000):
 # nerves of the maximal subgroupoid
 # ---------------------------------------------------------------------
 
-def _chains(C, k):
-    out = [()]
-    for _ in range(k):
-        out = [c + (m,) for c in out for m in C.morphisms
-               if not c or C.tgt[c[-1]] == C.src[m]]
-    return tuple(sorted(out, key=sort_key))
-
-
-def _chain_face(C, k, i, c):
-    if k == 1:
-        return C.tgt[c[0]] if i == 0 else C.src[c[0]]
-    if i == 0:
-        return c[1:]
-    if i == k:
-        return c[:-1]
-    return c[:i - 1] + (C.comp[(c[i], c[i - 1])],) + c[i + 1:]
-
-
-def _chain_degen(C, k, j, c):
-    if k == 0:
-        return (C.ident[c],)
-    at = C.src[c[j]] if j < k else C.tgt[c[-1]]
-    return c[:j] + (C.ident[at],) + c[j:]
-
-
-def _chain_apply(F, k, c):
-    if k == 0:
-        return F.obj_map[c]
-    return tuple(F.mor_map[m] for m in c)
-
-
 def nerve_iso_levelwise(S, depth=None):
     """Bidegree (p, n): p-chains of invertible morphisms of level n."""
     depth = S.bound if depth is None else depth
     shape = BidegreeShape.rectangle(depth, S.bound)
     groupoids = {n: iso_subgroupoid(S.levels[n]) for n in range(S.bound + 1)}
-    simplices = {(p, n): (groupoids[n].objects if p == 0 else
-                          _chains(groupoids[n], p))
-                 for (p, n) in shape.support}
-    hfaces, hdegens, vfaces, vdegens = {}, {}, {}, {}
-    for (p, n) in shape.support:
-        G = groupoids[n]
-        cells = simplices[(p, n)]
-        for i in range(p + 1) if p >= 1 else ():
-            hfaces[(p, n, i)] = {c: _chain_face(G, p, i, c) for c in cells}
-        if p < depth:
-            for j in range(p + 1):
-                hdegens[(p, n, j)] = {c: _chain_degen(G, p, j, c) for c in cells}
-        for j in range(n + 1) if n >= 1 else ():
-            F = S.face(n, j)
-            vfaces[(p, n, j)] = {c: _chain_apply(F, p, c) for c in cells}
-        if n < S.bound:
-            for j in range(n + 1):
-                F = S.degen(n, j)
-                vdegens[(p, n, j)] = {c: _chain_apply(F, p, c) for c in cells}
+    simplices = {}
+    for n, G in groupoids.items():
+        for p, cells in G.chains(range(depth + 1)).items():
+            simplices[(p, n)] = cells
+
+    def htable(p, n, m, k):
+        op = groupoids[n].chain_operator
+        return {c: op(p, m, k, c) for c in simplices[(p, n)]}
+
+    def vtable(p, n, m, k):
+        image = S.table(n, m, k).on_chain
+        return {c: image(p, c) for c in simplices[(p, n)]}
     bp = S.basepoints[0] if S.is_pointed() else None
-    return TruncatedBisimplicialSet(shape, simplices, hfaces, hdegens,
-                                    vfaces, vdegens, basepoint=bp)
+    return TruncatedBisimplicialSet.from_operators(shape, simplices, htable,
+                                                   vtable, basepoint=bp)
 
 
 def diag_nerve_iso(S):
     """Diagonal of the levelwise nerve, built directly: degree n is the
     n-chains of invertible morphisms of level n."""
     groupoids = {n: iso_subgroupoid(S.levels[n]) for n in range(S.bound + 1)}
-    simplices = {n: (groupoids[n].objects if n == 0 else _chains(groupoids[n], n))
-                 for n in range(S.bound + 1)}
-    faces, degens = {}, {}
-    for n in range(1, S.bound + 1):
-        for i in range(n + 1):
-            F = S.face(n, i)
-            faces[(n, i)] = {c: _chain_face(groupoids[n - 1], n, i,
-                                            _chain_apply(F, n, c))
-                             for c in simplices[n]}
-    for n in range(S.bound):
-        for j in range(n + 1):
-            F = S.degen(n, j)
-            degens[(n, j)] = {c: _chain_degen(groupoids[n + 1], n, j,
-                                              _chain_apply(F, n, c))
-                              for c in simplices[n]}
+    simplices = {n: G.chains((n,))[n] for n, G in groupoids.items()}
+
+    def table(n, m, k):
+        op, image = groupoids[m].chain_operator, S.table(n, m, k).on_chain
+        return {c: op(n, m, k, image(n, c)) for c in simplices[n]}
     bp = S.basepoints[0] if S.is_pointed() else None
-    return TruncatedSimplicialSet(S.bound, simplices, faces, degens,
-                                  basepoint=bp)
+    return TruncatedSimplicialSet.from_operators(S.bound, simplices, table,
+                                                 basepoint=bp)
 
 
 def diag_nerve_iso_map(SF):
@@ -354,7 +297,7 @@ def diag_nerve_iso_map(SF):
     functor between levelwise groupoids."""
     X, Y = diag_nerve_iso(SF.source), diag_nerve_iso(SF.target)
     bound = min(X.bound, Y.bound)
-    assign = {n: {c: _chain_apply(SF.levels[n], n, c) for c in X.simplices[n]}
+    assign = {n: {c: SF.levels[n].on_chain(n, c) for c in X.simplices[n]}
               for n in range(bound + 1)}
     if bound < X.bound:
         X = truncate(X, bound)
@@ -381,60 +324,43 @@ def _induced_colimit_functor(rec, target_cat, target_cocones, leg_functors):
     return rec.induced_functor(target_cat, obj_map, gen_map)
 
 
+def _coproduct_functor(src, tgt, legs):
+    obj_map, mor_map = {}, {}
+    for k, F in enumerate(legs):
+        for o in F.source.objects:
+            obj_map[(k, o)] = (k, F.obj_map[o])
+        for m in F.source.morphisms:
+            mor_map[(k, m)] = (k, F.mor_map[m])
+    return Functor(src, tgt, obj_map, mor_map)
+
+
 def colimit_scat(scats, edges, bound=10000):
     """Levelwise colimit; edges are (src_index, tgt_index,
     SimplicialFunctor).  Returns (simplicial category, cocones)."""
     top = min(S.bound for S in scats)
+    records, levels, cocone_levels = None, {}, {}
     if not edges:
-        levels, injections = {}, {}
         for n in range(top + 1):
-            levels[n], injections[n] = coproduct_cat(
+            levels[n], cocone_levels[n] = coproduct_cat(
                 [S.levels[n] for S in scats])
-        faces, degens = {}, {}
-        for n in range(1, top + 1):
-            for i in range(n + 1):
-                obj_map, mor_map = {}, {}
-                for k, S in enumerate(scats):
-                    F = S.face(n, i)
-                    for o in F.source.objects:
-                        obj_map[(k, o)] = (k, F.obj_map[o])
-                    for m in F.source.morphisms:
-                        mor_map[(k, m)] = (k, F.mor_map[m])
-                faces[(n, i)] = Functor(levels[n], levels[n - 1], obj_map, mor_map)
-        for n in range(top):
-            for j in range(n + 1):
-                obj_map, mor_map = {}, {}
-                for k, S in enumerate(scats):
-                    F = S.degen(n, j)
-                    for o in F.source.objects:
-                        obj_map[(k, o)] = (k, F.obj_map[o])
-                    for m in F.source.morphisms:
-                        mor_map[(k, m)] = (k, F.mor_map[m])
-                degens[(n, j)] = Functor(levels[n], levels[n + 1], obj_map, mor_map)
-        colim = SimplicialCategory(top, levels, faces, degens)
-        cocones = [SimplicialFunctor(S, colim,
-                                     {n: injections[n][k] for n in range(top + 1)})
-                   for k, S in enumerate(scats)]
-        return colim, cocones
 
-    records, levels, cocone_levels = {}, {}, {}
-    for n in range(top + 1):
-        cats_n = [S.levels[n] for S in scats]
-        edges_n = [(i, j, SF.levels[n]) for (i, j, SF) in edges]
-        records[n], cocone_levels[n] = colimit_record(cats_n, edges_n, bound)
-        levels[n] = records[n].category
-    faces, degens = {}, {}
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = _induced_colimit_functor(
-                records[n], levels[n - 1], cocone_levels[n - 1],
-                [S.face(n, i) for S in scats])
-    for n in range(top):
-        for j in range(n + 1):
-            degens[(n, j)] = _induced_colimit_functor(
-                records[n], levels[n + 1], cocone_levels[n + 1],
-                [S.degen(n, j) for S in scats])
-    colim = SimplicialCategory(top, levels, faces, degens, records=records)
+        def induce(n, m, legs):
+            return _coproduct_functor(levels[n], levels[m], legs)
+    else:
+        records = {}
+        for n in range(top + 1):
+            cats_n = [S.levels[n] for S in scats]
+            edges_n = [(i, j, SF.levels[n]) for (i, j, SF) in edges]
+            records[n], cocone_levels[n] = colimit_record(cats_n, edges_n, bound)
+            levels[n] = records[n].category
+
+        def induce(n, m, legs):
+            return _induced_colimit_functor(records[n], levels[m],
+                                            cocone_levels[m], legs)
+    colim = SimplicialCategory.from_operators(
+        top, levels,
+        lambda n, m, k: induce(n, m, [S.table(n, m, k) for S in scats]),
+        records=records)
     cocones = [SimplicialFunctor(S, colim,
                                  {n: cocone_levels[n][k] for n in range(top + 1)})
                for k, S in enumerate(scats)]
@@ -444,9 +370,6 @@ def colimit_scat(scats, edges, bound=10000):
 # ---------------------------------------------------------------------
 # rho and tensors
 # ---------------------------------------------------------------------
-
-RHO_CHOICES = ("pi_dstar", "pi_dec")
-
 
 def rho(X, tag="pi_dec", closure_bound=20000):
     """Simplicial-set-to-simplicial-category left adjoint candidate."""
@@ -466,13 +389,10 @@ def _product_functor(src, tgt, F, G):
 def product_scat(S, T):
     top = min(S.bound, T.bound)
     levels = {n: product_cat(S.levels[n], T.levels[n]) for n in range(top + 1)}
-    faces = {(n, i): _product_functor(levels[n], levels[n - 1],
-                                      S.face(n, i), T.face(n, i))
-             for n in range(1, top + 1) for i in range(n + 1)}
-    degens = {(n, j): _product_functor(levels[n], levels[n + 1],
-                                       S.degen(n, j), T.degen(n, j))
-              for n in range(top) for j in range(n + 1)}
-    return SimplicialCategory(top, levels, faces, degens)
+    return SimplicialCategory.from_operators(
+        top, levels,
+        lambda n, m, k: _product_functor(levels[n], levels[m],
+                                         S.table(n, m, k), T.table(n, m, k)))
 
 
 def tensor_rho(S, X, tag="pi_dec", closure_bound=20000):
@@ -531,31 +451,19 @@ def smash(S, X, tag="pi_dec", closure_bound=20000, colim_bound=20000):
             colim_bound)
         levels[n] = recs[n].category
 
-    faces, degens = {}, {}
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            FC, FK = S.face(n, i), R.face(n, i)
-            wedge_leg = _induced_colimit_functor(
-                wedge_recs[n], wedge_recs[n - 1].category,
-                wedge_cocones[n - 1], [Functor.identity(pt), FC, FK])
-            prod_leg = _product_functor(products[n], products[n - 1], FC, FK)
-            faces[(n, i)] = _induced_colimit_functor(
-                recs[n], levels[n - 1], cocones[n - 1],
-                [wedge_leg, prod_leg, Functor.identity(pt)])
-    for n in range(top):
-        for j in range(n + 1):
-            FC, FK = S.degen(n, j), R.degen(n, j)
-            wedge_leg = _induced_colimit_functor(
-                wedge_recs[n], wedge_recs[n + 1].category,
-                wedge_cocones[n + 1], [Functor.identity(pt), FC, FK])
-            prod_leg = _product_functor(products[n], products[n + 1], FC, FK)
-            degens[(n, j)] = _induced_colimit_functor(
-                recs[n], levels[n + 1], cocones[n + 1],
-                [wedge_leg, prod_leg, Functor.identity(pt)])
+    def table(n, m, k):
+        FC, FK = S.table(n, m, k), R.table(n, m, k)
+        wedge_leg = _induced_colimit_functor(
+            wedge_recs[n], wedge_recs[m].category,
+            wedge_cocones[m], [Functor.identity(pt), FC, FK])
+        prod_leg = _product_functor(products[n], products[m], FC, FK)
+        return _induced_colimit_functor(
+            recs[n], levels[m], cocones[m],
+            [wedge_leg, prod_leg, Functor.identity(pt)])
 
     basepoints = {n: cocones[n][2].obj_map["*"] for n in range(top + 1)}
-    out = PointedSimplicialCategory(top, levels, faces, degens, basepoints,
-                                    records=recs)
+    out = SimplicialCategory.from_operators(top, levels, table, basepoints,
+                                            records=recs)
     out.smash_cocones = cocones
     out.smash_products = products
     out.smash_rho = R
@@ -570,27 +478,6 @@ def suspend(S, tag="pi_dec", closure_bound=20000, colim_bound=20000):
 # ---------------------------------------------------------------------
 # pointed cotensor
 # ---------------------------------------------------------------------
-
-def object_sset(S):
-    """Levelwise object sets as a simplicial set."""
-    simplices = {n: S.levels[n].objects for n in range(S.bound + 1)}
-    faces = {(n, i): dict(S.face(n, i).obj_map)
-             for n in range(1, S.bound + 1) for i in range(n + 1)}
-    degens = {(n, j): dict(S.degen(n, j).obj_map)
-              for n in range(S.bound) for j in range(n + 1)}
-    bp = S.basepoints[0] if S.is_pointed() else None
-    return TruncatedSimplicialSet(S.bound, simplices, faces, degens,
-                                  basepoint=bp)
-
-
-def morphism_sset(S):
-    simplices = {n: S.levels[n].morphisms for n in range(S.bound + 1)}
-    faces = {(n, i): dict(S.face(n, i).mor_map)
-             for n in range(1, S.bound + 1) for i in range(n + 1)}
-    degens = {(n, j): dict(S.degen(n, j).mor_map)
-              for n in range(S.bound) for j in range(n + 1)}
-    return TruncatedSimplicialSet(S.bound, simplices, faces, degens)
-
 
 def _pointed_level_functors(R, S, m, cap):
     """Functors R_m -> S_m carrying the basepoint object to the
@@ -636,7 +523,7 @@ def _grid_functor_families(R, S, n, top, cands, cap):
 
     def extend(k, chosen):
         if len(out) > cap:
-            raise CategoryError("cotensor enumeration cap exceeded")
+            raise CapExceeded("cotensor enumeration cap exceeded")
         if k == len(cells):
             out.append(dict(chosen))
             return
@@ -685,7 +572,7 @@ def _grid_transformations(R, S, top, cells, Fd, Gd, cap):
 
     def extend(k, chosen):
         if len(out) > cap:
-            raise CategoryError("cotensor enumeration cap exceeded")
+            raise CapExceeded("cotensor enumeration cap exceeded")
         if k == len(cells):
             out.append(dict(chosen))
             return
@@ -742,7 +629,7 @@ def cotensor(S, X, tag="pi_dec", closure_bound=20000, cap=100000):
                     src[nm], tgt[nm] = fo, go
                     mor_data[nm] = comps
                     if len(morphisms) > cap:
-                        raise CategoryError("cotensor enumeration cap exceeded")
+                        raise CapExceeded("cotensor enumeration cap exceeded")
         ident, comp = {}, {}
         for o in objects:
             comps = {c: {v: S.levels[c[0]].ident[obj_data[o][c].obj_map[v]]
@@ -779,15 +666,9 @@ def cotensor(S, X, tag="pi_dec", closure_bound=20000, cap=100000):
                                 for (deg, a) in cells_m))
         return Functor(levels[n], levels[m], obj_map, mor_map)
 
-    faces, degens = {}, {}
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = reindex(n, n - 1,
-                                    lambda a, i=i: _delta_compose(a, i))
-    for n in range(top):
-        for j in range(n + 1):
-            degens[(n, j)] = reindex(n, n + 1,
-                                     lambda a, j=j: _sigma_compose(a, j))
+    def table(n, m, k):
+        compose = _delta_compose if m < n else _sigma_compose
+        return reindex(n, m, lambda a: compose(a, k))
     basepoints = {}
     for n in range(top + 1):
         cells, obj_data, _ = level_data[n]
@@ -800,7 +681,7 @@ def cotensor(S, X, tag="pi_dec", closure_bound=20000, cap=100000):
         if const is None:
             raise CategoryError("constant basepoint functor missing")
         basepoints[n] = const
-    out = PointedSimplicialCategory(top, levels, faces, degens, basepoints)
+    out = SimplicialCategory.from_operators(top, levels, table, basepoints)
     out.cotensor_rho = R
     return out
 
@@ -848,7 +729,7 @@ def enumerate_simplicial_functors(S, T, cap=10 ** 6, pointed=False):
             for F in buckets.get(key, ()):
                 nxt.append(chosen + [F])
                 if len(nxt) > cap:
-                    raise CategoryError("simplicial functor cap exceeded")
+                    raise CapExceeded("simplicial functor cap exceeded")
         partials = nxt
     return [SimplicialFunctor(S, T, dict(enumerate(levels)))
             for levels in partials]

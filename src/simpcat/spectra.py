@@ -121,24 +121,15 @@ def mapping_space(X, C, n_max=None):
         simplices[n] = tuple(sorted(named, key=sort_key))
         level_maps[n] = (cells, named)
 
-    def reindex(n, m, alpha_fn):
-        cells_n, named_n = level_maps[n]
+    def table(n, m, k):
+        # reindex the simplex factor along the coface skipping k
+        # (m = n - 1) or the codegeneracy collapsing k, k + 1 (m = n + 1)
+        cut, step = (k, 1) if m < n else (k + 1, -1)
         cells_m, _ = level_maps[m]
-        table = {}
-        for name, f in named_n.items():
-            table[name] = tuple(f(deg, (x, alpha_fn(a)))
-                                for (deg, (x, a)) in cells_m)
-        return table
-
-    faces, degens = {}, {}
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = reindex(
-                n, n - 1, lambda a, i=i: tuple(v if v < i else v + 1 for v in a))
-    for n in range(top):
-        for j in range(n + 1):
-            degens[(n, j)] = reindex(
-                n, n + 1, lambda a, j=j: tuple(v if v <= j else v - 1 for v in a))
+        return {name: tuple(f(deg, (x, tuple(v if v < cut else v + step
+                                             for v in a)))
+                            for (deg, (x, a)) in cells_m)
+                for name, f in level_maps[n][1].items()}
 
     bp = None
     for name, f in level_maps[0][1].items():
@@ -146,7 +137,8 @@ def mapping_space(X, C, n_max=None):
                for m in range(b + 1) for z in f.source.simplices[m]):
             bp = name
             break
-    return TruncatedSimplicialSet(top, simplices, faces, degens, basepoint=bp)
+    return TruncatedSimplicialSet.from_operators(top, simplices, table,
+                                                 basepoint=bp)
 
 
 # ---------------------------------------------------------------------

@@ -51,6 +51,17 @@ class TruncatedSimplicialSet:
         self._index = {n: frozenset(self.simplices[n]) for n in self.simplices}
         self._ez = self._compute_ez()
 
+    @classmethod
+    def from_operators(cls, bound, simplices, table, basepoint=None):
+        """Build from one callback: `table(n, m, k)` returns the table of
+        the operator from degree n to degree m, d_k when m = n - 1 and
+        s_k when m = n + 1."""
+        faces = {(n, i): table(n, n - 1, i)
+                 for n in range(1, bound + 1) for i in range(n + 1)}
+        degens = {(n, j): table(n, n + 1, j)
+                  for n in range(bound) for j in range(n + 1)}
+        return cls(bound, simplices, faces, degens, basepoint)
+
     # -- basic access -------------------------------------------------
 
     def degrees(self):
@@ -64,6 +75,10 @@ class TruncatedSimplicialSet:
 
     def degen(self, n, j, x):
         return self.degens[(n, j)][x]
+
+    def table(self, n, m, k):
+        """Table of d_k (m = n - 1) or s_k (m = n + 1) on degree n."""
+        return self.faces[(n, k)] if m < n else self.degens[(n, k)]
 
     def has(self, n, x):
         return n <= self.bound and x in self._index[n]
@@ -296,11 +311,11 @@ def _tuple_degen(t, j):
 def _from_tuples(bound, level_sets):
     """Build a simplicial set whose degree-n simplices are vertex tuples."""
     simplices = {n: tuple(sorted(level_sets[n])) for n in range(bound + 1)}
-    faces = {(n, i): {t: _tuple_face(t, i) for t in simplices[n]}
-             for n in range(1, bound + 1) for i in range(n + 1)}
-    degens = {(n, j): {t: _tuple_degen(t, j) for t in simplices[n]}
-              for n in range(bound) for j in range(n + 1)}
-    return TruncatedSimplicialSet(bound, simplices, faces, degens)
+
+    def table(n, m, k):
+        op = _tuple_face if m < n else _tuple_degen
+        return {t: op(t, k) for t in simplices[n]}
+    return TruncatedSimplicialSet.from_operators(bound, simplices, table)
 
 
 def truncate(X, bound):
@@ -308,12 +323,8 @@ def truncate(X, bound):
     if bound > X.bound:
         raise BoundMismatch(f"cannot extend bound {X.bound} to {bound}")
     simplices = {n: X.simplices[n] for n in range(bound + 1)}
-    faces = {(n, i): X.faces[(n, i)]
-             for n in range(1, bound + 1) for i in range(n + 1)}
-    degens = {(n, j): X.degens[(n, j)]
-              for n in range(bound) for j in range(n + 1)}
-    return TruncatedSimplicialSet(bound, simplices, faces, degens,
-                                  basepoint=X.basepoint)
+    return TruncatedSimplicialSet.from_operators(bound, simplices, X.table,
+                                                 basepoint=X.basepoint)
 
 
 def delta(n, bound):
@@ -359,23 +370,6 @@ def sphere(n, bound):
     return S.with_basepoint(cocone[2](0, (0,)))
 
 
-def build_standard(kind, n, bound, horn_index=None):
-    """Dispatcher used by the CLI and the document loader."""
-    if kind == "delta":
-        return delta(n, bound)
-    if kind == "boundary":
-        return boundary(n, bound)
-    if kind == "horn":
-        return horn(n, horn_index, bound)
-    if kind == "sphere":
-        return sphere(n, bound)
-    if kind == "point":
-        return point(bound)
-    if kind == "two_point":
-        return two_point(bound)
-    raise SimplicialError(f"unknown standard kind {kind!r}")
-
-
 # ---------------------------------------------------------------------
 # colimits, products, subcomplexes
 # ---------------------------------------------------------------------
@@ -388,13 +382,12 @@ def coproduct(objects):
     bound = bounds.pop()
     simplices = {n: tuple((i, x) for i, X in enumerate(objects) for x in X.simplices[n])
                  for n in range(bound + 1)}
-    faces = {(n, i): {(t, x): (t, X.face(n, i, x))
-                      for t, X in enumerate(objects) for x in X.simplices[n]}
-             for n in range(1, bound + 1) for i in range(n + 1)}
-    degens = {(n, j): {(t, x): (t, X.degen(n, j, x))
-                       for t, X in enumerate(objects) for x in X.simplices[n]}
-              for n in range(bound) for j in range(n + 1)}
-    total = TruncatedSimplicialSet(bound, simplices, faces, degens)
+
+    def table(n, m, k):
+        tables = [X.table(n, m, k) for X in objects]
+        return {(t, x): (t, tables[t][x])
+                for t, X in enumerate(objects) for x in X.simplices[n]}
+    total = TruncatedSimplicialSet.from_operators(bound, simplices, table)
     injections = [SimplicialMap(X, total, {n: {x: (i, x) for x in X.simplices[n]}
                                            for n in X.degrees()})
                   for i, X in enumerate(objects)]
@@ -440,12 +433,13 @@ def quotient(X, pairs):
     proj = {n: {x: rep[n][find((n, x))] for x in X.simplices[n]} for n in X.degrees()}
 
     simplices = {n: tuple(sorted(set(proj[n].values()), key=sort_key)) for n in X.degrees()}
-    faces = {(n, i): {proj[n][x]: proj[n - 1][X.face(n, i, x)] for x in X.simplices[n]}
-             for n in range(1, X.bound + 1) for i in range(n + 1)}
-    degens = {(n, j): {proj[n][x]: proj[n + 1][X.degen(n, j, x)] for x in X.simplices[n]}
-              for n in range(X.bound) for j in range(n + 1)}
+
+    def table(n, m, k):
+        t = X.table(n, m, k)
+        return {proj[n][x]: proj[m][t[x]] for x in X.simplices[n]}
     bp = proj[0][X.basepoint] if X.is_pointed() else None
-    Q = TruncatedSimplicialSet(X.bound, simplices, faces, degens, basepoint=bp)
+    Q = TruncatedSimplicialSet.from_operators(X.bound, simplices, table,
+                                              basepoint=bp)
     return Q, SimplicialMap(X, Q, proj)
 
 
@@ -472,14 +466,13 @@ def product_sset(X, Y):
     bound = X.bound
     simplices = {n: tuple((x, y) for x in X.simplices[n] for y in Y.simplices[n])
                  for n in range(bound + 1)}
-    faces = {(n, i): {(x, y): (X.face(n, i, x), Y.face(n, i, y))
-                      for x, y in simplices[n]}
-             for n in range(1, bound + 1) for i in range(n + 1)}
-    degens = {(n, j): {(x, y): (X.degen(n, j, x), Y.degen(n, j, y))
-                       for x, y in simplices[n]}
-              for n in range(bound) for j in range(n + 1)}
+
+    def table(n, m, k):
+        tx, ty = X.table(n, m, k), Y.table(n, m, k)
+        return {(x, y): (tx[x], ty[y]) for x, y in simplices[n]}
     bp = (X.basepoint, Y.basepoint) if X.is_pointed() and Y.is_pointed() else None
-    return TruncatedSimplicialSet(bound, simplices, faces, degens, basepoint=bp)
+    return TruncatedSimplicialSet.from_operators(bound, simplices, table,
+                                                 basepoint=bp)
 
 
 def generated_subcomplex(X, generators):
@@ -499,12 +492,13 @@ def generated_subcomplex(X, generators):
             for j in range(n + 1):
                 work.append((n + 1, X.degen(n, j, x)))
     simplices = {n: tuple(sorted(keep[n], key=sort_key)) for n in X.degrees()}
-    faces = {(n, i): {x: X.face(n, i, x) for x in simplices[n]}
-             for n in range(1, X.bound + 1) for i in range(n + 1)}
-    degens = {(n, j): {x: X.degen(n, j, x) for x in simplices[n]}
-              for n in range(X.bound) for j in range(n + 1)}
+
+    def table(n, m, k):
+        t = X.table(n, m, k)
+        return {x: t[x] for x in simplices[n]}
     bp = X.basepoint if X.is_pointed() and X.basepoint in keep[0] else None
-    return TruncatedSimplicialSet(X.bound, simplices, faces, degens, basepoint=bp)
+    return TruncatedSimplicialSet.from_operators(X.bound, simplices, table,
+                                                 basepoint=bp)
 
 
 def c_sigma(n, sigma, bound=None):

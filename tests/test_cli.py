@@ -110,6 +110,19 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     assert main(["build", str(doc)]) == 3
 
 
+@pytest.mark.parametrize("suite, cap", [("directed-colimit", "1"),
+                                        ("unit", "5")])
+def test_enumeration_cap_exit_code(suite, cap, capsys):
+    assert main(["verify", "--suite", suite, "--cap", cap]) == 3
+    assert "enumeration cap exceeded" in capsys.readouterr().err
+
+
+def test_compute_takes_no_suite_options(doc_path, capsys):
+    for option in (["--rho", "dec"], ["--cap", "5"], ["--closure-bound", "5"]):
+        with pytest.raises(SystemExit):
+            main(["compute", "homology", doc_path, "circle"] + option)
+
+
 def test_verify_single_suite(doc_path, capsys):
     assert main(["verify", doc_path]) == 0
     out = capsys.readouterr().out
