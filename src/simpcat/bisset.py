@@ -14,7 +14,6 @@ independent oracle for this normalization.
 
 from __future__ import annotations
 
-from .names import sort_key
 from .sset import (SimplicialError, TruncatedSimplicialSet, _monotone_maps,
                    _tuple_degen, _tuple_face)
 
@@ -47,6 +46,13 @@ class BidegreeShape:
 
 
 class TruncatedBisimplicialSet:
+    """Cells per bidegree, with horizontal and vertical operator tables.
+
+    Invariant: each bidegree's cells are stored in strictly increasing
+    canonical name order (:mod:`simpcat.names`).  Every constructor
+    builds them from ordered simplicial sets by lexicographic extension
+    or reindexing, which keeps that order."""
+
     def __init__(self, shape, simplices, hfaces, hdegens, vfaces, vdegens,
                  basepoint=None):
         self.shape = shape
@@ -360,7 +366,7 @@ def d_star(X):
                     for beta in _monotone_maps(q, n):
                         if aset | set(beta) == set(range(n + 1)):
                             cells.append((n, x, alpha, beta))
-        simplices[(p, q)] = tuple(sorted(cells, key=sort_key))
+        simplices[(p, q)] = tuple(cells)
 
     def htable(p, q, m, k):
         cells = simplices[(p, q)]
@@ -419,7 +425,7 @@ def wbar(B):
             tuples = [t + (y,)
                       for t in tuples
                       for y in by_hface.get(B.vface(p - 1, n - p + 1, 0, t[-1]), [])]
-        simplices[n] = tuple(sorted(tuples, key=sort_key))
+        simplices[n] = tuple(tuples)
     index = {n: frozenset(simplices[n]) for n in simplices}
 
     def face(n, i, t):

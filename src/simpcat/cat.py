@@ -65,14 +65,15 @@ class FinCategory:
     def chains(self, degrees):
         """{k: composable k-chains of morphisms, sorted} for each k in
         `degrees`; degree 0 holds the objects.  The chains grow by one
-        morphism per degree."""
+        morphism per degree; extending sorted chains by the sorted
+        morphisms keeps them in lexicographic order."""
         out = {0: self.objects} if 0 in degrees else {}
         chains = [()]
         for k in range(1, max(degrees) + 1):
             chains = [c + (m,) for c in chains for m in self.morphisms
                       if not c or self.tgt[c[-1]] == self.src[m]]
             if k in degrees:
-                out[k] = tuple(sorted(chains, key=sort_key))
+                out[k] = tuple(chains)
         return out
 
     def chain_operator(self, k, m, i, c):
@@ -328,6 +329,8 @@ def iso_subgroupoid(C):
 
 def nerve(C, bound):
     """Composable chains: degree k simplices are k-tuples of morphisms."""
+    if bound < 0:
+        raise CategoryError(f"nerve needs a bound >= 0, got {bound}")
     simplices = C.chains(range(bound + 1))
 
     def table(k, m, i):
@@ -571,7 +574,7 @@ def _spanning_forest(objects, generators):
         adj[b].append((a, g, -1))
     comp_of, paths, roots, members = {}, {}, [], {}
     tree = set()
-    for o in sorted(objects, key=sort_key):
+    for o in objects:
         if o in comp_of:
             continue
         root = o
@@ -751,7 +754,7 @@ def colimit_record(cats, edges, bound=10000):
         for o in cats[i].objects:
             union((i, o), (j, F.obj_map[o]))
 
-    objects = sorted({find(x) for x in parent}, key=sort_key)
+    objects = {find(x) for x in parent}
     generators = {}
     for i, C in enumerate(cats):
         for m in C.morphisms:
@@ -823,7 +826,7 @@ def enumerate_functors(C, D, cap=10 ** 6):
         adj[a].add(b)
         adj[b].add(a)
     ordered, seen = [], set()
-    for o in sorted(C.objects, key=sort_key):
+    for o in C.objects:
         if o in seen:
             continue
         frontier = [o]

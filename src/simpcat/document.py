@@ -50,16 +50,13 @@ def decode_name(obj):
 def _encode_sset(X):
     data = {
         "bound": X.bound,
-        "simplices": {str(n): [encode_name(x)
-                               for x in sorted(X.simplices[n], key=sort_key)]
+        "simplices": {str(n): [encode_name(x) for x in X.simplices[n]]
                       for n in X.degrees()},
         "faces": {f"{n},{i}": {json.dumps(encode_name(x)): encode_name(y)
-                               for x, y in sorted(X.faces[(n, i)].items(),
-                                                  key=lambda kv: sort_key(kv[0]))}
+                               for x, y in X.faces[(n, i)].items()}
                   for (n, i) in sorted(X.faces)},
         "degens": {f"{n},{j}": {json.dumps(encode_name(x)): encode_name(y)
-                                for x, y in sorted(X.degens[(n, j)].items(),
-                                                   key=lambda kv: sort_key(kv[0]))}
+                                for x, y in X.degens[(n, j)].items()}
                    for (n, j) in sorted(X.degens)},
     }
     if X.is_pointed():
@@ -69,7 +66,8 @@ def _encode_sset(X):
 
 def _decode_sset(data):
     bound = data["bound"]
-    simplices = {int(n): tuple(decode_name(x) for x in cells)
+    simplices = {int(n): tuple(sorted((decode_name(x) for x in cells),
+                                      key=sort_key))
                  for n, cells in data["simplices"].items()}
     faces = {}
     for key, table in data["faces"].items():
@@ -178,6 +176,19 @@ def _build_spectrum(builder, env, config):
     raise DocumentError(f"unknown spectrum builder {kind!r}")
 
 
+_INT_PARAMETERS = ("n", "bound", "index", "size", "order", "length")
+
+
+def _check_builder(name, builder):
+    if not isinstance(builder, dict):
+        raise DocumentError(f"entity {name!r}: builder must be an object")
+    for key in _INT_PARAMETERS:
+        value = builder.get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DocumentError(f"entity {name!r}: builder parameter {key!r} "
+                                f"must be an integer, got {value!r}")
+
+
 class WorkbenchDocument:
     def __init__(self, raw, entities, suites, config):
         self.raw = raw              # normalized JSON payload
@@ -214,12 +225,26 @@ def parse_document(text):
     except json.JSONDecodeError as e:
         raise DocumentError(f"parse error at line {e.lineno}, "
                             f"column {e.colno}: {e.msg}") from e
+    if not isinstance(raw, dict):
+        raise DocumentError("document must be a JSON object")
     if raw.get("schema") != SCHEMA:
         raise DocumentError(f"unsupported schema {raw.get('schema')!r}")
-    config = dict(raw.get("config", {}))
+    config = raw.get("config", {})
+    if not isinstance(config, dict):
+        raise DocumentError("config must be an object")
+    config = dict(config)
+    entries = raw.get("entities", [])
+    if not (isinstance(entries, list)
+            and all(isinstance(entry, dict) for entry in entries)):
+        raise DocumentError("entities must be a list of objects")
     entities = {}
-    for entry in raw.get("entities", []):
+    for entry in entries:
         name, kind = entry["name"], entry["kind"]
+        if not (isinstance(name, str) and isinstance(kind, str)):
+            raise DocumentError(f"entity name and kind must be strings, "
+                                f"got {name!r} and {kind!r}")
+        if "builder" in entry:
+            _check_builder(name, entry["builder"])
         if name in entities:
             raise DocumentError(f"duplicate entity name {name!r}")
         try:

@@ -93,19 +93,28 @@ class ProbeVerdict:
 
 class ChainComplex:
     """Finitely generated free integral complex.  `boundaries[i]` maps
-    degree i to degree i-1 as a column-sparse matrix {col: {row: coeff}}."""
+    degree i to degree i-1 as a column-sparse matrix {col: {row: coeff}}.
+    Each boundary is reduced at most once: `invariants(i)` keeps the
+    Smith invariants of every boundary it has computed."""
 
     def __init__(self, ranks, boundaries):
         self.ranks = dict(ranks)
         self.boundaries = {i: {c: dict(col) for c, col in m.items() if col}
                            for i, m in boundaries.items()}
         self.top = max(self.ranks) if self.ranks else -1
+        self._invariants = {}
 
     def rank(self, i):
         return self.ranks.get(i, 0)
 
     def boundary(self, i):
         return self.boundaries.get(i, {})
+
+    def invariants(self, i):
+        """Smith invariants of the boundary out of degree i."""
+        if i not in self._invariants:
+            self._invariants[i] = smith_invariants(self.boundary(i))
+        return self._invariants[i]
 
     def check_dd_zero(self):
         for i in sorted(self.boundaries):
@@ -123,7 +132,7 @@ class ChainComplex:
 
 def normalized_chains(X):
     """Chains on nondegenerate simplices; degenerate face images vanish."""
-    basis = {n: {x: k for k, x in enumerate(sorted(X.nondegenerate(n), key=sort_key))}
+    basis = {n: {x: k for k, x in enumerate(X.nondegenerate(n))}
              for n in X.degrees()}
     ranks = {n: len(basis[n]) for n in basis}
     boundaries = {}
@@ -279,8 +288,8 @@ def smith_invariants(matrix):
 
 
 def _homology_from_complex(complex_, i):
-    inv_i = smith_invariants(complex_.boundary(i)) if i >= 1 else []
-    inv_next = smith_invariants(complex_.boundary(i + 1))
+    inv_i = complex_.invariants(i) if i >= 1 else []
+    inv_next = complex_.invariants(i + 1)
     free = complex_.rank(i) - len(inv_i) - len(inv_next)
     torsion = tuple(d for d in inv_next if d > 1)
     return AbelianGroupDescriptor(free, torsion)
@@ -322,8 +331,7 @@ def pi0(X):
     classes = {}
     for v in X.simplices[0]:
         classes.setdefault(find(v), []).append(v)
-    return tuple(sorted((tuple(sorted(c, key=sort_key)) for c in classes.values()),
-                        key=sort_key))
+    return tuple(tuple(c) for c in classes.values())
 
 
 def pi0_map(f):
@@ -359,11 +367,9 @@ def edge_path_group(X, v):
                 reached.add(b)
                 tree_edges.add(e)
                 frontier.append(b)
-    generators = tuple(sorted(
-        (e for e in X.nondegenerate(1)
-         if e not in tree_edges
-         and X.face(1, 0, e) in reached and X.face(1, 1, e) in reached),
-        key=sort_key))
+    generators = tuple(e for e in X.nondegenerate(1)
+                       if e not in tree_edges
+                       and X.face(1, 0, e) in reached and X.face(1, 1, e) in reached)
     gindex = {e: k + 1 for k, e in enumerate(generators)}
 
     def letter(e):
@@ -409,15 +415,14 @@ def abelianization(G):
 def _chain_map(f):
     """Induced map on normalized chains, column-sparse per degree."""
     X, Y = f.source, f.target
-    basis_x = {n: sorted(X.nondegenerate(n), key=sort_key) for n in X.degrees()}
-    basis_y = {n: {y: k for k, y in enumerate(sorted(Y.nondegenerate(n), key=sort_key))}
+    basis_y = {n: {y: k for k, y in enumerate(Y.nondegenerate(n))}
                for n in Y.degrees()}
     matrices = {}
-    for n in basis_x:
+    for n in X.degrees():
         if n not in basis_y:
             continue
         cols = {}
-        for c, x in enumerate(basis_x[n]):
+        for c, x in enumerate(X.nondegenerate(n)):
             r = basis_y[n].get(f(n, x))
             if r is not None:
                 cols[c] = {r: 1}

@@ -17,7 +17,6 @@ from .cat import (BoundExceeded, CapExceeded, CategoryError, FinCategory,
                   enumerate_functors, enumerate_transformations,
                   fundamental_groupoid, iso_subgroupoid, product_cat,
                   terminal_cat)
-from .names import sort_key
 from .sset import (SimplicialMap, TruncatedSimplicialSet, _tuple_face, delta,
                    sphere, truncate)
 
@@ -503,8 +502,7 @@ def _grid_functor_families(R, S, n, top, cands, cap):
     structure maps on both sides.  These are exactly the simplicial
     functors R x (discrete Delta^n grid) -> S."""
     A = delta(n, top)
-    cells = [(m, a) for m in range(top + 1)
-             for a in sorted(A.simplices[m], key=sort_key)]
+    cells = [(m, a) for m in range(top + 1) for a in A.simplices[m]]
     out = []
 
     def consistent(m, a, F, chosen):
@@ -613,7 +611,6 @@ def cotensor(S, X, tag="pi_dec", closure_bound=20000, cap=100000):
             nm = obj_name(d)
             objects.append(nm)
             obj_data[nm] = d
-        objects.sort(key=sort_key)
 
         morphisms, src, tgt, mor_data = [], {}, {}, {}
         for fo in objects:

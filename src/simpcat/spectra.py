@@ -11,8 +11,8 @@ invariants only.
 from __future__ import annotations
 
 from .cat import CategoryError, _coset_closure
-from .homology import (abelianization, edge_path_group, homology, pi0,
-                       ProbeVerdict)
+from .homology import (CertificationError, abelianization, edge_path_group,
+                       homology_list, pi0, ProbeVerdict)
 from .names import sort_key
 from .scat import (SimplicialFunctor, constant_pointed_scat, diag_nerve_iso,
                    suspend)
@@ -113,8 +113,7 @@ def mapping_space(X, C, n_max=None):
                 if len(word) == m and base == Xb.basepoint:
                     fixed[(m, (x, a))] = _degenerate_basepoint(Db, m)
         maps = enumerate_maps(P, Db, fixed=fixed)
-        cells = [(m, z) for m in P.degrees()
-                 for z in sorted(P.nondegenerate(m), key=sort_key)]
+        cells = [(m, z) for m in P.degrees() for z in P.nondegenerate(m)]
         named = {}
         for f in maps:
             named[tuple(f(m, z) for (m, z) in cells)] = f
@@ -237,5 +236,10 @@ def k_groups(C, k=1):
     bp_class = next(i for i, comp in enumerate(components)
                     if D.basepoint in comp)
     P = edge_path_group(D, D.basepoint)
-    upper = {i: homology(D, i) for i in range(2, k + 1)}
+    first_uncertified = max(2, D.bound)
+    if k >= first_uncertified:
+        raise CertificationError(f"degree {first_uncertified} not certified "
+                                 f"at truncation bound {D.bound}")
+    groups = homology_list(D, k) if k >= 2 else []
+    upper = {i: groups[i] for i in range(2, k + 1)}
     return KReport(len(components), bp_class, P, abelianization(P), upper)

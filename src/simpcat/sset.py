@@ -7,15 +7,12 @@ is derived from the degeneracy tables at construction time, which keeps
 the stored canonical forms consistent with the tables by construction.
 
 Simplex names are ints, strings, or nested tuples of those; see
-:mod:`simpcat.names` for the ordering used to pick quotient
-representatives.
+:mod:`simpcat.names` for their canonical order.
 """
 
 from __future__ import annotations
 
 import itertools
-
-from .names import least, sort_key
 
 
 class SimplicialError(Exception):
@@ -42,6 +39,13 @@ def _push(j, word):
 
 
 class TruncatedSimplicialSet:
+    """Simplices per degree, with total face and degeneracy tables.
+
+    Invariant: each degree's simplices are stored in strictly increasing
+    canonical name order (:mod:`simpcat.names`).  `_from_tuples` and
+    `document._decode_sset` sort their cells; every other constructor
+    keeps the order of its ordered inputs."""
+
     def __init__(self, bound, simplices, faces, degens, basepoint=None):
         self.bound = bound
         self.simplices = {n: tuple(simplices.get(n, ())) for n in range(bound + 1)}
@@ -287,8 +291,8 @@ class SimplicialMap:
                 and self.assign == other.assign)
 
     def __hash__(self):
-        return hash(tuple(tuple(sorted(self.assign[n].items(), key=lambda kv: sort_key(kv[0])))
-                          for n in sorted(self.assign)))
+        return hash(frozenset((n, frozenset(level.items()))
+                              for n, level in self.assign.items()))
 
 
 # ---------------------------------------------------------------------
@@ -357,7 +361,7 @@ def point(bound):
 def two_point(bound):
     """S^0: two disjoint points, pointed at the first."""
     X, _ = coproduct([point(bound), point(bound)])
-    return X.with_basepoint(least(X.simplices[0]))
+    return X.with_basepoint(X.simplices[0][0])
 
 
 def sphere(n, bound):
@@ -397,7 +401,8 @@ def coproduct(objects):
 def quotient(X, pairs):
     """Quotient by the congruence generated by `pairs` (list of
     (degree, a, b)).  Closure propagates identifications along all faces
-    and degeneracies; representatives are least class members."""
+    and degeneracies; each class is represented by its first member in
+    X's stored order, which is its least member."""
     parent = {}
 
     def find(k):
@@ -414,8 +419,6 @@ def quotient(X, pairs):
         ra, rb = find(ka), find(kb)
         if ra == rb:
             continue
-        if sort_key(rb[1]) < sort_key(ra[1]):
-            ra, rb = rb, ra
         parent[rb] = ra
         (n, a), (_, b) = ka, kb
         for i in range(n + 1) if n >= 1 else ():
@@ -428,11 +431,10 @@ def quotient(X, pairs):
     for n in X.degrees():
         for x in X.simplices[n]:
             classes[n].setdefault(find((n, x)), []).append(x)
-    rep = {n: {root: least(members) for root, members in classes[n].items()}
-           for n in X.degrees()}
-    proj = {n: {x: rep[n][find((n, x))] for x in X.simplices[n]} for n in X.degrees()}
-
-    simplices = {n: tuple(sorted(set(proj[n].values()), key=sort_key)) for n in X.degrees()}
+    proj = {n: {x: classes[n][find((n, x))][0] for x in X.simplices[n]}
+            for n in X.degrees()}
+    simplices = {n: tuple(x for x in X.simplices[n] if proj[n][x] == x)
+                 for n in X.degrees()}
 
     def table(n, m, k):
         t = X.table(n, m, k)
@@ -491,7 +493,8 @@ def generated_subcomplex(X, generators):
         if n < X.bound:
             for j in range(n + 1):
                 work.append((n + 1, X.degen(n, j, x)))
-    simplices = {n: tuple(sorted(keep[n], key=sort_key)) for n in X.degrees()}
+    simplices = {n: tuple(x for x in X.simplices[n] if x in keep[n])
+                 for n in X.degrees()}
 
     def table(n, m, k):
         t = X.table(n, m, k)
@@ -529,7 +532,6 @@ def enumerate_maps(X, Y, pointed=False, limit=None, fixed=None):
         raise BoundMismatch(f"target bound {Y.bound} < source bound {X.bound}")
     fixed = fixed or {}
     cells = [(n, x) for n in X.degrees() for x in X.nondegenerate(n)]
-    cells.sort(key=lambda c: (c[0], sort_key(c[1])))
 
     def image_of(partial, n, x):
         base, word = X.ez(n, x)

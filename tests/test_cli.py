@@ -142,3 +142,34 @@ def test_report_schema(doc_path, tmp_path, capsys):
     assert payload["overall"] == "pass"
     assert payload["suites"][0]["suite"] == "k-theory"
     assert all(c["passed"] for c in payload["suites"][0]["checks"])
+
+
+def test_negative_nerve_bound_is_bad_input(doc_path, capsys):
+    assert main(["compute", "nerve", doc_path, "z2", "--bound", "-1"]) == 2
+    assert "bound" in capsys.readouterr().err
+
+
+def _point_doc(**entity):
+    return {"schema": "simpcat-document/1",
+            "entities": [dict({"name": "Y", "kind": "simplicial_set",
+                               "builder": {"type": "point", "bound": 2}},
+                              **entity)]}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(_point_doc(builder={"type": "delta", "n": "x", "bound": 2})),
+    json.dumps(_point_doc(builder={"type": "delta", "n": 1.5, "bound": 2})),
+    "[1, 2]",
+    "null",
+    json.dumps({"schema": "simpcat-document/1", "entities": "abc"}),
+    json.dumps({"schema": "simpcat-document/1", "config": [1],
+                "entities": []}),
+    json.dumps(_point_doc(builder=3)),
+    json.dumps(_point_doc(name=["Y"])),
+], ids=["n-string", "n-float", "array", "null", "entities-string",
+        "config-list", "builder-number", "name-list"])
+def test_malformed_document_shape_is_bad_input(tmp_path, text, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["build", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
