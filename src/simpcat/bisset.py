@@ -14,8 +14,10 @@ independent oracle for this normalization.
 
 from __future__ import annotations
 
-from .sset import (SimplicialError, TruncatedSimplicialSet, _monotone_maps,
-                   _tuple_degen, _tuple_face)
+import itertools
+
+from .sset import (SimplicialError, SimplicialMap, TruncatedSimplicialSet,
+                   _monotone_maps, _tuple_degen, _tuple_face)
 
 
 class BidegreeShape:
@@ -28,6 +30,11 @@ class BidegreeShape:
                 raise SimplicialError(f"support not downward closed at {(p, q)}")
             if q > 0 and (p, q - 1) not in self.support:
                 raise SimplicialError(f"support not downward closed at {(p, q)}")
+        # row q is p = 0..row_top[q], column p is q = 0..column_top[p]
+        self.row_top, self.column_top = {}, {}
+        for (p, q) in self.support:
+            self.row_top[q] = max(self.row_top.get(q, 0), p)
+            self.column_top[p] = max(self.column_top.get(p, 0), q)
 
     def __contains__(self, pq):
         return pq in self.support
@@ -99,12 +106,14 @@ class TruncatedBisimplicialSet:
         return self.vdegens[(p, q, j)][x]
 
     def htable(self, p, q, m, k):
-        """Table of the horizontal d_k (m = p - 1) or s_k (m = p + 1)."""
-        return self.hfaces[(p, q, k)] if m < p else self.hdegens[(p, q, k)]
+        """Table of the horizontal d_k (m = p - 1) or s_k (m = p + 1), or
+        None when it is missing."""
+        return (self.hfaces if m < p else self.hdegens).get((p, q, k))
 
     def vtable(self, p, q, m, k):
-        """Table of the vertical d_k (m = q - 1) or s_k (m = q + 1)."""
-        return self.vfaces[(p, q, k)] if m < q else self.vdegens[(p, q, k)]
+        """Table of the vertical d_k (m = q - 1) or s_k (m = q + 1), or
+        None when it is missing."""
+        return (self.vfaces if m < q else self.vdegens).get((p, q, k))
 
     def size(self, p, q):
         return len(self.simplices[(p, q)])
@@ -114,104 +123,49 @@ class TruncatedBisimplicialSet:
 
     def row(self, q):
         """Horizontal simplicial set p -> B_{p,q}."""
-        ps = [p for (p, qq) in self.shape.support if qq == q]
-        if not ps:
+        if q not in self.shape.row_top:
             raise SimplicialError(f"no bidegrees with vertical index {q}")
-        bound = max(ps)
+        bound = self.shape.row_top[q]
         simplices = {p: self.simplices[(p, q)] for p in range(bound + 1)}
         return TruncatedSimplicialSet.from_operators(
             bound, simplices, lambda p, m, k: self.htable(p, q, m, k))
 
+    def _row(self, q):
+        """Cells and horizontal tables of row q, as checker callbacks."""
+        return (lambda p: self.simplices[(p, q)],
+                lambda p, m, k: self.htable(p, q, m, k))
+
+    def _column(self, p):
+        """Cells and vertical tables of column p, as checker callbacks."""
+        return (lambda q: self.simplices[(p, q)],
+                lambda q, m, k: self.vtable(p, q, m, k))
+
     def audit(self, max_violations=20):
+        """Rows and columns are simplicial sets, and each horizontal
+        operator is a map of simplicial sets from column p to column m."""
+        rows, columns = self.shape.row_top, self.shape.column_top
         v = []
-
-        def report(msg):
-            if len(v) < max_violations:
-                v.append(msg)
-
-        for (p, q) in self.shape.sorted():
-            cells = self.simplices[(p, q)]
-            for i in range(p + 1) if p >= 1 else ():
-                t = self.hfaces.get((p, q, i))
-                if t is None or any(x not in t for x in cells):
-                    report(f"horizontal face d_{i} incomplete at {(p, q)}")
-            for j in range(q + 1) if q >= 1 else ():
-                t = self.vfaces.get((p, q, j))
-                if t is None or any(x not in t for x in cells):
-                    report(f"vertical face d_{j} incomplete at {(p, q)}")
-        if v:
-            return v
-
-        for (p, q) in self.shape.sorted():
-            for x in self.simplices[(p, q)]:
-                # horizontal simplicial identities
-                if p >= 2:
-                    for j in range(p + 1):
-                        for i in range(j):
-                            if (self.hface(p - 1, q, i, self.hface(p, q, j, x))
-                                    != self.hface(p - 1, q, j - 1, self.hface(p, q, i, x))):
-                                report(f"h-face identity fails at {(p, q)} on {x!r}")
-                if q >= 2:
-                    for j in range(q + 1):
-                        for i in range(j):
-                            if (self.vface(p, q - 1, i, self.vface(p, q, j, x))
-                                    != self.vface(p, q - 1, j - 1, self.vface(p, q, i, x))):
-                                report(f"v-face identity fails at {(p, q)} on {x!r}")
-                # horizontal/vertical commutation
-                if p >= 1 and q >= 1:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            if (self.vface(p - 1, q, j, self.hface(p, q, i, x))
-                                    != self.hface(p, q - 1, i, self.vface(p, q, j, x))):
-                                report(f"dh_{i} dv_{j} do not commute at {(p, q)}")
-                if (p + 1, q) in self.shape and q >= 1:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            if (self.vface(p + 1, q, j, self.hdegen(p, q, i, x))
-                                    != self.hdegen(p, q - 1, i, self.vface(p, q, j, x))):
-                                report(f"sh_{i} dv_{j} do not commute at {(p, q)}")
-                if (p, q + 1) in self.shape and p >= 1:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            if (self.hface(p, q + 1, i, self.vdegen(p, q, j, x))
-                                    != self.vdegen(p - 1, q, j, self.hface(p, q, i, x))):
-                                report(f"dh_{i} sv_{j} do not commute at {(p, q)}")
-                if (p + 1, q + 1) in self.shape:
-                    for i in range(p + 1):
-                        for j in range(q + 1):
-                            if (self.vdegen(p + 1, q, j, self.hdegen(p, q, i, x))
-                                    != self.hdegen(p, q + 1, i, self.vdegen(p, q, j, x))):
-                                report(f"sh_{i} sv_{j} do not commute at {(p, q)}")
-                # degeneracy-side identities along each direction
-                if (p + 1, q) in self.shape:
-                    for j in range(p + 1):
-                        sx = self.hdegen(p, q, j, x)
-                        for i in range(p + 2):
-                            got = self.hface(p + 1, q, i, sx)
-                            if i in (j, j + 1):
-                                want = x
-                            elif i < j:
-                                want = self.hdegen(p - 1, q, j - 1, self.hface(p, q, i, x))
-                            else:
-                                want = self.hdegen(p - 1, q, j, self.hface(p, q, i - 1, x))
-                            if got != want:
-                                report(f"h d_{i} s_{j} identity fails at {(p, q)}")
-                if (p, q + 1) in self.shape:
-                    for j in range(q + 1):
-                        sx = self.vdegen(p, q, j, x)
-                        for i in range(q + 2):
-                            got = self.vface(p, q + 1, i, sx)
-                            if i in (j, j + 1):
-                                want = x
-                            elif i < j:
-                                want = self.vdegen(p, q - 1, j - 1, self.vface(p, q, i, x))
-                            else:
-                                want = self.vdegen(p, q - 1, j, self.vface(p, q, i - 1, x))
-                            if got != want:
-                                report(f"v d_{i} s_{j} identity fails at {(p, q)}")
+        for q, top in sorted(rows.items()):
+            v += _prefixed(f"row {q}: ", TruncatedSimplicialSet.identity_failures(
+                top, *self._row(q)), max_violations)
+        for p, top in sorted(columns.items()):
+            v += _prefixed(f"column {p}: ", TruncatedSimplicialSet.identity_failures(
+                top, *self._column(p)), max_violations)
+        if not v:
+            for p, top in sorted(columns.items()):
+                for m in (p - 1, p + 1):
+                    for k in range(p + 1) if m in columns else ():
+                        op = f"d_{k}" if m < p else f"s_{k}"
+                        v += _prefixed(
+                            f"horizontal {op} from column {p}: ",
+                            SimplicialMap.commutation_failures(
+                                min(top, columns[m]), *self._column(p),
+                                *self._column(m),
+                                lambda q: self.htable(p, q, m, k)),
+                            max_violations)
         if self.basepoint is not None and self.basepoint not in self._index[(0, 0)]:
-            report("basepoint is not a (0,0)-simplex")
-        return v
+            v.append("basepoint is not a (0,0)-simplex")
+        return v[:max_violations]
 
     def __repr__(self):
         return (f"TruncatedBisimplicialSet({len(self.shape.support)} bidegrees, "
@@ -228,28 +182,26 @@ class BisimplicialMap:
         return self.assign[(p, q)][x]
 
     def validate(self, max_violations=20):
-        v = []
+        """Each row and each column of the assignment is a map of
+        simplicial sets, on the bidegrees both shapes share."""
         B, C = self.source, self.target
-        for (p, q) in B.shape.sorted():
-            if (p, q) not in C.shape:
-                continue
-            for x in B.simplices[(p, q)]:
-                y = self.assign[(p, q)][x]
-                for i in range(p + 1) if p >= 1 else ():
-                    if self.assign[(p - 1, q)][B.hface(p, q, i, x)] != C.hface(p, q, i, y):
-                        v.append(f"dh_{i} not preserved at {(p, q)}")
-                for j in range(q + 1) if q >= 1 else ():
-                    if self.assign[(p, q - 1)][B.vface(p, q, j, x)] != C.vface(p, q, j, y):
-                        v.append(f"dv_{j} not preserved at {(p, q)}")
-                if (p + 1, q) in B.shape:
-                    for i in range(p + 1):
-                        if self.assign[(p + 1, q)][B.hdegen(p, q, i, x)] != C.hdegen(p, q, i, y):
-                            v.append(f"sh_{i} not preserved at {(p, q)}")
-                if (p, q + 1) in B.shape:
-                    for j in range(q + 1):
-                        if self.assign[(p, q + 1)][B.vdegen(p, q, j, x)] != C.vdegen(p, q, j, y):
-                            v.append(f"sv_{j} not preserved at {(p, q)}")
+        v = []
+        for q, top in sorted(B.shape.row_top.items()):
+            if q in C.shape.row_top:
+                v += _prefixed(f"row {q}: ", SimplicialMap.commutation_failures(
+                    min(top, C.shape.row_top[q]), *B._row(q), *C._row(q),
+                    lambda p: self.assign.get((p, q))), max_violations)
+        for p, top in sorted(B.shape.column_top.items()):
+            if p in C.shape.column_top:
+                v += _prefixed(f"column {p}: ", SimplicialMap.commutation_failures(
+                    min(top, C.shape.column_top[p]), *B._column(p), *C._column(p),
+                    lambda q: self.assign.get((p, q))), max_violations)
         return v[:max_violations]
+
+
+def _prefixed(prefix, failures, limit):
+    """The first `limit` failure messages, each after `prefix`."""
+    return [prefix + msg for msg in itertools.islice(failures, limit)]
 
 
 # ---------------------------------------------------------------------

@@ -16,8 +16,8 @@ from .bisset import box_product, d_star, dec
 from .cat import (BoundExceeded, CategoryError, FinCategory, arrow_cat,
                   chaotic, cyclic_group, discrete, terminal_cat)
 from .names import sort_key
-from .scat import (add_basepoint, constant_pointed_scat, constant_scat,
-                   pi_levelwise, s0_scat)
+from .scat import (SimplicialCategory, add_basepoint, constant_pointed_scat,
+                   constant_scat, pi_levelwise, s0_scat)
 from .spectra import sigma_infinity, terminal_spectrum
 from .sset import (SimplicialError, SimplicialMap, TruncatedSimplicialSet,
                    boundary, c_sigma, delta, horn, point, sphere, two_point)
@@ -64,24 +64,62 @@ def _encode_sset(X):
     return data
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer"}
+
+
+def _need(value, kind, what):
+    """`value` when it has the JSON type `kind` (a bool is not an
+    integer); otherwise a DocumentError that names `what`."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DocumentError(f"{what} must be {_JSON_TYPES[kind]}, "
+                            f"got {value!r}")
+    return value
+
+
+def _ints(key, parts, what):
+    """The `parts` integers of a table key such as "2" or "2,1"."""
+    try:
+        values = tuple(int(v) for v in key.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != parts:
+        raise DocumentError(f"{what}: bad key {key!r}")
+    return values
+
+
+def _table(table, what):
+    """{cell: cell} from an object whose keys are JSON-encoded cells."""
+    out = {}
+    for key, value in _need(table, dict, what).items():
+        try:
+            cell = json.loads(key)
+        except ValueError as e:
+            raise DocumentError(f"{what}: bad cell key {key!r}") from e
+        out[decode_name(cell)] = decode_name(value)
+    return out
+
+
 def _decode_sset(data):
-    bound = data["bound"]
-    simplices = {int(n): tuple(sorted((decode_name(x) for x in cells),
-                                      key=sort_key))
-                 for n, cells in data["simplices"].items()}
-    faces = {}
-    for key, table in data["faces"].items():
-        n, i = (int(v) for v in key.split(","))
-        faces[(n, i)] = {decode_name(json.loads(x)): decode_name(y)
-                         for x, y in table.items()}
-    degens = {}
-    for key, table in data["degens"].items():
-        n, j = (int(v) for v in key.split(","))
-        degens[(n, j)] = {decode_name(json.loads(x)): decode_name(y)
-                          for x, y in table.items()}
+    _need(data, dict, "'data'")
+    bound = _need(data["bound"], int, "'bound'")
+    simplices = {}
+    for key, cells in _need(data["simplices"], dict, "'simplices'").items():
+        (n,) = _ints(key, 1, "'simplices'")
+        level = sorted((decode_name(x) for x in
+                        _need(cells, list, f"simplices {key!r}")), key=sort_key)
+        if any(a == b for a, b in zip(level, level[1:])):
+            raise DocumentError(f"a cell is listed twice in degree {n}")
+        simplices[n] = tuple(level)
     bp = decode_name(data["basepoint"]) if "basepoint" in data else None
-    return TruncatedSimplicialSet(bound, simplices, faces, degens,
-                                  basepoint=bp)
+    return TruncatedSimplicialSet(bound, simplices, _tables(data, "faces"),
+                                  _tables(data, "degens"), basepoint=bp)
+
+
+def _tables(data, part):
+    """The operator tables `data[part]`, keyed by (degree, index)."""
+    return {_ints(key, 2, repr(part)): _table(table, f"{part} {key!r}")
+            for key, table in _need(data[part], dict, repr(part)).items()}
 
 
 def _encode_category(C):
@@ -101,18 +139,19 @@ def _encode_category(C):
 
 
 def _decode_category(data):
-    comp = {(decode_name(g), decode_name(f)): decode_name(h)
-            for g, f, h in data["comp"]}
+    _need(data, dict, "'data'")
+    comp = {}
+    for triple in _need(data["comp"], list, "'comp'"):
+        if not (isinstance(triple, list) and len(triple) == 3):
+            raise DocumentError(f"each composite must be [g, f, g after f], "
+                                f"got {triple!r}")
+        g, f, h = (decode_name(x) for x in triple)
+        comp[(g, f)] = h
     return FinCategory(
-        [decode_name(o) for o in data["objects"]],
-        [decode_name(m) for m in data["morphisms"]],
-        {decode_name(json.loads(m)): decode_name(s)
-         for m, s in data["src"].items()},
-        {decode_name(json.loads(m)): decode_name(t)
-         for m, t in data["tgt"].items()},
-        {decode_name(json.loads(o)): decode_name(i)
-         for o, i in data["ident"].items()},
-        comp)
+        [decode_name(o) for o in _need(data["objects"], list, "'objects'")],
+        [decode_name(m) for m in _need(data["morphisms"], list, "'morphisms'")],
+        _table(data["src"], "'src'"), _table(data["tgt"], "'tgt'"),
+        _table(data["ident"], "'ident'"), comp)
 
 
 _SSET_BUILDERS = {
@@ -122,8 +161,9 @@ _SSET_BUILDERS = {
     "sphere": lambda b: sphere(b["n"], b["bound"]),
     "point": lambda b: point(b["bound"]),
     "two_point": lambda b: two_point(b["bound"]),
-    "c_sigma": lambda b: c_sigma(b["n"], decode_name(b["sigma"]),
-                                 b.get("bound")),
+    "c_sigma": lambda b: c_sigma(
+        b["n"], decode_name(_need(b["sigma"], list, "builder 'sigma'")),
+        b.get("bound")),
 }
 
 _CATEGORY_BUILDERS = {
@@ -135,14 +175,26 @@ _CATEGORY_BUILDERS = {
 }
 
 
+def _ref(holder, key, env, cls):
+    """The entity named by `holder[key]`, which must be a `cls`."""
+    ref = _need(holder[key], str, repr(key))
+    if ref not in env:
+        raise DocumentError(f"unknown entity {ref!r}")
+    if not isinstance(env[ref], cls):
+        raise DocumentError(f"{key!r} must name a {cls.__name__}, "
+                            f"got {type(env[ref]).__name__}")
+    return env[ref]
+
+
 def _build_bisset(builder, env):
     kind = builder["type"]
     if kind == "dec":
-        return dec(env[builder["space"]])
+        return dec(_ref(builder, "space", env, TruncatedSimplicialSet))
     if kind == "d_star":
-        return d_star(env[builder["space"]])
+        return d_star(_ref(builder, "space", env, TruncatedSimplicialSet))
     if kind == "box":
-        return box_product(env[builder["left"]], env[builder["right"]])
+        return box_product(_ref(builder, "left", env, TruncatedSimplicialSet),
+                           _ref(builder, "right", env, TruncatedSimplicialSet))
     raise DocumentError(f"unknown bisimplicial builder {kind!r}")
 
 
@@ -150,26 +202,30 @@ def _build_scat(builder, env, config):
     kind = builder["type"]
     closure = config.get("closure_bound", 20000)
     if kind == "constant":
-        return constant_scat(env[builder["category"]], builder["bound"])
+        return constant_scat(_ref(builder, "category", env, FinCategory),
+                             builder["bound"])
     if kind == "constant_pointed":
-        return constant_pointed_scat(env[builder["category"]],
+        return constant_pointed_scat(_ref(builder, "category", env, FinCategory),
                                      decode_name(builder["basepoint"]),
                                      builder["bound"])
     if kind == "s0_scat":
         return s0_scat(builder["bound"])
     if kind == "add_basepoint":
-        return add_basepoint(env[builder["inner"]])
+        return add_basepoint(_ref(builder, "inner", env, SimplicialCategory))
     if kind == "pi_dec":
-        return pi_levelwise(dec(env[builder["space"]]), closure)
+        return pi_levelwise(
+            dec(_ref(builder, "space", env, TruncatedSimplicialSet)), closure)
     if kind == "pi_dstar":
-        return pi_levelwise(d_star(env[builder["space"]]), closure)
+        return pi_levelwise(
+            d_star(_ref(builder, "space", env, TruncatedSimplicialSet)), closure)
     raise DocumentError(f"unknown simplicial category builder {kind!r}")
 
 
 def _build_spectrum(builder, env, config):
     kind = builder["type"]
     if kind == "sigma_infinity":
-        return sigma_infinity(env[builder["category"]], builder["length"],
+        return sigma_infinity(_ref(builder, "category", env, SimplicialCategory),
+                              builder["length"],
                               closure_bound=config.get("closure_bound", 20000))
     if kind == "terminal":
         return terminal_spectrum(builder["length"], builder.get("bound", 3))
@@ -179,14 +235,12 @@ def _build_spectrum(builder, env, config):
 _INT_PARAMETERS = ("n", "bound", "index", "size", "order", "length")
 
 
-def _check_builder(name, builder):
-    if not isinstance(builder, dict):
-        raise DocumentError(f"entity {name!r}: builder must be an object")
+def _check_builder(builder):
+    _need(builder, dict, "builder")
+    _need(builder["type"], str, "builder 'type'")
     for key in _INT_PARAMETERS:
-        value = builder.get(key, 0)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DocumentError(f"entity {name!r}: builder parameter {key!r} "
-                                f"must be an integer, got {value!r}")
+        if key in builder:
+            _need(builder[key], int, f"builder parameter {key!r}")
 
 
 class WorkbenchDocument:
@@ -229,25 +283,28 @@ def parse_document(text):
         raise DocumentError("document must be a JSON object")
     if raw.get("schema") != SCHEMA:
         raise DocumentError(f"unsupported schema {raw.get('schema')!r}")
-    config = raw.get("config", {})
-    if not isinstance(config, dict):
-        raise DocumentError("config must be an object")
-    config = dict(config)
+    config = dict(_need(raw.get("config", {}), dict, "config"))
+    if "closure_bound" in config:
+        _need(config["closure_bound"], int, "config 'closure_bound'")
     entries = raw.get("entities", [])
     if not (isinstance(entries, list)
             and all(isinstance(entry, dict) for entry in entries)):
         raise DocumentError("entities must be a list of objects")
+    suites = raw.get("suites", [])
+    if not (isinstance(suites, list)
+            and all(isinstance(suite, str) for suite in suites)):
+        raise DocumentError(f"suites must be a list of strings, got {suites!r}")
     entities = {}
     for entry in entries:
         name, kind = entry["name"], entry["kind"]
         if not (isinstance(name, str) and isinstance(kind, str)):
             raise DocumentError(f"entity name and kind must be strings, "
                                 f"got {name!r} and {kind!r}")
-        if "builder" in entry:
-            _check_builder(name, entry["builder"])
         if name in entities:
             raise DocumentError(f"duplicate entity name {name!r}")
         try:
+            if "builder" in entry:
+                _check_builder(entry["builder"])
             if kind == "simplicial_set":
                 if "builder" in entry:
                     b = entry["builder"]
@@ -273,24 +330,22 @@ def parse_document(text):
             elif kind == "spectrum":
                 obj = _build_spectrum(entry["builder"], entities, config)
             elif kind == "simplicial_map":
-                src = entities[entry["source"]]
-                tgt = entities[entry["target"]]
-                assign = {}
-                for degree, table in entry["assign"].items():
-                    assign[int(degree)] = {
-                        decode_name(json.loads(x)): decode_name(y)
-                        for x, y in table.items()}
+                src = _ref(entry, "source", entities, TruncatedSimplicialSet)
+                tgt = _ref(entry, "target", entities, TruncatedSimplicialSet)
+                assign = {_ints(degree, 1, "'assign'")[0]:
+                          _table(table, f"assign {degree!r}")
+                          for degree, table in
+                          _need(entry["assign"], dict, "'assign'").items()}
                 obj = SimplicialMap(src, tgt, assign)
             else:
                 raise DocumentError(f"unknown entity kind {kind!r}")
         except BoundExceeded:
             raise
-        except (SimplicialError, CategoryError, KeyError) as e:
+        except (SimplicialError, CategoryError, DocumentError, KeyError) as e:
             raise DocumentError(f"entity {name!r}: {e}") from e
         _audit_entity(name, kind, obj)
         entities[name] = obj
-    suites = list(raw.get("suites", []))
-    return WorkbenchDocument(raw, entities, suites, config)
+    return WorkbenchDocument(raw, entities, list(suites), config)
 
 
 def serialize_document(doc):

@@ -432,8 +432,11 @@ def _chain_map(f):
 
 def mapping_cone(f):
     """Cone of the induced chain map: degree n is X_{n-1} + Y_n."""
-    cx = normalized_chains(f.source)
-    cy = normalized_chains(f.target)
+    return _cone(normalized_chains(f.source), normalized_chains(f.target), f)
+
+
+def _cone(cx, cy, f):
+    """Mapping cone of f from the normalized chains of its two ends."""
     fm = _chain_map(f)
     top = min(cx.top, cy.top)
     ranks = {n: cx.rank(n - 1) + cy.rank(n) for n in range(top + 2)}
@@ -483,7 +486,7 @@ def weak_equivalence_probe(f, k):
         hy = _homology_from_complex(cy, i)
         if hx != hy:
             return ProbeVerdict.refuted(i, f"H_{i}: {hx} vs {hy}")
-    cone = mapping_cone(f)
+    cone = _cone(cx, cy, f)
     for i in range(1, k + 1):
         hc = _homology_from_complex(cone, i)
         if not hc.is_trivial():

@@ -11,6 +11,8 @@ suspension, and the pointed cotensor.
 
 from __future__ import annotations
 
+import itertools
+
 from .bisset import BidegreeShape, TruncatedBisimplicialSet, d_star, dec, wbar
 from .cat import (BoundExceeded, CapExceeded, CategoryError, FinCategory,
                   Functor, _materialize, colimit_record, coproduct_cat,
@@ -19,6 +21,11 @@ from .cat import (BoundExceeded, CapExceeded, CategoryError, FinCategory,
                   terminal_cat)
 from .sset import (SimplicialMap, TruncatedSimplicialSet, _tuple_face, delta,
                    sphere, truncate)
+
+
+# The two simplicial sets of a simplicial category: the attribute of
+# each level that lists the cells, and of each structure functor that maps them.
+_PARTS = (("objects", "obj_map"), ("morphisms", "mor_map"))
 
 
 def functors_equal(F, G):
@@ -59,65 +66,43 @@ class SimplicialCategory:
         return self.degens[(n, j)]
 
     def table(self, n, m, k):
-        """Structure functor d_k (m = n - 1) or s_k (m = n + 1)."""
-        return self.faces[(n, k)] if m < n else self.degens[(n, k)]
+        """Structure functor d_k (m = n - 1) or s_k (m = n + 1), or None
+        when it is missing."""
+        return (self.faces if m < n else self.degens).get((n, k))
+
+    def _part(self, cells, mapping):
+        """Objects or morphisms of every level with their structure
+        maps, as checker callbacks: `cells` and `mapping` name the
+        attributes of `FinCategory` and `Functor`."""
+        return (lambda n: getattr(self.levels[n], cells),
+                lambda n, m, k: getattr(self.table(n, m, k), mapping, None))
 
     def is_pointed(self):
         return self.basepoints is not None
 
     def audit(self, max_violations=20):
-        v = []
-
-        def report(msg):
-            if len(v) < max_violations:
-                v.append(msg)
-
-        for n in range(self.bound + 1):
-            for msg in self.levels[n].validate():
-                report(f"level {n}: {msg}")
-        for (n, i), F in list(self.faces.items()) + list(self.degens.items()):
-            for msg in F.validate():
-                report(f"structure functor at {(n, i)}: {msg}")
+        v = [f"level {n}: {msg}" for n in range(self.bound + 1)
+             for msg in self.levels[n].validate()]
+        v += [f"structure functor at {(n, i)}: {msg}"
+              for (n, i), F in list(self.faces.items()) + list(self.degens.items())
+              for msg in F.validate()]
         if v:
-            return v
-        for n in range(2, self.bound + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    lhs = self.face(n - 1, i).compose(self.face(n, j))
-                    rhs = self.face(n - 1, j - 1).compose(self.face(n, i))
-                    if not functors_equal(lhs, rhs):
-                        report(f"d_{i} d_{j} fails at level {n}")
-        for n in range(self.bound):
-            for j in range(n + 1):
-                s = self.degen(n, j)
-                for i in range(n + 2):
-                    got = self.face(n + 1, i).compose(s)
-                    if i in (j, j + 1):
-                        want = Functor.identity(self.levels[n])
-                    elif i < j:
-                        want = self.degen(n - 1, j - 1).compose(self.face(n, i))
-                    else:
-                        want = self.degen(n - 1, j).compose(self.face(n, i - 1))
-                    if not functors_equal(got, want):
-                        report(f"d_{i} s_{j} fails at level {n}")
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    if n + 1 < self.bound:
-                        lhs = self.degen(n + 1, i).compose(self.degen(n, j))
-                        rhs = self.degen(n + 1, j + 1).compose(self.degen(n, i))
-                        if not functors_equal(lhs, rhs):
-                            report(f"s_{i} s_{j} fails at level {n}")
+            return v[:max_violations]
+        for cells, mapping in _PARTS:
+            v += [f"{cells}: {msg}" for msg in itertools.islice(
+                TruncatedSimplicialSet.identity_failures(
+                    self.bound, *self._part(cells, mapping)), max_violations)]
         if self.basepoints is not None:
             for n in range(self.bound + 1):
                 if self.basepoints[n] not in self.levels[n].objects:
-                    report(f"missing basepoint object at level {n}")
+                    v.append(f"missing basepoint object at level {n}")
             for (n, i), F in self.faces.items():
                 if F.obj_map[self.basepoints[n]] != self.basepoints[n - 1]:
-                    report(f"basepoint not stable under face {(n, i)}")
+                    v.append(f"basepoint not stable under face {(n, i)}")
             for (n, j), F in self.degens.items():
                 if F.obj_map[self.basepoints[n]] != self.basepoints[n + 1]:
-                    report(f"basepoint not stable under degeneracy {(n, j)}")
-        return v
+                    v.append(f"basepoint not stable under degeneracy {(n, j)}")
+        return v[:max_violations]
 
     def __repr__(self):
         kind = "PointedSimplicialCategory" if self.is_pointed() \
@@ -149,18 +134,12 @@ class SimplicialFunctor:
         for n in range(bound + 1):
             for msg in self.levels[n].validate():
                 v.append(f"level {n}: {msg}")
-        for n in range(1, bound + 1):
-            for i in range(n + 1):
-                lhs = self.levels[n - 1].compose(S.face(n, i))
-                rhs = T.face(n, i).compose(self.levels[n])
-                if not functors_equal(lhs, rhs):
-                    v.append(f"face commutation fails at {(n, i)}")
-        for n in range(bound):
-            for j in range(n + 1):
-                lhs = self.levels[n + 1].compose(S.degen(n, j))
-                rhs = T.degen(n, j).compose(self.levels[n])
-                if not functors_equal(lhs, rhs):
-                    v.append(f"degeneracy commutation fails at {(n, j)}")
+        for cells, mapping in _PARTS:
+            v += [f"{cells}: {msg}" for msg in itertools.islice(
+                SimplicialMap.commutation_failures(
+                    bound, *S._part(cells, mapping), *T._part(cells, mapping),
+                    lambda n: getattr(self.levels.get(n), mapping, None)),
+                max_violations)]
         if pointed:
             for n in range(bound + 1):
                 if self.levels[n].obj_map[S.basepoints[n]] != T.basepoints[n]:

@@ -81,8 +81,9 @@ class TruncatedSimplicialSet:
         return self.degens[(n, j)][x]
 
     def table(self, n, m, k):
-        """Table of d_k (m = n - 1) or s_k (m = n + 1) on degree n."""
-        return self.faces[(n, k)] if m < n else self.degens[(n, k)]
+        """Table of d_k (m = n - 1) or s_k (m = n + 1) on degree n, or
+        None when it is missing."""
+        return (self.faces if m < n else self.degens).get((n, k))
 
     def has(self, n, x):
         return n <= self.bound and x in self._index[n]
@@ -136,73 +137,77 @@ class TruncatedSimplicialSet:
 
     # -- audits -------------------------------------------------------
 
+    @staticmethod
+    def identity_failures(bound, cells, table):
+        """Yield every way the operators fail to make a simplicial set.
+
+        `cells(n)` lists the degree-n cells and `table(n, m, k)` is the
+        operator dict as in `from_operators`, or None when it is missing.
+        Missing tables, cells missing from a table and values that are not
+        cells of the target degree come first; the simplicial identities
+        are checked only when every table is total."""
+        sets = [frozenset(cells(n)) for n in range(bound + 1)]
+        ops, total = {}, True
+        for n in range(bound + 1):
+            for m in (n - 1, n + 1):
+                if not 0 <= m <= bound:
+                    continue
+                kind, op = ("face", "d") if m < n else ("degeneracy", "s")
+                for k in range(n + 1):
+                    t = ops[n, m, k] = table(n, m, k)
+                    if t is None:
+                        total = False
+                        yield f"missing {kind} table {op}_{k} at degree {n}"
+                        continue
+                    for x in cells(n):
+                        if x not in t:
+                            total = False
+                            yield f"{op}_{k} undefined on {x!r} at degree {n}"
+                        elif t[x] not in sets[m]:
+                            total = False
+                            yield f"{op}_{k}({x!r}) not a ({m})-simplex"
+        if not total:
+            return
+        for n in range(2, bound + 1):
+            for j in range(1, n + 1):
+                dj, ddj = ops[n, n - 1, j], ops[n - 1, n - 2, j - 1]
+                for i in range(j):
+                    di, ddi = ops[n, n - 1, i], ops[n - 1, n - 2, i]
+                    for x in cells(n):
+                        if ddi[dj[x]] != ddj[di[x]]:
+                            yield f"d_{i} d_{j} != d_{j-1} d_{i} on {x!r} (degree {n})"
+        for n in range(bound - 1):
+            for i in range(n + 1):
+                si, ssi = ops[n, n + 1, i], ops[n + 1, n + 2, i]
+                for j in range(i, n + 1):
+                    sj, ssj = ops[n, n + 1, j], ops[n + 1, n + 2, j + 1]
+                    for x in cells(n):
+                        if ssj[si[x]] != ssi[sj[x]]:
+                            yield f"s_{j+1} s_{i} != s_{i} s_{j} on {x!r} (degree {n})"
+        for n in range(bound):
+            identity = {x: x for x in cells(n)}
+            for j in range(n + 1):
+                sj = ops[n, n + 1, j]
+                for i in range(n + 2):
+                    di = ops[n + 1, n, i]
+                    if i in (j, j + 1):     # d_i s_j = identity
+                        d = s = identity
+                    elif i < j:             # d_i s_j = s_{j-1} d_i
+                        d, s = ops[n, n - 1, i], ops[n - 1, n, j - 1]
+                    else:                   # d_i s_j = s_j d_{i-1}
+                        d, s = ops[n, n - 1, i - 1], ops[n - 1, n, j]
+                    for x in cells(n):
+                        if di[sj[x]] != s[d[x]]:
+                            yield f"d_{i} s_{j} identity fails on {x!r} (degree {n})"
+
     def audit(self, max_violations=20):
         """Exhaustive check of totality and all simplicial identities.
         Returns a list of violation descriptions (empty = valid)."""
-        v = []
-
-        def report(msg):
-            if len(v) < max_violations:
-                v.append(msg)
-
-        for n in range(1, self.bound + 1):
-            for i in range(n + 1):
-                table = self.faces.get((n, i))
-                if table is None:
-                    report(f"missing face table d_{i} at degree {n}")
-                    continue
-                for x in self.simplices[n]:
-                    if x not in table:
-                        report(f"d_{i} undefined on {x!r} at degree {n}")
-                    elif not self.has(n - 1, table[x]):
-                        report(f"d_{i}({x!r}) not a ({n-1})-simplex")
-        for n in range(self.bound):
-            for j in range(n + 1):
-                table = self.degens.get((n, j))
-                if table is None:
-                    report(f"missing degeneracy table s_{j} at degree {n}")
-                    continue
-                for x in self.simplices[n]:
-                    if x not in table:
-                        report(f"s_{j} undefined on {x!r} at degree {n}")
-                    elif not self.has(n + 1, table[x]):
-                        report(f"s_{j}({x!r}) not a ({n+1})-simplex")
-        if v:
-            return v
-
-        for n in range(2, self.bound + 1):
-            for x in self.simplices[n]:
-                for j in range(n + 1):
-                    for i in range(j):
-                        lhs = self.face(n - 1, i, self.face(n, j, x))
-                        rhs = self.face(n - 1, j - 1, self.face(n, i, x))
-                        if lhs != rhs:
-                            report(f"d_{i} d_{j} != d_{j-1} d_{i} on {x!r} (degree {n})")
-        for n in range(self.bound - 1):
-            for x in self.simplices[n]:
-                for i in range(n + 1):
-                    for j in range(i, n + 1):
-                        lhs = self.degen(n + 1, j + 1, self.degen(n, i, x))
-                        rhs = self.degen(n + 1, i, self.degen(n, j, x))
-                        if lhs != rhs:
-                            report(f"s_{j+1} s_{i} != s_{i} s_{j} on {x!r} (degree {n})")
-        for n in range(self.bound):
-            for x in self.simplices[n]:
-                for j in range(n + 1):
-                    sx = self.degen(n, j, x)
-                    for i in range(n + 2):
-                        got = self.face(n + 1, i, sx)
-                        if i == j or i == j + 1:
-                            want = x
-                        elif i < j:
-                            want = self.degen(n - 1, j - 1, self.face(n, i, x))
-                        else:
-                            want = self.degen(n - 1, j, self.face(n, i - 1, x))
-                        if got != want:
-                            report(f"d_{i} s_{j} identity fails on {x!r} (degree {n})")
+        v = list(itertools.islice(self.identity_failures(
+            self.bound, self.simplices.__getitem__, self.table), max_violations))
         if self.basepoint is not None and self.basepoint not in self._index[0]:
-            report("basepoint is not a 0-simplex")
-        return v
+            v.append("basepoint is not a 0-simplex")
+        return v[:max_violations]
 
     def audit_or_raise(self):
         v = self.audit()
@@ -255,30 +260,45 @@ class SimplicialMap:
                   for n in other.assign}
         return SimplicialMap(other.source, self.target, assign)
 
+    @staticmethod
+    def commutation_failures(bound, source_cells, source_table, target_cells,
+                             target_table, assign):
+        """Yield every way `assign(n)` (a dict, or None when missing) fails
+        to be a map of simplicial sets up to `bound`: cells without an
+        image among the target's cells first, then each operator it does
+        not commute with.  Cells and tables are given as for
+        `TruncatedSimplicialSet.identity_failures`."""
+        images = [assign(n) or {} for n in range(bound + 1)]
+        clean = True
+        for n in range(bound + 1):
+            targets = frozenset(target_cells(n))
+            for x in source_cells(n):
+                if images[n].get(x) not in targets:
+                    clean = False
+                    yield f"no valid image for {x!r} at degree {n}"
+        if not clean:
+            return
+        for n in range(bound + 1):
+            for m in (n - 1, n + 1):
+                if not 0 <= m <= bound:
+                    continue
+                f, g, op = images[n], images[m], "d" if m < n else "s"
+                for k in range(n + 1):
+                    s, t = source_table(n, m, k), target_table(n, m, k)
+                    for x in source_cells(n):
+                        if g[s[x]] != t[f[x]]:
+                            yield f"{op}_{k} not preserved on {x!r} at degree {n}"
+
     def validate(self, pointed=False, max_violations=20):
-        v = []
         X, Y = self.source, self.target
-        for n in X.degrees():
-            for x in X.simplices[n]:
-                y = self.assign[n].get(x)
-                if y is None or not Y.has(n, y):
-                    v.append(f"no valid image for {x!r} at degree {n}")
-        if v:
-            return v[:max_violations]
-        for n in range(1, X.bound + 1):
-            for x in X.simplices[n]:
-                for i in range(n + 1):
-                    if self.assign[n - 1][X.face(n, i, x)] != Y.face(n, i, self.assign[n][x]):
-                        v.append(f"d_{i} not preserved on {x!r} at degree {n}")
-        for n in range(X.bound):
-            for x in X.simplices[n]:
-                for j in range(n + 1):
-                    if self.assign[n + 1][X.degen(n, j, x)] != Y.degen(n, j, self.assign[n][x]):
-                        v.append(f"s_{j} not preserved on {x!r} at degree {n}")
+        v = list(itertools.islice(self.commutation_failures(
+            X.bound, X.simplices.__getitem__, X.table,
+            lambda n: Y.simplices.get(n, ()), Y.table, self.assign.get),
+            max_violations))
         if pointed:
             if not (X.is_pointed() and Y.is_pointed()):
                 v.append("pointed validation on unpointed object")
-            elif self.assign[0][X.basepoint] != Y.basepoint:
+            elif self.assign.get(0, {}).get(X.basepoint) != Y.basepoint:
                 v.append("basepoint not preserved")
         return v[:max_violations]
 

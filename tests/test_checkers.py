@@ -1,0 +1,120 @@
+"""The shared simplicial-identity checkers behind every audit and every
+map validation: each single-entry corruption is reported, and the cases
+the per-class checkers used to miss or crash on are reported too."""
+
+import pytest
+
+from simpcat.bisset import (BisimplicialMap, TruncatedBisimplicialSet,
+                            box_product, dec)
+from simpcat.cat import Functor
+from simpcat.scat import SimplicialFunctor, s0_scat
+from simpcat.sset import SimplicialMap, delta
+
+
+def _sset():
+    X = delta(1, 3)
+    tables = ([(t, X.simplices[n - 1]) for (n, i), t in X.faces.items()]
+              + [(t, X.simplices[n + 1]) for (n, j), t in X.degens.items()])
+    return X.audit, tables
+
+
+def _bisset_tables(B):
+    return ([(t, B.simplices[(p - 1, q)]) for (p, q, i), t in B.hfaces.items()]
+            + [(t, B.simplices[(p + 1, q)]) for (p, q, i), t in B.hdegens.items()]
+            + [(t, B.simplices[(p, q - 1)]) for (p, q, j), t in B.vfaces.items()]
+            + [(t, B.simplices[(p, q + 1)]) for (p, q, j), t in B.vdegens.items()])
+
+
+def _bisset():
+    B = dec(delta(1, 3))
+    return B.audit, _bisset_tables(B)
+
+
+def _functor_tables(functors):
+    out = []
+    for F in {id(F): F for F in functors}.values():
+        out += [(F.obj_map, F.target.objects), (F.mor_map, F.target.morphisms)]
+    return out
+
+
+def _scat():
+    S = s0_scat(2)
+    return S.audit, _functor_tables(list(S.faces.values())
+                                    + list(S.degens.values()))
+
+
+def _sset_map():
+    X = delta(1, 3)
+    f = SimplicialMap.identity(X)
+    return f.validate, [(f.assign[n], X.simplices[n]) for n in X.degrees()]
+
+
+def _bisset_map():
+    B = dec(delta(1, 3))
+    f = BisimplicialMap(B, B, {pq: {x: x for x in cells}
+                               for pq, cells in B.simplices.items()})
+    return f.validate, [(f.assign[pq], B.simplices[pq]) for pq in B.simplices]
+
+
+def _scat_functor():
+    S = s0_scat(2)
+    F = SimplicialFunctor(S, S, {n: Functor.identity(S.levels[n])
+                                 for n in range(S.bound + 1)})
+    return F.validate, _functor_tables(F.levels.values())
+
+
+@pytest.mark.parametrize("make", [_sset, _bisset, _scat, _sset_map,
+                                  _bisset_map, _scat_functor],
+                         ids=["sset", "bisset", "scat", "sset-map",
+                              "bisset-map", "scat-functor"])
+def test_every_single_entry_corruption_is_reported(make):
+    check, tables = make()
+    assert check() == []
+    missed, tried = [], 0
+    for table, values in tables:
+        for x in list(table):
+            original = table[x]
+            for y in values:
+                if y != original:
+                    table[x] = y
+                    tried += 1
+                    if not check():
+                        missed.append((x, y))
+            table[x] = original
+    assert tried and not missed
+    assert check() == []
+
+
+def test_row_whose_twin_cell_breaks_s1_s0_is_reported():
+    B = box_product(delta(0, 2), delta(0, 0))      # one row, p = 0..2
+    v = B.simplices[(0, 0)][0]
+    s0v = B.hdegen(0, 0, 0, v)
+    twin = ("twin", 0)
+    simplices = dict(B.simplices)
+    simplices[(2, 0)] = simplices[(2, 0)] + (twin,)
+    hfaces = {key: dict(t) for key, t in B.hfaces.items()}
+    for i in range(3):
+        hfaces[(2, 0, i)][twin] = s0v               # same faces as s_0 s_0 v
+    hdegens = {key: dict(t) for key, t in B.hdegens.items()}
+    hdegens[(1, 0, 1)][s0v] = twin                  # s_1 s_0 v != s_0 s_0 v
+    C = TruncatedBisimplicialSet(B.shape, simplices, hfaces, hdegens,
+                                 B.vfaces, B.vdegens)
+    assert any("s_1 s_0 != s_0 s_0" in msg for msg in C.audit())
+
+
+def test_missing_bisimplicial_degeneracy_entry_is_reported():
+    B = dec(delta(1, 3))
+    hdegens = {key: dict(t) for key, t in B.hdegens.items()}
+    table = hdegens[(0, 1, 0)]
+    del table[next(iter(table))]
+    C = TruncatedBisimplicialSet(B.shape, B.simplices, B.hfaces, hdegens,
+                                 B.vfaces, B.vdegens)
+    assert any("undefined" in msg for msg in C.audit())
+
+
+def test_bisimplicial_map_with_a_missing_image_is_reported():
+    B = dec(delta(1, 3))
+    assign = {pq: {x: x for x in cells} for pq, cells in B.simplices.items()}
+    del assign[(1, 1)][B.simplices[(1, 1)][0]]
+    bad = BisimplicialMap(B, B, assign).validate()
+    assert any("no valid image" in msg for msg in bad)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from simpcat.cli import main
+from simpcat.document import sset_to_entry
+from simpcat.sset import delta, point
 
 
 @pytest.fixture
@@ -156,6 +158,16 @@ def _point_doc(**entity):
                               **entity)]}
 
 
+def _point_and(*entities, **top):
+    """The point document with more entities and top-level fields."""
+    doc = dict(_point_doc(), **top)
+    doc["entities"].extend(entities)
+    return doc
+
+
+_POINT_DATA = sset_to_entry("Y", point(1))["data"]
+
+
 @pytest.mark.parametrize("text", [
     json.dumps(_point_doc(builder={"type": "delta", "n": "x", "bound": 2})),
     json.dumps(_point_doc(builder={"type": "delta", "n": 1.5, "bound": 2})),
@@ -166,10 +178,35 @@ def _point_doc(**entity):
                 "entities": []}),
     json.dumps(_point_doc(builder=3)),
     json.dumps(_point_doc(name=["Y"])),
+    json.dumps(_point_doc(builder={"type": ["delta"], "n": 1, "bound": 2})),
+    json.dumps(_point_and({"name": "B", "kind": "bisimplicial_set",
+                           "builder": {"type": "dec", "space": ["Y"]}})),
+    json.dumps(dict(_point_doc(), suites=5)),
+    json.dumps(_point_and({"name": "Y3", "kind": "simplicial_set",
+                           "builder": {"type": "point", "bound": 3}},
+                          {"name": "P", "kind": "simplicial_category",
+                           "builder": {"type": "pi_dec", "space": "Y3"}},
+                          config={"closure_bound": "x"})),
+    json.dumps(_point_and({"name": "f", "kind": "simplicial_map",
+                           "source": "Y", "target": "Y", "assign": [1]})),
+    json.dumps(_point_and({"name": "Z", "kind": "simplicial_set",
+                           "data": dict(_POINT_DATA, bound="1")})),
 ], ids=["n-string", "n-float", "array", "null", "entities-string",
-        "config-list", "builder-number", "name-list"])
+        "config-list", "builder-number", "name-list", "type-list",
+        "reference-list", "suites-number", "closure-bound-string",
+        "assign-list", "data-bound-string"])
 def test_malformed_document_shape_is_bad_input(tmp_path, text, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["build", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cell_listed_twice_in_data_is_bad_input(tmp_path, capsys):
+    data = sset_to_entry("X", delta(1, 2))["data"]
+    data["simplices"]["0"].append([1])
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"schema": "simpcat-document/1", "entities": [
+        {"name": "X", "kind": "simplicial_set", "data": data}]}))
+    assert main(["build", str(path)]) == 2
+    assert "listed twice" in capsys.readouterr().err

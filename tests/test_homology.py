@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
@@ -115,6 +117,20 @@ def test_mapping_cone_of_identity_is_acyclic():
     from simpcat.homology import _homology_from_complex
     for i in range(1, 3):
         assert _homology_from_complex(cone, i).is_trivial()
+
+
+def test_probe_builds_each_ends_chains_once(monkeypatch):
+    # the package's `homology` function shadows the submodule attribute
+    homology_module = importlib.import_module("simpcat.homology")
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return normalized_chains(X)
+    monkeypatch.setattr(homology_module, "normalized_chains", counted)
+    f = SimplicialMap.identity(sphere(1, 3))
+    assert weak_equivalence_probe(f, 2).kind == "confirmed"
+    assert len(calls) == 2
 
 
 def test_probe_verdict_strings():
