@@ -19,14 +19,13 @@ from .cat import (FinCategory, Functor, discrete, chaotic, terminal_cat,
 from .homology import (AbelianGroupDescriptor, ProbeVerdict, homology,
                        homology_list, pi0, edge_path_group, abelianization,
                        weak_equivalence_probe)
-from .scat import (SimplicialCategory, PointedSimplicialCategory,
-                   SimplicialFunctor, constant_scat, s0_scat, add_basepoint,
-                   pi_levelwise, diag_nerve_iso, wbar_nerve_iso, rho,
-                   tensor_rho, smash, suspend, cotensor, loop_space,
-                   enumerate_simplicial_functors)
+from .scat import (SimplicialCategory, SimplicialFunctor, constant_scat,
+                   s0_scat, add_basepoint, pi_levelwise, diag_nerve_iso,
+                   wbar_nerve_iso, rho, tensor_rho, smash, suspend, cotensor,
+                   loop_space, enumerate_simplicial_functors)
 from .spectra import (SpectrumObject, sigma_infinity, terminal_spectrum,
                       shift, mapping_space, omega_spectrum_probe, k_groups)
 from .document import parse_document, serialize_document, WorkbenchDocument
-from .suites import SUITES, run_suite, run_suites
+from .suites import SUITES, run_suite
 
 __version__ = "0.1.0"

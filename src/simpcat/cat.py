@@ -169,13 +169,13 @@ def terminal_cat():
     return discrete(("*",))
 
 
-def cyclic_group(n, obj="*"):
-    """One-object groupoid with morphisms 0..n-1 added mod n."""
+def cyclic_group(n):
+    """One-object groupoid on "*" with morphisms 0..n-1 added mod n."""
     morphisms = tuple(range(n))
-    return FinCategory((obj,), morphisms,
-                       {m: obj for m in morphisms},
-                       {m: obj for m in morphisms},
-                       {obj: 0},
+    return FinCategory(("*",), morphisms,
+                       {m: "*" for m in morphisms},
+                       {m: "*" for m in morphisms},
+                       {"*": 0},
                        {(g, f): (g + f) % n for g in morphisms for f in morphisms})
 
 
@@ -259,11 +259,19 @@ class Functor:
         v = []
         C, D = self.source, self.target
         for o in C.objects:
-            if self.mor_map.get(C.ident[o]) != D.ident.get(self.obj_map.get(o)):
+            if self.obj_map.get(o) not in D.ident:
+                v.append(f"object {o!r} has no image in the target")
+        for m in C.morphisms:
+            if self.mor_map.get(m) not in D.src:
+                v.append(f"morphism {m!r} has no image in the target")
+        if v:
+            return v[:max_violations]
+        for o in C.objects:
+            if self.mor_map[C.ident[o]] != D.ident[self.obj_map[o]]:
                 v.append(f"identity at {o!r} not preserved")
         for m in C.morphisms:
-            fm = self.mor_map.get(m)
-            if fm is None or D.src[fm] != self.obj_map[C.src[m]] \
+            fm = self.mor_map[m]
+            if D.src[fm] != self.obj_map[C.src[m]] \
                     or D.tgt[fm] != self.obj_map[C.tgt[m]]:
                 v.append(f"endpoints of {m!r} not preserved")
         if v:

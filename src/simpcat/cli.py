@@ -177,9 +177,7 @@ def _suite_names(args, doc):
 
 
 def _suite_config(args):
-    config = {"closure_bound": args.closure_bound, "cap": args.cap,
-              "colimit_bound": args.closure_bound}
-    return config
+    return {"closure_bound": args.closure_bound, "cap": args.cap}
 
 
 def cmd_verify(args):

@@ -106,14 +106,21 @@ def _decode_sset(data):
     simplices = {}
     for key, cells in _need(data["simplices"], dict, "'simplices'").items():
         (n,) = _ints(key, 1, "'simplices'")
-        level = sorted((decode_name(x) for x in
-                        _need(cells, list, f"simplices {key!r}")), key=sort_key)
-        if any(a == b for a, b in zip(level, level[1:])):
-            raise DocumentError(f"a cell is listed twice in degree {n}")
-        simplices[n] = tuple(level)
+        simplices[n] = tuple(sorted(
+            _distinct(cells, f"simplices {key!r}",
+                      f"a cell is listed twice in degree {n}"), key=sort_key))
     bp = decode_name(data["basepoint"]) if "basepoint" in data else None
     return TruncatedSimplicialSet(bound, simplices, _tables(data, "faces"),
                                   _tables(data, "degens"), basepoint=bp)
+
+
+def _distinct(names, what, twice):
+    """The decoded names of the list `names`; a repeated name raises a
+    DocumentError with the message `twice`."""
+    out = [decode_name(x) for x in _need(names, list, what)]
+    if len(set(out)) != len(out):
+        raise DocumentError(twice)
+    return out
 
 
 def _tables(data, part):
@@ -148,8 +155,9 @@ def _decode_category(data):
         g, f, h = (decode_name(x) for x in triple)
         comp[(g, f)] = h
     return FinCategory(
-        [decode_name(o) for o in _need(data["objects"], list, "'objects'")],
-        [decode_name(m) for m in _need(data["morphisms"], list, "'morphisms'")],
+        _distinct(data["objects"], "'objects'", "an object is listed twice"),
+        _distinct(data["morphisms"], "'morphisms'",
+                  "a morphism is listed twice"),
         _table(data["src"], "'src'"), _table(data["tgt"], "'tgt'"),
         _table(data["ident"], "'ident'"), comp)
 

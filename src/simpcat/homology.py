@@ -2,13 +2,13 @@
 weak-equivalence probe.
 
 All arithmetic is arbitrary-precision integer.  Boundary matrices are
-kept sparse (column dicts); Smith invariants are computed by splitting
-off unit pivots sparsely and finishing the small residue with the
-classic dense reduction.
+kept sparse (column dicts), and `smith_invariants` reduces them in one
+sparse elimination loop, unit and non-unit pivots alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .names import sort_key
@@ -156,135 +156,84 @@ def normalized_chains(X):
 # Smith normal form
 # ---------------------------------------------------------------------
 
-def _sparse_from_dense(rows):
-    cols = {}
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if v:
-                cols.setdefault(c, {})[r] = int(v)
-    return cols
+def smith_invariants(cols):
+    """Invariant factors d1 | d2 | ... of a column-sparse integer matrix
+    {col: {row: value}}.
 
-
-def _dense_smith(entries):
-    """Classic in-place Smith reduction of a small dense matrix given as
-    a list of row lists.  Returns the nontrivial diagonal."""
-    m = [list(row) for row in entries]
-    nr, nc = len(m), len(m[0]) if m else 0
-    out = []
-    top = 0
-    while top < min(nr, nc):
-        pivot = None
-        for r in range(top, nr):
-            for c in range(top, nc):
-                if m[r][c] and (pivot is None or abs(m[r][c]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (r, c)
-        if pivot is None:
-            break
-        r0, c0 = pivot
-        m[top], m[r0] = m[r0], m[top]
-        for row in m:
-            row[top], row[c0] = row[c0], row[top]
-        p = m[top][top]
-        dirty = False
-        for r in range(top + 1, nr):
-            if m[r][top]:
-                q = m[r][top] // p
-                if q:
-                    m[r] = [a - q * b for a, b in zip(m[r], m[top])]
-                if m[r][top]:
-                    dirty = True
-        for c in range(top + 1, nc):
-            if m[top][c]:
-                q = m[top][c] // p
-                if q:
-                    for row in m:
-                        row[c] -= q * row[top]
-                if m[top][c]:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce divisibility of the remaining block by the pivot
-        bad = None
-        for r in range(top + 1, nr):
-            for c in range(top + 1, nc):
-                if m[r][c] % p:
-                    bad = r
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            m[top] = [a + b for a, b in zip(m[top], m[bad])]
-            continue
-        out.append(abs(p))
-        top += 1
-    return out
-
-
-def _sparse_smith(cols):
-    """Invariant factors of a column-sparse integer matrix: peel off
-    unit pivots with sparse elimination, then densify the residue."""
+    One elimination loop: the pivot is an entry of least absolute value,
+    ties broken by Markowitz cost.  Column operations with floor
+    quotients clear its row; once the row is clear, reducing its column
+    modulo the pivot touches only that column.  A pivot alone in its row
+    and column is split off.  Each pass either splits a pivot or leaves
+    an entry smaller than the pivot, so the loop ends.  A gcd/lcm pass
+    over the split pivots greater than 1 puts them in divisibility
+    order."""
     cols = {c: dict(col) for c, col in cols.items() if col}
     rows = {}
     for c, col in cols.items():
         for r in col:
             rows.setdefault(r, set()).add(c)
     units = 0
-    while True:
-        best = None
+    torsion = []
+    while cols:
+        # The least value and its cost are kept as two scalars, so a
+        # larger entry is skipped before its cost is computed; the first
+        # unit of cost 0 ends the scan.
+        least = math.inf
         for c, col in cols.items():
             cheap_col = len(col) - 1
             for r, v in col.items():
-                if v in (1, -1):
-                    cost = cheap_col * (len(rows[r]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, r, c)
-                        if cost == 0:
-                            break
-            if best and best[0] == 0:
+                if v < 0:
+                    v = -v
+                if v > least:
+                    continue
+                cost = cheap_col * (len(rows[r]) - 1)
+                if v < least or cost < best_cost:
+                    least, best_cost, r0, c0 = v, cost, r, c
+                    if cost == 0 and v == 1:
+                        break
+            if best_cost == 0 and least == 1:
                 break
-        if best is None:
-            break
-        _, r0, c0 = best
-        eps = cols[c0][r0]
-        pivot_col = cols.pop(c0)
-        for r in pivot_col:
-            rows[r].discard(c0)
-        for c in list(rows.get(r0, ())):
+        pivot_col = cols[c0]
+        p = pivot_col[r0]
+        for c in list(rows[r0]):
+            if c == c0:
+                continue
             col = cols[c]
-            factor = col[r0] * eps
+            q = col[r0] // p
             for r, v in pivot_col.items():
-                nv = col.get(r, 0) - factor * v
+                nv = col.get(r, 0) - q * v
                 if nv:
                     col[r] = nv
-                    rows.setdefault(r, set()).add(c)
-                else:
-                    if r in col:
-                        del col[r]
-                        rows[r].discard(c)
+                    rows[r].add(c)
+                elif r in col:
+                    del col[r]
+                    rows[r].discard(c)
             if not col:
                 del cols[c]
-        rows.pop(r0, None)
-        units += 1
-    invariants = [1] * units
-    if cols:
-        live_rows = sorted({r for col in cols.values() for r in col})
-        rindex = {r: k for k, r in enumerate(live_rows)}
-        dense = [[0] * len(cols) for _ in live_rows]
-        for k, c in enumerate(sorted(cols)):
-            for r, v in cols[c].items():
-                dense[rindex[r]][k] = v
-        invariants.extend(_dense_smith(dense))
-    return invariants
-
-
-def smith_invariants(matrix):
-    """Elementary divisors d1 | d2 | ... of an integer matrix, given
-    either densely (list of rows) or column-sparsely ({col: {row: v}})."""
-    if isinstance(matrix, dict):
-        cols = matrix
-    else:
-        cols = _sparse_from_dense(matrix)
-    return _sparse_smith(cols)
+        if len(rows[r0]) > 1:
+            continue
+        for r in list(pivot_col):
+            if r != r0:
+                v = pivot_col[r] % p
+                if v:
+                    pivot_col[r] = v
+                else:
+                    del pivot_col[r]
+                    rows[r].discard(c0)
+        if len(pivot_col) > 1:
+            continue
+        del cols[c0]
+        del rows[r0]
+        if least == 1:
+            units += 1
+        else:
+            torsion.append(least)
+    for i in range(len(torsion)):
+        for j in range(i + 1, len(torsion)):
+            g = math.gcd(torsion[i], torsion[j])
+            torsion[i], torsion[j] = g, torsion[i] // g * torsion[j]
+    return [1] * units + torsion
 
 
 def _homology_from_complex(complex_, i):
@@ -403,7 +352,7 @@ def abelianization(G):
         col = {g: v for g, v in col.items() if v}
         if col:
             cols[k] = col
-    inv = _sparse_smith(cols)
+    inv = smith_invariants(cols)
     free = n - len(inv)
     return AbelianGroupDescriptor(free, tuple(d for d in inv if d > 1))
 

@@ -26,10 +26,3 @@ def sort_key(name):
     if isinstance(name, tuple):
         return (2, tuple(sort_key(part) for part in name))
     raise TypeError(f"unsupported name type: {type(name).__name__}")
-
-
-def name_str(name):
-    """Flat string form used by the document serializer."""
-    if isinstance(name, tuple):
-        return "(" + ",".join(name_str(part) for part in name) + ")"
-    return str(name)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .bisset import BidegreeShape, TruncatedBisimplicialSet, d_star, dec, wbar
+from .bisset import BidegreeShape, TruncatedBisimplicialSet, dec, wbar
 from .cat import (BoundExceeded, CapExceeded, CategoryError, FinCategory,
                   Functor, _materialize, colimit_record, coproduct_cat,
                   enumerate_functors, enumerate_transformations,
@@ -52,8 +52,6 @@ class SimplicialCategory:
                  for n in range(1, bound + 1) for i in range(n + 1)}
         degens = {(n, j): table(n, n + 1, j)
                   for n in range(bound) for j in range(n + 1)}
-        if basepoints is not None:
-            cls = PointedSimplicialCategory
         return cls(bound, levels, faces, degens, basepoints, records)
 
     def level(self, n):
@@ -105,17 +103,9 @@ class SimplicialCategory:
         return v[:max_violations]
 
     def __repr__(self):
-        kind = "PointedSimplicialCategory" if self.is_pointed() \
-            else "SimplicialCategory"
-        return (f"{kind}(bound {self.bound}, level sizes "
-                f"{tuple(len(self.levels[n].objects) for n in range(self.bound + 1))})")
-
-
-class PointedSimplicialCategory(SimplicialCategory):
-    def __init__(self, bound, levels, faces, degens, basepoints, records=None):
-        if basepoints is None:
-            raise CategoryError("pointed simplicial category needs basepoints")
-        super().__init__(bound, levels, faces, degens, basepoints, records)
+        sizes = tuple(len(self.levels[n].objects) for n in range(self.bound + 1))
+        pt = ", pointed" if self.is_pointed() else ""
+        return f"SimplicialCategory(bound {self.bound}, level sizes {sizes}{pt})"
 
 
 class SimplicialFunctor:
@@ -164,8 +154,8 @@ def terminal_scat(bound):
 def add_basepoint(S):
     """Disjoint terminal object per level; levelwise C |-> C + *."""
     C, _ = colimit_scat([S, terminal_scat(S.bound)], [])
-    return PointedSimplicialCategory(C.bound, C.levels, C.faces, C.degens,
-                                     {n: (1, "*") for n in range(C.bound + 1)})
+    return SimplicialCategory(C.bound, C.levels, C.faces, C.degens,
+                              {n: (1, "*") for n in range(C.bound + 1)})
 
 
 def s0_scat(bound):
@@ -175,8 +165,8 @@ def s0_scat(bound):
 
 def constant_pointed_scat(C, basepoint, bound):
     S = constant_scat(C, bound)
-    return PointedSimplicialCategory(bound, S.levels, S.faces, S.degens,
-                                     {n: basepoint for n in range(bound + 1)})
+    return SimplicialCategory(bound, S.levels, S.faces, S.degens,
+                              {n: basepoint for n in range(bound + 1)})
 
 
 # ---------------------------------------------------------------------
@@ -216,9 +206,9 @@ def pi_levelwise(B, closure_bound=20000):
                                              records=records)
 
 
-def pi_functor(f, source_pi=None, target_pi=None, closure_bound=20000):
+def pi_functor(f, target_pi=None, closure_bound=20000):
     """Levelwise fundamental-groupoid functor of a bisimplicial map."""
-    S = source_pi if source_pi is not None else pi_levelwise(f.source, closure_bound)
+    S = pi_levelwise(f.source, closure_bound)
     T = target_pi if target_pi is not None else pi_levelwise(f.target, closure_bound)
     bound = min(S.bound, T.bound)
     levels = {}
@@ -283,8 +273,8 @@ def diag_nerve_iso_map(SF):
     return SimplicialMap(X, Y, assign)
 
 
-def wbar_nerve_iso(S, depth=None):
-    return wbar(nerve_iso_levelwise(S, depth))
+def wbar_nerve_iso(S):
+    return wbar(nerve_iso_levelwise(S))
 
 
 # ---------------------------------------------------------------------
@@ -349,13 +339,9 @@ def colimit_scat(scats, edges, bound=10000):
 # rho and tensors
 # ---------------------------------------------------------------------
 
-def rho(X, tag="pi_dec", closure_bound=20000):
+def rho(X, closure_bound=20000):
     """Simplicial-set-to-simplicial-category left adjoint candidate."""
-    if tag == "pi_dec":
-        return pi_levelwise(dec(X), closure_bound)
-    if tag == "pi_dstar":
-        return pi_levelwise(d_star(X), closure_bound)
-    raise CategoryError(f"unknown rho choice {tag!r}")
+    return pi_levelwise(dec(X), closure_bound)
 
 
 def _product_functor(src, tgt, F, G):
@@ -373,9 +359,9 @@ def product_scat(S, T):
                                          S.table(n, m, k), T.table(n, m, k)))
 
 
-def tensor_rho(S, X, tag="pi_dec", closure_bound=20000):
+def tensor_rho(S, X, closure_bound=20000):
     """Levelwise product of S with rho(X)."""
-    return product_scat(S, rho(X, tag, closure_bound))
+    return product_scat(S, rho(X, closure_bound))
 
 
 # ---------------------------------------------------------------------
@@ -391,14 +377,15 @@ def _collapse_functor(C, pt):
                    {m: ("id", "*") for m in C.morphisms})
 
 
-def smash(S, X, tag="pi_dec", closure_bound=20000, colim_bound=20000):
+def smash(S, X, closure_bound=20000):
     """Smash of a pointed simplicial category with a pointed simplicial
-    set: levelwise, collapse the wedge inside the product with rho(X)."""
+    set: levelwise, collapse the wedge inside the product with rho(X).
+    `closure_bound` bounds rho(X) and both levelwise colimits."""
     if not S.is_pointed():
         raise CategoryError("smash needs a pointed simplicial category")
     if not X.is_pointed():
         raise CategoryError("smash needs a pointed simplicial set")
-    R = rho(X, tag, closure_bound)
+    R = rho(X, closure_bound)
     top = min(S.bound, R.bound)
     pt = terminal_cat()
 
@@ -412,7 +399,7 @@ def smash(S, X, tag="pi_dec", closure_bound=20000, colim_bound=20000):
         wedge_recs[n], wedge_cocones[n] = colimit_record(
             [pt, C, K],
             [(0, 1, _point_functor(pt, C, bpC)),
-             (0, 2, _point_functor(pt, K, bpK))], colim_bound)
+             (0, 2, _point_functor(pt, K, bpK))], closure_bound)
         A = wedge_recs[n].category
         P = product_cat(C, K)
         products[n] = P
@@ -426,7 +413,7 @@ def smash(S, X, tag="pi_dec", closure_bound=20000, colim_bound=20000):
         j = wedge_recs[n].induced_functor(P, obj_map, gen_map)
         recs[n], cocones[n] = colimit_record(
             [A, P, pt], [(0, 1, j), (0, 2, _collapse_functor(A, pt))],
-            colim_bound)
+            closure_bound)
         levels[n] = recs[n].category
 
     def table(n, m, k):
@@ -443,24 +430,27 @@ def smash(S, X, tag="pi_dec", closure_bound=20000, colim_bound=20000):
     out = SimplicialCategory.from_operators(top, levels, table, basepoints,
                                             records=recs)
     out.smash_cocones = cocones
-    out.smash_products = products
     out.smash_rho = R
     return out
 
 
-def suspend(S, tag="pi_dec", closure_bound=20000, colim_bound=20000):
+def suspend(S, closure_bound=20000):
     """Smash with a circle model (an interval with its ends glued)."""
-    return smash(S, sphere(1, S.bound + 3), tag, closure_bound, colim_bound)
+    return smash(S, sphere(1, S.bound + 3), closure_bound)
 
 
 # ---------------------------------------------------------------------
 # pointed cotensor
 # ---------------------------------------------------------------------
 
-def _pointed_level_functors(R, S, m, cap):
+# Bound on each cotensor enumeration: candidate level functors, grid
+# functor families, transformation families and morphisms per level.
+COTENSOR_CAP = 100000
+
+def _pointed_level_functors(R, S, m):
     """Functors R_m -> S_m carrying the basepoint object to the
     basepoint object."""
-    out = enumerate_functors(R.levels[m], S.levels[m], cap)
+    out = enumerate_functors(R.levels[m], S.levels[m], COTENSOR_CAP)
     return [F for F in out
             if F.obj_map[R.basepoints[m]] == S.basepoints[m]]
 
@@ -475,7 +465,7 @@ def _sigma_compose(alpha, j):
     return tuple(v if v <= j else v - 1 for v in alpha)
 
 
-def _grid_functor_families(R, S, n, top, cands, cap):
+def _grid_functor_families(R, S, n, top, cands):
     """Assignments alpha |-> (functor R_m -> S_m), for alpha running
     over the m-simplices of Delta^n for m <= top, commuting with the
     structure maps on both sides.  These are exactly the simplicial
@@ -499,7 +489,7 @@ def _grid_functor_families(R, S, n, top, cands, cap):
         return True
 
     def extend(k, chosen):
-        if len(out) > cap:
+        if len(out) > COTENSOR_CAP:
             raise CapExceeded("cotensor enumeration cap exceeded")
         if k == len(cells):
             out.append(dict(chosen))
@@ -515,7 +505,7 @@ def _grid_functor_families(R, S, n, top, cands, cap):
     return cells, out
 
 
-def _grid_transformations(R, S, top, cells, Fd, Gd, cap):
+def _grid_transformations(R, S, top, cells, Fd, Gd):
     """Families of natural transformations Fd[(m, a)] -> Gd[(m, a)],
     with identity components over the basepoint object, commuting with
     the structure maps in both directions."""
@@ -548,7 +538,7 @@ def _grid_transformations(R, S, top, cells, Fd, Gd, cap):
         return True
 
     def extend(k, chosen):
-        if len(out) > cap:
+        if len(out) > COTENSOR_CAP:
             raise CapExceeded("cotensor enumeration cap exceeded")
         if k == len(cells):
             out.append(dict(chosen))
@@ -564,7 +554,7 @@ def _grid_transformations(R, S, top, cells, Fd, Gd, cap):
     return out
 
 
-def cotensor(S, X, tag="pi_dec", closure_bound=20000, cap=100000):
+def cotensor(S, X, closure_bound=20000):
     """Pointed cotensor: level n holds the simplicial functors from
     rho(X) x (discrete Delta^n grid) into S whose restriction to the
     basepoint object is constant at the basepoint (objects), and the
@@ -574,13 +564,13 @@ def cotensor(S, X, tag="pi_dec", closure_bound=20000, cap=100000):
         raise CategoryError("cotensor needs a pointed simplicial category")
     if not X.is_pointed():
         raise CategoryError("cotensor needs a pointed simplicial set")
-    R = rho(X, tag, closure_bound)
+    R = rho(X, closure_bound)
     top = min(S.bound, R.bound)
-    cands = {m: _pointed_level_functors(R, S, m, cap) for m in range(top + 1)}
+    cands = {m: _pointed_level_functors(R, S, m) for m in range(top + 1)}
 
     levels, level_data = {}, {}
     for n in range(top + 1):
-        cells, fams = _grid_functor_families(R, S, n, top, cands, cap)
+        cells, fams = _grid_functor_families(R, S, n, top, cands)
 
         def obj_name(d):
             return tuple(d[c].signature() for c in cells)
@@ -595,8 +585,7 @@ def cotensor(S, X, tag="pi_dec", closure_bound=20000, cap=100000):
         for fo in objects:
             for go in objects:
                 for comps in _grid_transformations(R, S, top, cells,
-                                                   obj_data[fo], obj_data[go],
-                                                   cap):
+                                                   obj_data[fo], obj_data[go]):
                     nm = (fo, go,
                           tuple(tuple(comps[c][o]
                                       for o in R.levels[c[0]].objects)
@@ -604,7 +593,7 @@ def cotensor(S, X, tag="pi_dec", closure_bound=20000, cap=100000):
                     morphisms.append(nm)
                     src[nm], tgt[nm] = fo, go
                     mor_data[nm] = comps
-                    if len(morphisms) > cap:
+                    if len(morphisms) > COTENSOR_CAP:
                         raise CapExceeded("cotensor enumeration cap exceeded")
         ident, comp = {}, {}
         for o in objects:
@@ -657,30 +646,24 @@ def cotensor(S, X, tag="pi_dec", closure_bound=20000, cap=100000):
         if const is None:
             raise CategoryError("constant basepoint functor missing")
         basepoints[n] = const
-    out = SimplicialCategory.from_operators(top, levels, table, basepoints)
-    out.cotensor_rho = R
-    return out
+    return SimplicialCategory.from_operators(top, levels, table, basepoints)
 
 
-def loop_space(S, tag="pi_dec", closure_bound=20000, cap=100000):
+def loop_space(S, closure_bound=20000):
     """Pointed cotensor by a circle model."""
-    return cotensor(S, sphere(1, S.bound + 3), tag, closure_bound, cap)
+    return cotensor(S, sphere(1, S.bound + 3), closure_bound)
 
 
 # ---------------------------------------------------------------------
 # simplicial functor enumeration
 # ---------------------------------------------------------------------
 
-def enumerate_simplicial_functors(S, T, cap=10 ** 6, pointed=False):
+def enumerate_simplicial_functors(S, T, cap=10 ** 6):
     """All simplicial functors S -> T up to the shared bound, found by
     extending level by level with commutation filtering."""
     bound = min(S.bound, T.bound)
     per_level = {n: enumerate_functors(S.levels[n], T.levels[n], cap)
                  for n in range(bound + 1)}
-    if pointed:
-        per_level = {n: [F for F in per_level[n]
-                         if F.obj_map[S.basepoints[n]] == T.basepoints[n]]
-                     for n in per_level}
     def signature(F):
         return (frozenset(F.obj_map.items()), frozenset(F.mor_map.items()))
 

@@ -49,15 +49,14 @@ class SpectrumObject:
         return v[:max_violations]
 
 
-def sigma_infinity(C, length, tag="pi_dec", closure_bound=20000,
-                   colim_bound=20000):
+def sigma_infinity(C, length, closure_bound=20000):
     """Iterated suspensions with identity structure maps."""
     if not C.is_pointed():
         raise CategoryError("suspension spectra need a pointed input")
     levels = [C]
     structure = []
     for _ in range(length - 1):
-        nxt = suspend(levels[-1], tag, closure_bound, colim_bound)
+        nxt = suspend(levels[-1], closure_bound)
         levels.append(nxt)
         ident = SimplicialFunctor(
             nxt, nxt, {n: Functor.identity(nxt.levels[n])
@@ -179,7 +178,7 @@ class OmegaProbeReport:
         return f"OmegaProbeReport({self.overall}; {per})"
 
 
-def omega_spectrum_probe(S, k=1, closure_bound=20000):
+def omega_spectrum_probe(S, closure_bound=20000):
     """Compare |pi_0| of each level against the number of loop classes
     at the basepoint of the next level.  A finite/infinite or numeric
     mismatch refutes the loop-spectrum condition at that level."""
@@ -201,7 +200,7 @@ def omega_spectrum_probe(S, k=1, closure_bound=20000):
                 0, f"level {n}: pi_0 has {components} elements, "
                    f"{loops} loop classes at level {n + 1}"))
         else:
-            verdicts.append(ProbeVerdict.confirmed(k))
+            verdicts.append(ProbeVerdict.confirmed(1))
     return OmegaProbeReport(verdicts)
 
 

@@ -543,11 +543,11 @@ def c_sigma(n, sigma, bound=None):
 # map enumeration
 # ---------------------------------------------------------------------
 
-def enumerate_maps(X, Y, pointed=False, limit=None, fixed=None):
+def enumerate_maps(X, Y, fixed=None):
     """All simplicial maps X -> Y, by backtracking over the nondegenerate
-    simplices of X in degree order.  With `pointed`, only basepoint
-    preserving maps are returned.  `fixed` pins images of selected
-    nondegenerate cells, keyed by (degree, simplex)."""
+    simplices of X in degree order.  `fixed` pins images of selected
+    nondegenerate cells, keyed by (degree, simplex); pinning the
+    basepoint, {(0, X.basepoint): Y.basepoint}, gives the pointed maps."""
     if Y.bound < X.bound:
         raise BoundMismatch(f"target bound {Y.bound} < source bound {X.bound}")
     fixed = fixed or {}
@@ -561,16 +561,12 @@ def enumerate_maps(X, Y, pointed=False, limit=None, fixed=None):
     partial = {}
 
     def extend(k):
-        if limit is not None and len(results) >= limit:
-            return
         if k == len(cells):
             results.append(SimplicialMap.from_nondegenerate(X, Y, dict(partial)))
             return
         n, x = cells[k]
         if (n, x) in fixed:
             candidates = [fixed[(n, x)]]
-        elif pointed and n == 0 and x == X.basepoint:
-            candidates = [Y.basepoint]
         else:
             candidates = Y.simplices[n]
         for y in candidates:

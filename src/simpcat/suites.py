@@ -297,7 +297,7 @@ def suite_niso_pushout(config):
     for label, A, B, C, f in _pushout_instances():
         incl = inclusion_functor(A, B)
         P, _ = colimit_cat([A, B, C], [(0, 1, incl), (0, 2, f)],
-                           config["colimit_bound"])
+                           config["closure_bound"])
         NP = nerve(iso_subgroupoid(P), bound)
         NA, NB, NC = nerve(A, bound), nerve(B, bound), nerve(C, bound)
         NQ, _ = colimit_sset([NA, NB, NC],
@@ -392,7 +392,7 @@ def suite_effective_mono(config):
     for label, C, D in _effective_mono_instances():
         incl = inclusion_functor(C, D)
         _, cocones = colimit_cat([C, D, D], [(0, 1, incl), (0, 2, incl)],
-                                 config["colimit_bound"])
+                                 config["closure_bound"])
         E = equalizer_cat(cocones[1], cocones[2])
         col.add(f"equalizer recovers subcategory: {label}",
                 (list(C.objects), list(C.morphisms)),
@@ -514,7 +514,7 @@ def suite_directed_colimit(config):
         edges.append((k, k + 1,
                       SimplicialFunctor(stages[k], stages[k + 1],
                                         {n: F for n in range(3)})))
-    colim, _ = colimit_scat(stages, edges, config["colimit_bound"])
+    colim, _ = colimit_scat(stages, edges, cb)
     col.add("chain colimit audit", [], colim.audit(), "audit")
     # the delta(2) source is enumerated at one truncation level lower:
     # its level-2 groupoid has ten components, which would put the
@@ -547,7 +547,6 @@ SUITES = {
 
 DEFAULT_CONFIG = {
     "closure_bound": 20000,
-    "colimit_bound": 20000,
     "cap": 10 ** 6,
 }
 
@@ -558,8 +557,3 @@ def run_suite(name, config=None):
     merged = dict(DEFAULT_CONFIG)
     merged.update(config or {})
     return SUITES[name](merged)
-
-
-def run_suites(names=None, config=None):
-    names = list(SUITES) if names is None else list(names)
-    return [run_suite(name, config) for name in names]

@@ -57,6 +57,15 @@ def test_functor_validate_catches_breakage():
     assert F.validate() != []
 
 
+def test_functor_validate_reports_missing_images():
+    F = Functor(cyclic_group(2), cyclic_group(2), {"*": "*"},
+                {0: "nope", 1: "nope"})
+    assert F.validate() == ["morphism 0 has no image in the target",
+                            "morphism 1 has no image in the target"]
+    G = Functor(cyclic_group(2), cyclic_group(2), {}, {0: 0, 1: 1})
+    assert G.validate() == ["object '*' has no image in the target"]
+
+
 def test_enumerate_functors_counts():
     assert len(enumerate_functors(cyclic_group(4), cyclic_group(2))) == 2
     assert len(enumerate_functors(cyclic_group(2), cyclic_group(4))) == 2

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from simpcat.cli import main
-from simpcat.document import sset_to_entry
+from simpcat.cat import cyclic_group
+from simpcat.document import category_to_entry, sset_to_entry
 from simpcat.sset import delta, point
 
 
@@ -208,5 +209,17 @@ def test_cell_listed_twice_in_data_is_bad_input(tmp_path, capsys):
     path = tmp_path / "twice.json"
     path.write_text(json.dumps({"schema": "simpcat-document/1", "entities": [
         {"name": "X", "kind": "simplicial_set", "data": data}]}))
+    assert main(["build", str(path)]) == 2
+    assert "listed twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, name", [("objects", "*"), ("morphisms", 0)])
+def test_category_name_listed_twice_in_data_is_bad_input(tmp_path, capsys,
+                                                         part, name):
+    entry = category_to_entry("G", cyclic_group(2))
+    entry["data"][part].append(name)
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"schema": "simpcat-document/1",
+                                "entities": [entry]}))
     assert main(["build", str(path)]) == 2
     assert "listed twice" in capsys.readouterr().err

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from simpcat.cat import cyclic_group, nerve
 from simpcat.homology import (AbelianGroupDescriptor, CertificationError,
-                              ProbeVerdict, abelianization, edge_path_group,
-                              homology, homology_list, mapping_cone,
-                              normalized_chains, pi0, pi0_map,
+                              ChainComplex, ProbeVerdict,
+                              _homology_from_complex, abelianization,
+                              edge_path_group, homology, homology_list,
+                              mapping_cone, normalized_chains, pi0, pi0_map,
                               smith_invariants, weak_equivalence_probe)
-from simpcat.sset import SimplicialMap, boundary, delta, point, sphere
+from simpcat.sset import (SimplicialMap, boundary, c_sigma, delta, horn,
+                          point, product_sset, quotient, sphere)
 
 
 def test_descriptor_invariants():
@@ -33,13 +35,22 @@ def test_smith_invariants_examples():
     assert smith_invariants({0: {0: 1, 1: 1}, 1: {0: 1, 1: -1}}) == [1, 2]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(st.integers(min_value=-5, max_value=5),
-                         min_size=3, max_size=3), min_size=3, max_size=3))
+@st.composite
+def integer_matrices(draw):
+    """Rows of a 1-7 x 1-7 integer matrix with entries in -40..40 and a
+    random share of zeros, zero rows and columns included."""
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    density = draw(st.integers(0, 10))
+    return [[draw(st.integers(-40, 40)) if draw(st.integers(1, 10)) <= density
+             else 0 for _ in range(nc)] for _ in range(nr)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_matrices())
 def test_smith_invariants_match_sympy(rows):
     cols = {}
-    for c in range(3):
-        col = {r: rows[r][c] for r in range(3) if rows[r][c]}
+    for c in range(len(rows[0])):
+        col = {r: row[c] for r, row in enumerate(rows) if row[c]}
         if col:
             cols[c] = col
     mine = smith_invariants(cols)
@@ -57,6 +68,58 @@ def test_homology_of_spheres():
 def test_homology_of_classifying_space():
     N = nerve(cyclic_group(2), 4)
     assert [str(h) for h in homology_list(N, 3)] == ["Z", "Z/2", "0", "Z/2"]
+
+
+@st.composite
+def small_objects(draw):
+    """Small simplicial sets at bound 2-5, the nerves with torsion."""
+    b = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["delta", "boundary", "horn", "sphere",
+                                 "product", "quotient", "c_sigma", "nerve"]))
+    if kind == "delta":
+        return delta(n, b)
+    if kind == "boundary":
+        return boundary(n, b)
+    if kind == "horn":
+        return horn(n + 1, draw(st.integers(0, n + 1)), b)
+    if kind == "sphere":
+        return sphere(n, b)
+    if kind == "product":
+        return product_sset(delta(1, b), draw(st.sampled_from(
+            [sphere(1, b), boundary(2, b), delta(1, b)])))
+    if kind == "quotient":
+        return quotient(delta(n, b), [(0, (0,), (n,))])[0]
+    if kind == "c_sigma":
+        return c_sigma(3, draw(st.sampled_from([(0,), (0, 1), (0, 1, 2)])), b)
+    return nerve(cyclic_group(draw(st.sampled_from([2, 3]))), b)
+
+
+def _moore_homology(X):
+    """Homology of the unnormalized chains: every simplex, boundary
+    sum of (-1)^i d_i."""
+    index = {n: {x: k for k, x in enumerate(X.simplices[n])}
+             for n in X.degrees()}
+    boundaries = {}
+    for n in range(1, X.bound + 1):
+        cols = {}
+        for c, x in enumerate(X.simplices[n]):
+            col = {}
+            for i in range(n + 1):
+                r = index[n - 1][X.face(n, i, x)]
+                col[r] = col.get(r, 0) + (-1) ** i
+            cols[c] = {r: v for r, v in col.items() if v}
+        boundaries[n] = cols
+    moore = ChainComplex({n: len(cells) for n, cells in index.items()},
+                         boundaries)
+    moore.check_dd_zero()
+    return [_homology_from_complex(moore, i) for i in range(X.bound)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_objects())
+def test_moore_complex_homology_matches_normalized(X):
+    assert _moore_homology(X) == homology_list(X)
 
 
 def test_homology_certification_limit():
@@ -114,7 +177,6 @@ def test_probe_inconclusive_beyond_certified_range():
 
 def test_mapping_cone_of_identity_is_acyclic():
     cone = mapping_cone(SimplicialMap.identity(sphere(1, 3)))
-    from simpcat.homology import _homology_from_complex
     for i in range(1, 3):
         assert _homology_from_complex(cone, i).is_trivial()
 

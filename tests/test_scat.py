@@ -7,7 +7,7 @@ from simpcat.scat import (add_basepoint, colimit_scat, constant_pointed_scat,
                           constant_scat, cotensor, diag_nerve_iso,
                           diag_nerve_iso_map, enumerate_simplicial_functors,
                           functors_equal, nerve_iso_levelwise, pi_functor,
-                          pi_levelwise, product_scat, rho, s0_scat, smash,
+                          pi_levelwise, product_scat, s0_scat, smash,
                           suspend, tensor_rho, terminal_scat, wbar_nerve_iso)
 from simpcat.sset import (SimplicialMap, boundary, delta, enumerate_maps,
                           sphere, two_point)
@@ -225,8 +225,3 @@ def test_functors_equal():
 def test_product_scat_audit():
     P = product_scat(s0_scat(2), constant_scat(cyclic_group(2), 2))
     assert P.audit() == []
-
-
-def test_rho_requires_known_tag():
-    with pytest.raises(CategoryError):
-        rho(delta(1, 5), "unknown")

@@ -112,7 +112,9 @@ def test_enumerate_maps_representable():
 
 def test_enumerate_maps_counts():
     assert len(enumerate_maps(boundary(1, 2), two_point(2))) == 4
-    assert len(enumerate_maps(two_point(2), two_point(2), pointed=True)) == 2
+    T = two_point(2)
+    pointed = {(0, T.basepoint): T.basepoint}
+    assert len(enumerate_maps(T, T, fixed=pointed)) == 2
 
 
 def test_enumerate_maps_fixed_cells():
