@@ -21,8 +21,8 @@ from .homology import (AbelianGroupDescriptor, ProbeVerdict, homology,
                        weak_equivalence_probe)
 from .scat import (SimplicialCategory, SimplicialFunctor, constant_scat,
                    s0_scat, add_basepoint, pi_levelwise, diag_nerve_iso,
-                   wbar_nerve_iso, rho, tensor_rho, smash, suspend, cotensor,
-                   loop_space, enumerate_simplicial_functors)
+                   wbar_nerve_iso, rho, smash, suspend,
+                   enumerate_simplicial_functors)
 from .spectra import (SpectrumObject, sigma_infinity, terminal_spectrum,
                       shift, mapping_space, omega_spectrum_probe, k_groups)
 from .document import parse_document, serialize_document, WorkbenchDocument

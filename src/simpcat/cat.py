@@ -9,8 +9,6 @@ instead of guessing.
 
 from __future__ import annotations
 
-import itertools
-
 from .names import sort_key
 from .sset import SimplicialMap, TruncatedSimplicialSet
 
@@ -515,10 +513,6 @@ class MaterializedGroup:
     def inv(self, a):
         return self.follow(0, tuple(d ^ 1 for d in reversed(self.words[a])))
 
-    def generator_element(self, g):
-        """Element of the 0-based generator g."""
-        return self.table[0][2 * g]
-
 
 class Materialization:
     """A materialized presented groupoid together with enough of the
@@ -694,28 +688,8 @@ def materialize_groupoid(P, bound):
 
 
 # ---------------------------------------------------------------------
-# equivalences and colimits
+# colimits
 # ---------------------------------------------------------------------
-
-def _isomorphic_objects(C, a, b):
-    return any(C.inverse(m) is not None for m in C.hom(a, b))
-
-
-def check_equivalence(F):
-    """True iff fully faithful and essentially surjective, exhaustively."""
-    C, D = F.source, F.target
-    for a in C.objects:
-        for b in C.objects:
-            image = [F.mor_map[m] for m in C.hom(a, b)]
-            target = D.hom(F.obj_map[a], F.obj_map[b])
-            if len(set(image)) != len(image) or set(image) != set(target):
-                return False
-    hit = set(F.obj_map[a] for a in C.objects)
-    for d in D.objects:
-        if d not in hit and not any(_isomorphic_objects(D, d, h) for h in hit):
-            return False
-    return True
-
 
 def colimit_cat(cats, edges, bound=10000):
     """Colimit of a finite diagram; edges are (src_index, tgt_index,
@@ -818,7 +792,7 @@ def equalizer_cat(F, G):
 
 
 # ---------------------------------------------------------------------
-# functor categories
+# functor enumeration
 # ---------------------------------------------------------------------
 
 def enumerate_functors(C, D, cap=10 ** 6):
@@ -906,16 +880,4 @@ def enumerate_functors(C, D, cap=10 ** 6):
                 del obj_map[o]
 
     assign(0, {})
-    return out
-
-
-def enumerate_transformations(F, G):
-    D = F.target
-    out = []
-    objs = F.source.objects
-    pools = [D.hom(F.obj_map[o], G.obj_map[o]) for o in objs]
-    for combo in itertools.product(*pools):
-        nt = NaturalTransformation(F, G, dict(zip(objs, combo)))
-        if not nt.validate():
-            out.append(nt)
     return out

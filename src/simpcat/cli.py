@@ -130,6 +130,8 @@ def cmd_compute(args):
         X = _as_sset(obj, "pi1")
         if args.pointed and not X.is_pointed():
             raise DocumentError("entity has no basepoint")
+        if not X.simplices[0]:
+            raise DocumentError("pi1 needs a simplicial set with a vertex")
         v = X.basepoint if X.is_pointed() else X.simplices[0][0]
         P = edge_path_group(X, v)
         report = {"kind": "pi1",

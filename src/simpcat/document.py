@@ -88,6 +88,15 @@ def _ints(key, parts, what):
     return values
 
 
+def _put(out, key, value, what):
+    """Set `out[key]`; a key that is already set raises a DocumentError,
+    so two spellings of one key ("0" and "0 ") cannot override each
+    other."""
+    if key in out:
+        raise DocumentError(f"{what}: {key!r} is listed twice")
+    out[key] = value
+
+
 def _table(table, what):
     """{cell: cell} from an object whose keys are JSON-encoded cells."""
     out = {}
@@ -96,7 +105,7 @@ def _table(table, what):
             cell = json.loads(key)
         except ValueError as e:
             raise DocumentError(f"{what}: bad cell key {key!r}") from e
-        out[decode_name(cell)] = decode_name(value)
+        _put(out, decode_name(cell), decode_name(value), what)
     return out
 
 
@@ -106,9 +115,10 @@ def _decode_sset(data):
     simplices = {}
     for key, cells in _need(data["simplices"], dict, "'simplices'").items():
         (n,) = _ints(key, 1, "'simplices'")
-        simplices[n] = tuple(sorted(
+        _put(simplices, n, tuple(sorted(
             _distinct(cells, f"simplices {key!r}",
-                      f"a cell is listed twice in degree {n}"), key=sort_key))
+                      f"a cell is listed twice in degree {n}"), key=sort_key)),
+             "'simplices'")
     bp = decode_name(data["basepoint"]) if "basepoint" in data else None
     return TruncatedSimplicialSet(bound, simplices, _tables(data, "faces"),
                                   _tables(data, "degens"), basepoint=bp)
@@ -125,8 +135,11 @@ def _distinct(names, what, twice):
 
 def _tables(data, part):
     """The operator tables `data[part]`, keyed by (degree, index)."""
-    return {_ints(key, 2, repr(part)): _table(table, f"{part} {key!r}")
-            for key, table in _need(data[part], dict, repr(part)).items()}
+    out = {}
+    for key, table in _need(data[part], dict, repr(part)).items():
+        _put(out, _ints(key, 2, repr(part)), _table(table, f"{part} {key!r}"),
+             repr(part))
+    return out
 
 
 def _encode_category(C):
@@ -153,7 +166,7 @@ def _decode_category(data):
             raise DocumentError(f"each composite must be [g, f, g after f], "
                                 f"got {triple!r}")
         g, f, h = (decode_name(x) for x in triple)
-        comp[(g, f)] = h
+        _put(comp, (g, f), h, "'comp'")
     return FinCategory(
         _distinct(data["objects"], "'objects'", "an object is listed twice"),
         _distinct(data["morphisms"], "'morphisms'",
@@ -340,10 +353,11 @@ def parse_document(text):
             elif kind == "simplicial_map":
                 src = _ref(entry, "source", entities, TruncatedSimplicialSet)
                 tgt = _ref(entry, "target", entities, TruncatedSimplicialSet)
-                assign = {_ints(degree, 1, "'assign'")[0]:
-                          _table(table, f"assign {degree!r}")
-                          for degree, table in
-                          _need(entry["assign"], dict, "'assign'").items()}
+                assign = {}
+                for degree, table in _need(entry["assign"], dict,
+                                           "'assign'").items():
+                    _put(assign, _ints(degree, 1, "'assign'")[0],
+                         _table(table, f"assign {degree!r}"), "'assign'")
                 obj = SimplicialMap(src, tgt, assign)
             else:
                 raise DocumentError(f"unknown entity kind {kind!r}")

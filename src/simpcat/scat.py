@@ -4,9 +4,8 @@ A simplicial category is a finite family of composition-table
 categories with face and degeneracy functors.  On top of that this
 module provides the levelwise fundamental groupoid of a bisimplicial
 set, the levelwise nerve of the maximal subgroupoid with its diagonal
-and codiagonal, levelwise colimits, tensors by a simplicial set through
-a choice of rho, the smash product with the basepoint orbit collapsed,
-suspension, and the pointed cotensor.
+and codiagonal, levelwise colimits and products, rho, the smash
+product with the basepoint orbit collapsed, and suspension.
 """
 
 from __future__ import annotations
@@ -14,22 +13,16 @@ from __future__ import annotations
 import itertools
 
 from .bisset import BidegreeShape, TruncatedBisimplicialSet, dec, wbar
-from .cat import (BoundExceeded, CapExceeded, CategoryError, FinCategory,
-                  Functor, _materialize, colimit_record, coproduct_cat,
-                  enumerate_functors, enumerate_transformations,
-                  fundamental_groupoid, iso_subgroupoid, product_cat,
-                  terminal_cat)
-from .sset import (SimplicialMap, TruncatedSimplicialSet, _tuple_face, delta,
-                   sphere, truncate)
+from .cat import (BoundExceeded, CapExceeded, CategoryError, Functor,
+                  _materialize, colimit_record, coproduct_cat,
+                  enumerate_functors, fundamental_groupoid, iso_subgroupoid,
+                  product_cat, terminal_cat)
+from .sset import SimplicialMap, TruncatedSimplicialSet, sphere, truncate
 
 
 # The two simplicial sets of a simplicial category: the attribute of
 # each level that lists the cells, and of each structure functor that maps them.
 _PARTS = (("objects", "obj_map"), ("morphisms", "mor_map"))
-
-
-def functors_equal(F, G):
-    return F.obj_map == G.obj_map and F.mor_map == G.mor_map
 
 
 class SimplicialCategory:
@@ -336,7 +329,7 @@ def colimit_scat(scats, edges, bound=10000):
 
 
 # ---------------------------------------------------------------------
-# rho and tensors
+# rho and products
 # ---------------------------------------------------------------------
 
 def rho(X, closure_bound=20000):
@@ -357,11 +350,6 @@ def product_scat(S, T):
         top, levels,
         lambda n, m, k: _product_functor(levels[n], levels[m],
                                          S.table(n, m, k), T.table(n, m, k)))
-
-
-def tensor_rho(S, X, closure_bound=20000):
-    """Levelwise product of S with rho(X)."""
-    return product_scat(S, rho(X, closure_bound))
 
 
 # ---------------------------------------------------------------------
@@ -386,11 +374,12 @@ def smash(S, X, closure_bound=20000):
     if not X.is_pointed():
         raise CategoryError("smash needs a pointed simplicial set")
     R = rho(X, closure_bound)
-    top = min(S.bound, R.bound)
+    P = product_scat(S, R)
+    top = P.bound
     pt = terminal_cat()
 
     wedge_recs, wedge_cocones = {}, {}
-    products, recs, cocones, levels = {}, {}, {}, {}
+    recs, cocones, levels = {}, {}, {}
     for n in range(top + 1):
         C, K = S.levels[n], R.levels[n]
         bpC, bpK = S.basepoints[n], R.basepoints[n]
@@ -401,8 +390,6 @@ def smash(S, X, closure_bound=20000):
             [(0, 1, _point_functor(pt, C, bpC)),
              (0, 2, _point_functor(pt, K, bpK))], closure_bound)
         A = wedge_recs[n].category
-        P = product_cat(C, K)
-        products[n] = P
         obj_map = {}
         for rep in wedge_recs[n].presentation.objects:
             k, orig = rep
@@ -410,10 +397,10 @@ def smash(S, X, closure_bound=20000):
         gen_map = {}
         for (k, m) in wedge_recs[n].presentation.generators:
             gen_map[(k, m)] = (m, K.ident[bpK]) if k == 1 else (C.ident[bpC], m)
-        j = wedge_recs[n].induced_functor(P, obj_map, gen_map)
+        j = wedge_recs[n].induced_functor(P.levels[n], obj_map, gen_map)
         recs[n], cocones[n] = colimit_record(
-            [A, P, pt], [(0, 1, j), (0, 2, _collapse_functor(A, pt))],
-            closure_bound)
+            [A, P.levels[n], pt],
+            [(0, 1, j), (0, 2, _collapse_functor(A, pt))], closure_bound)
         levels[n] = recs[n].category
 
     def table(n, m, k):
@@ -421,10 +408,9 @@ def smash(S, X, closure_bound=20000):
         wedge_leg = _induced_colimit_functor(
             wedge_recs[n], wedge_recs[m].category,
             wedge_cocones[m], [Functor.identity(pt), FC, FK])
-        prod_leg = _product_functor(products[n], products[m], FC, FK)
         return _induced_colimit_functor(
             recs[n], levels[m], cocones[m],
-            [wedge_leg, prod_leg, Functor.identity(pt)])
+            [wedge_leg, P.table(n, m, k), Functor.identity(pt)])
 
     basepoints = {n: cocones[n][2].obj_map["*"] for n in range(top + 1)}
     out = SimplicialCategory.from_operators(top, levels, table, basepoints,
@@ -437,221 +423,6 @@ def smash(S, X, closure_bound=20000):
 def suspend(S, closure_bound=20000):
     """Smash with a circle model (an interval with its ends glued)."""
     return smash(S, sphere(1, S.bound + 3), closure_bound)
-
-
-# ---------------------------------------------------------------------
-# pointed cotensor
-# ---------------------------------------------------------------------
-
-# Bound on each cotensor enumeration: candidate level functors, grid
-# functor families, transformation families and morphisms per level.
-COTENSOR_CAP = 100000
-
-def _pointed_level_functors(R, S, m):
-    """Functors R_m -> S_m carrying the basepoint object to the
-    basepoint object."""
-    out = enumerate_functors(R.levels[m], S.levels[m], COTENSOR_CAP)
-    return [F for F in out
-            if F.obj_map[R.basepoints[m]] == S.basepoints[m]]
-
-
-def _delta_compose(alpha, i):
-    """alpha followed by the coface skipping i."""
-    return tuple(v if v < i else v + 1 for v in alpha)
-
-
-def _sigma_compose(alpha, j):
-    """alpha followed by the codegeneracy collapsing j, j+1."""
-    return tuple(v if v <= j else v - 1 for v in alpha)
-
-
-def _grid_functor_families(R, S, n, top, cands):
-    """Assignments alpha |-> (functor R_m -> S_m), for alpha running
-    over the m-simplices of Delta^n for m <= top, commuting with the
-    structure maps on both sides.  These are exactly the simplicial
-    functors R x (discrete Delta^n grid) -> S."""
-    A = delta(n, top)
-    cells = [(m, a) for m in range(top + 1) for a in A.simplices[m]]
-    out = []
-
-    def consistent(m, a, F, chosen):
-        for i in range(m + 1) if m >= 1 else ():
-            prev = chosen[(m - 1, _tuple_face(a, i))]
-            if not functors_equal(prev.compose(R.face(m, i)),
-                                  S.face(m, i).compose(F)):
-                return False
-        for j in range(m):
-            if a[j] == a[j + 1]:
-                prev = chosen[(m - 1, a[:j] + a[j + 1:])]
-                if not functors_equal(F.compose(R.degen(m - 1, j)),
-                                      S.degen(m - 1, j).compose(prev)):
-                    return False
-        return True
-
-    def extend(k, chosen):
-        if len(out) > COTENSOR_CAP:
-            raise CapExceeded("cotensor enumeration cap exceeded")
-        if k == len(cells):
-            out.append(dict(chosen))
-            return
-        m, a = cells[k]
-        for F in cands[m]:
-            if consistent(m, a, F, chosen):
-                chosen[(m, a)] = F
-                extend(k + 1, chosen)
-                del chosen[(m, a)]
-
-    extend(0, {})
-    return cells, out
-
-
-def _grid_transformations(R, S, top, cells, Fd, Gd):
-    """Families of natural transformations Fd[(m, a)] -> Gd[(m, a)],
-    with identity components over the basepoint object, commuting with
-    the structure maps in both directions."""
-    pools = {}
-    for (m, a) in cells:
-        opts = []
-        for nt in enumerate_transformations(Fd[(m, a)], Gd[(m, a)]):
-            bp = R.basepoints[m]
-            if nt.components[bp] == S.levels[m].ident[S.basepoints[m]]:
-                opts.append(nt.components)
-        pools[(m, a)] = opts
-    out = []
-
-    def consistent(m, a, comps, chosen):
-        for i in range(m + 1) if m >= 1 else ():
-            prev = chosen[(m - 1, _tuple_face(a, i))]
-            F = R.face(m, i)
-            D = S.face(m, i)
-            for o in R.levels[m].objects:
-                if D.mor_map[comps[o]] != prev[F.obj_map[o]]:
-                    return False
-        for j in range(m):
-            if a[j] == a[j + 1]:
-                prev = chosen[(m - 1, a[:j] + a[j + 1:])]
-                F = R.degen(m - 1, j)
-                D = S.degen(m - 1, j)
-                for o in R.levels[m - 1].objects:
-                    if comps[F.obj_map[o]] != D.mor_map[prev[o]]:
-                        return False
-        return True
-
-    def extend(k, chosen):
-        if len(out) > COTENSOR_CAP:
-            raise CapExceeded("cotensor enumeration cap exceeded")
-        if k == len(cells):
-            out.append(dict(chosen))
-            return
-        m, a = cells[k]
-        for comps in pools[(m, a)]:
-            if consistent(m, a, comps, chosen):
-                chosen[(m, a)] = comps
-                extend(k + 1, chosen)
-                del chosen[(m, a)]
-
-    extend(0, {})
-    return out
-
-
-def cotensor(S, X, closure_bound=20000):
-    """Pointed cotensor: level n holds the simplicial functors from
-    rho(X) x (discrete Delta^n grid) into S whose restriction to the
-    basepoint object is constant at the basepoint (objects), and the
-    matching transformation families with identity basepoint components
-    (morphisms).  Structure maps act by reindexing the grid."""
-    if not S.is_pointed():
-        raise CategoryError("cotensor needs a pointed simplicial category")
-    if not X.is_pointed():
-        raise CategoryError("cotensor needs a pointed simplicial set")
-    R = rho(X, closure_bound)
-    top = min(S.bound, R.bound)
-    cands = {m: _pointed_level_functors(R, S, m) for m in range(top + 1)}
-
-    levels, level_data = {}, {}
-    for n in range(top + 1):
-        cells, fams = _grid_functor_families(R, S, n, top, cands)
-
-        def obj_name(d):
-            return tuple(d[c].signature() for c in cells)
-
-        objects, obj_data = [], {}
-        for d in fams:
-            nm = obj_name(d)
-            objects.append(nm)
-            obj_data[nm] = d
-
-        morphisms, src, tgt, mor_data = [], {}, {}, {}
-        for fo in objects:
-            for go in objects:
-                for comps in _grid_transformations(R, S, top, cells,
-                                                   obj_data[fo], obj_data[go]):
-                    nm = (fo, go,
-                          tuple(tuple(comps[c][o]
-                                      for o in R.levels[c[0]].objects)
-                                for c in cells))
-                    morphisms.append(nm)
-                    src[nm], tgt[nm] = fo, go
-                    mor_data[nm] = comps
-                    if len(morphisms) > COTENSOR_CAP:
-                        raise CapExceeded("cotensor enumeration cap exceeded")
-        ident, comp = {}, {}
-        for o in objects:
-            comps = {c: {v: S.levels[c[0]].ident[obj_data[o][c].obj_map[v]]
-                         for v in R.levels[c[0]].objects} for c in cells}
-            ident[o] = (o, o, tuple(tuple(comps[c][v]
-                                          for v in R.levels[c[0]].objects)
-                                    for c in cells))
-        for g in morphisms:
-            for f in morphisms:
-                if tgt[f] != src[g]:
-                    continue
-                comps = {c: {v: S.levels[c[0]].comp[(mor_data[g][c][v],
-                                                     mor_data[f][c][v])]
-                             for v in R.levels[c[0]].objects} for c in cells}
-                comp[(g, f)] = (src[f], tgt[g],
-                                tuple(tuple(comps[c][v]
-                                            for v in R.levels[c[0]].objects)
-                                      for c in cells))
-        levels[n] = FinCategory(objects, morphisms, src, tgt, ident, comp)
-        level_data[n] = (cells, obj_data, mor_data)
-
-    def reindex(n, m, alpha_fn):
-        cells_n, obj_n, mor_n = level_data[n]
-        cells_m, _, _ = level_data[m]
-        obj_map, mor_map = {}, {}
-        for o, d in obj_n.items():
-            obj_map[o] = tuple(d[(deg, alpha_fn(a))].signature()
-                               for (deg, a) in cells_m)
-        for w, comps in mor_n.items():
-            mor_map[w] = (obj_map[levels[n].src[w]],
-                          obj_map[levels[n].tgt[w]],
-                          tuple(tuple(comps[(deg, alpha_fn(a))][v]
-                                      for v in R.levels[deg].objects)
-                                for (deg, a) in cells_m))
-        return Functor(levels[n], levels[m], obj_map, mor_map)
-
-    def table(n, m, k):
-        compose = _delta_compose if m < n else _sigma_compose
-        return reindex(n, m, lambda a: compose(a, k))
-    basepoints = {}
-    for n in range(top + 1):
-        cells, obj_data, _ = level_data[n]
-        const = None
-        for o, d in obj_data.items():
-            if all(set(d[c].obj_map.values()) == {S.basepoints[c[0]]}
-                   for c in cells):
-                const = o
-                break
-        if const is None:
-            raise CategoryError("constant basepoint functor missing")
-        basepoints[n] = const
-    return SimplicialCategory.from_operators(top, levels, table, basepoints)
-
-
-def loop_space(S, closure_bound=20000):
-    """Pointed cotensor by a circle model."""
-    return cotensor(S, sphere(1, S.bound + 3), closure_bound)
 
 
 # ---------------------------------------------------------------------

@@ -1,9 +1,8 @@
 import pytest
 
 from simpcat.cat import (BoundExceeded, CategoryError, FinCategory, Functor,
-                         arrow_cat, chaotic, check_equivalence, colimit_cat,
-                         coproduct_cat, cyclic_group, discrete,
-                         enumerate_functors, enumerate_transformations,
+                         arrow_cat, chaotic, colimit_cat, coproduct_cat,
+                         cyclic_group, discrete, enumerate_functors,
                          equalizer_cat, fundamental_groupoid,
                          iso_subgroupoid, materialize_groupoid, nerve,
                          nerve_functor, product_cat, terminal_cat)
@@ -74,11 +73,6 @@ def test_enumerate_functors_counts():
     assert len(enumerate_functors(chaotic(range(2)), discrete(range(3)))) == 3
 
 
-def test_enumerate_transformations_on_chaotic():
-    ident = Functor.identity(chaotic(range(2)))
-    assert len(enumerate_transformations(ident, ident)) == 1
-
-
 def test_fundamental_groupoid_of_interval():
     M = materialize_groupoid(fundamental_groupoid(delta(1, 3)), 1000)
     assert len(M.objects) == 2
@@ -132,15 +126,3 @@ def test_equalizer_needs_parallel_functors():
         equalizer_cat(Functor.identity(cyclic_group(2)),
                       Functor.identity(cyclic_group(3)))
 
-
-def test_check_equivalence():
-    ch = chaotic(range(2))
-    collapse = Functor(ch, terminal_cat(),
-                       {0: "*", 1: "*"},
-                       {m: ("id", "*") for m in ch.morphisms})
-    assert check_equivalence(collapse)
-    two = discrete(range(2))
-    fold = Functor(two, discrete(range(1)),
-                   {0: 0, 1: 0},
-                   {("id", 0): ("id", 0), ("id", 1): ("id", 0)})
-    assert not check_equivalence(fold)

@@ -213,7 +213,8 @@ def test_cell_listed_twice_in_data_is_bad_input(tmp_path, capsys):
     assert "listed twice" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("part, name", [("objects", "*"), ("morphisms", 0)])
+@pytest.mark.parametrize("part, name", [("objects", "*"), ("morphisms", 0),
+                                        ("comp", [1, 1, 1])])
 def test_category_name_listed_twice_in_data_is_bad_input(tmp_path, capsys,
                                                          part, name):
     entry = category_to_entry("G", cyclic_group(2))
@@ -223,3 +224,45 @@ def test_category_name_listed_twice_in_data_is_bad_input(tmp_path, capsys,
                                 "entities": [entry]}))
     assert main(["build", str(path)]) == 2
     assert "listed twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entity, part, key, value", [
+    ("G", ["src"], "0 ", "*"),
+    ("G", ["tgt"], " 1", "*"),
+    ("G", ["ident"], '"*" ', 0),
+    ("X", ["simplices"], "0 ", [[0], [1]]),
+    ("X", ["faces"], "1, 0", {"[0, 0]": [0], "[0, 1]": [1], "[1, 1]": [1]}),
+    ("X", ["faces", "1,0"], "[0,1]", [1]),
+    ("X", ["degens", "0,0"], " [0]", [0, 0]),
+    ("f", ["assign"], "0 ", {"[0]": [0], "[1]": [1]}),
+    ("f", ["assign", "1"], "[0,1]", [0, 1]),
+], ids=["src", "tgt", "ident", "simplices", "faces", "face-cell",
+        "degen-cell", "assign", "assign-cell"])
+def test_key_spelled_twice_in_data_is_bad_input(tmp_path, capsys, entity,
+                                                part, key, value):
+    """Two keys that decode to one cell or degree must not override each
+    other silently, even when they agree."""
+    X = sset_to_entry("X", delta(1, 1))
+    f = {"name": "f", "kind": "simplicial_map", "source": "X", "target": "X",
+         "assign": {n: {json.dumps(c): c for c in cells}
+                    for n, cells in X["data"]["simplices"].items()}}
+    G = category_to_entry("G", cyclic_group(2))
+    table = {"G": G["data"], "X": X["data"], "f": f}[entity]
+    for step in part:
+        table = table[step]
+    table[key] = value
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"schema": "simpcat-document/1",
+                                "entities": [G, X, f]}))
+    assert main(["build", str(path)]) == 2
+    assert "listed twice" in capsys.readouterr().err
+
+
+def test_pi1_of_set_without_vertices_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"schema": "simpcat-document/1", "entities": [
+        {"name": "E", "kind": "simplicial_set",
+         "data": {"bound": 0, "simplices": {"0": []}, "faces": {},
+                  "degens": {}}}]}))
+    assert main(["compute", "pi1", str(path), "E"]) == 2
+    assert "vertex" in capsys.readouterr().err

@@ -23,9 +23,9 @@ from simpcat.cat import (Functor, arrow_cat, chaotic, cyclic_group, discrete,
 from simpcat.document import _encode_category, _encode_sset, encode_name
 from simpcat.names import sort_key
 from simpcat.scat import (SimplicialFunctor, add_basepoint, colimit_scat,
-                          constant_pointed_scat, constant_scat, cotensor,
+                          constant_pointed_scat, constant_scat,
                           diag_nerve_iso, nerve_iso_levelwise, pi_levelwise,
-                          product_scat, s0_scat, smash, suspend, tensor_rho)
+                          product_scat, rho, s0_scat, smash, suspend)
 from simpcat.spectra import mapping_space
 from simpcat.sset import (SimplicialMap, boundary, c_sigma, colimit_sset,
                           coproduct, delta, horn, product_sset, quotient,
@@ -149,11 +149,10 @@ CASES = {
     "colimit_scat(edges)": lambda: _scat(_glued_pair()),
     "product_scat": lambda: _scat(product_scat(
         s0_scat(2), constant_scat(cyclic_group(2), 2))),
-    "tensor_rho": lambda: _scat(tensor_rho(constant_scat(cyclic_group(2), 2),
-                                           delta(1, 5))),
+    "product_scat(rho)": lambda: _scat(product_scat(
+        constant_scat(cyclic_group(2), 2), rho(delta(1, 5)))),
     "smash": lambda: _scat(smash(s0_scat(2), two_point(5))),
     "suspend": lambda: _scat(suspend(s0_scat(2))),
-    "cotensor": lambda: _scat(cotensor(s0_scat(2), two_point(5))),
     "nerve_iso_levelwise": lambda: _bisset(nerve_iso_levelwise(
         pi_levelwise(dec(sphere(1, 5))), 2)),
     "diag_nerve_iso(s0)": lambda: _sset(diag_nerve_iso(s0_scat(3))),
@@ -176,7 +175,6 @@ FROZEN = {
     'constant_pointed_scat': '03804c844cbde522e8832726cc86733ef8c6bfdd36e33f1a8551fb9bfe54e570',
     'constant_scat': '1dcebb8b4e2a3ee89e8c4282b9a41aaff1c954dde30072e0c1f38f32fdebd7a6',
     'coproduct': 'f6505a3827df972792c7ce2b9cd0dad2654e89a1c83360b1fc9805e0674c4079',
-    'cotensor': '0f2ec4b8e0d584b677ff00ab62984380e7012d321fda5a849bf2ad741fb5ea99',
     'd_star(delta(1,3))': '9510eacbe66db5bd734311a578af74005f8c1431408891df611e4a8c373db39c',
     'd_star(sphere(1,3))': '3c935127c8f286685c28a4236b443fa36887bbaa44438682aed2a467d21abbe9',
     'dec(sphere(1,4))': '83981044fb63d990861216454832287b74eb087449a94e441c7a7cb1b48cf576',
@@ -194,6 +192,7 @@ FROZEN = {
     'pi_levelwise(d_star)': '09dcd9f2850b978415cbc91199e71391da1de13b6cef77a2c6fb28c920e2a211',
     'pi_levelwise(dec)': 'e4dbd46094079d6ba3e2cf3ec2bcda17632208030a57e1fa0dcd3a476c389a3a',
     'product_scat': '038c4feca093a4eaf8111bcad185deddaf60089adef0ccd141c3eedf520077af',
+    'product_scat(rho)': 'bf39ffe36349bd3310bfa3aa267a911d0b5b7dc698dce3328c94f4b7d4984a84',
     'product_sset': '668650d0e560f7e65aa6e64b7e8203415e9d167d8911c2145e7459dd2df12551',
     'quotient': '467b7daea59fb8ac480acb00fd8cfa28d3b0824d0511f5a64219100d503fe202',
     'row': '998733d91c288ae4cf563d9ceb8165d90f36e3c774631e8979528e1706dd7f58',
@@ -201,7 +200,6 @@ FROZEN = {
     'smash': '45c23da471b47e64875fa8748f53efe8c74abb49c7f72d9e15a1d21f07f31f7e',
     'sphere(2,3)': 'dc62fe2e3e2c43211a87618402b31a6b04280304c13188c4c273002845e47c70',
     'suspend': '9ab24b5e18c076813d83e7426389a4caae958420dd7ba2dc5794903a922b7acd',
-    'tensor_rho': 'bf39ffe36349bd3310bfa3aa267a911d0b5b7dc698dce3328c94f4b7d4984a84',
     'truncate(sphere(2,4),2)': '2d7698a24b2ff4e398ac095e3674b64b4e35c86502a725c5f799b20a0b0b40b4',
     'wbar': 'e0cf3c829688715dd7b3da524388a98cb172dd9d8e3240fc457dfe30004d6c7d',
     'wbar(box)': 'd88a3297732ab04f2b5597684bfea7b4065139287a01447dabff73cd89c041aa',

@@ -4,11 +4,11 @@ from simpcat.bisset import d_star, dec
 from simpcat.cat import CategoryError, cyclic_group, terminal_cat
 from simpcat.homology import homology_list
 from simpcat.scat import (add_basepoint, colimit_scat, constant_pointed_scat,
-                          constant_scat, cotensor, diag_nerve_iso,
-                          diag_nerve_iso_map, enumerate_simplicial_functors,
-                          functors_equal, nerve_iso_levelwise, pi_functor,
-                          pi_levelwise, product_scat, s0_scat, smash,
-                          suspend, tensor_rho, terminal_scat, wbar_nerve_iso)
+                          constant_scat, diag_nerve_iso, diag_nerve_iso_map,
+                          enumerate_simplicial_functors, nerve_iso_levelwise,
+                          pi_functor, pi_levelwise, product_scat, rho,
+                          s0_scat, smash, suspend, terminal_scat,
+                          wbar_nerve_iso)
 from simpcat.sset import (SimplicialMap, boundary, delta, enumerate_maps,
                           sphere, two_point)
 from simpcat.bisset import diag
@@ -114,7 +114,7 @@ def d_star_map_of(f):
 
 
 def test_product_and_tensor_levels():
-    T = tensor_rho(constant_scat(cyclic_group(2), 2), delta(1, 5))
+    T = product_scat(constant_scat(cyclic_group(2), 2), rho(delta(1, 5)))
     assert T.audit() == []
     assert [len(T.levels[n].objects) for n in range(3)] == [3, 4, 5]
 
@@ -158,15 +158,6 @@ def test_smash_needs_pointed_inputs():
         smash(terminal_scat(2), two_point(5))
     with pytest.raises(CategoryError):
         smash(s0_scat(2), delta(1, 5))
-
-
-def test_cotensor_by_two_point_object_is_size_identity():
-    S = s0_scat(2)
-    C = cotensor(S, two_point(5))
-    assert C.audit() == []
-    for n in range(C.bound + 1):
-        assert len(C.levels[n].objects) == len(S.levels[n].objects)
-        assert len(C.levels[n].morphisms) == len(S.levels[n].morphisms)
 
 
 def test_adjunction_hom_counts_into_constant_target():
@@ -214,12 +205,6 @@ def test_diag_nerve_iso_map_of_identity():
                                      for n in range(3)})
     f = diag_nerve_iso_map(ident)
     assert f.validate() == []
-
-
-def test_functors_equal():
-    from simpcat.cat import Functor
-    C = cyclic_group(2)
-    assert functors_equal(Functor.identity(C), Functor.identity(C))
 
 
 def test_product_scat_audit():
