@@ -63,13 +63,18 @@ class FinCategory:
     def chains(self, degrees):
         """{k: composable k-chains of morphisms, sorted} for each k in
         `degrees`; degree 0 holds the objects.  The chains grow by one
-        morphism per degree; extending sorted chains by the sorted
-        morphisms keeps them in lexicographic order."""
+        morphism per degree, taken from the sorted morphisms out of the
+        last target; extending sorted chains by sorted morphisms keeps
+        them in lexicographic order."""
+        out_of = {}
+        for m in self.morphisms:
+            out_of.setdefault(self.src[m], []).append(m)
         out = {0: self.objects} if 0 in degrees else {}
         chains = [()]
         for k in range(1, max(degrees) + 1):
-            chains = [c + (m,) for c in chains for m in self.morphisms
-                      if not c or self.tgt[c[-1]] == self.src[m]]
+            chains = [c + (m,) for c in chains
+                      for m in (out_of.get(self.tgt[c[-1]], ()) if c
+                                else self.morphisms)]
             if k in degrees:
                 out[k] = tuple(chains)
         return out

@@ -111,17 +111,36 @@ def _table(table, what):
 
 def _decode_sset(data):
     _need(data, dict, "'data'")
-    bound = _need(data["bound"], int, "'bound'")
+    bound = _need(_field(data, "bound"), int, "'bound'")
+    if bound < 0:
+        raise DocumentError(f"'bound' must be at least 0, so that degree 0 "
+                            f"exists; got {bound}")
     simplices = {}
-    for key, cells in _need(data["simplices"], dict, "'simplices'").items():
+    for key, cells in _need(_field(data, "simplices"), dict,
+                            "'simplices'").items():
         (n,) = _ints(key, 1, "'simplices'")
+        if not 0 <= n <= bound:
+            raise DocumentError(f"'simplices': degree {key!r} is outside "
+                                f"0..{bound}")
         _put(simplices, n, tuple(sorted(
             _distinct(cells, f"simplices {key!r}",
                       f"a cell is listed twice in degree {n}"), key=sort_key)),
              "'simplices'")
+    for n in range(bound + 1):
+        if n not in simplices:
+            raise DocumentError(f"'simplices': missing degree {n}")
     bp = decode_name(data["basepoint"]) if "basepoint" in data else None
-    return TruncatedSimplicialSet(bound, simplices, _tables(data, "faces"),
-                                  _tables(data, "degens"), basepoint=bp)
+    return TruncatedSimplicialSet(bound, simplices,
+                                  _tables(data, "faces", simplices),
+                                  _tables(data, "degens", simplices),
+                                  basepoint=bp)
+
+
+def _field(data, key):
+    """`data[key]`, or a DocumentError naming the missing field."""
+    if key not in data:
+        raise DocumentError(f"'data' has no {key!r}")
+    return data[key]
 
 
 def _distinct(names, what, twice):
@@ -133,12 +152,32 @@ def _distinct(names, what, twice):
     return out
 
 
-def _tables(data, part):
-    """The operator tables `data[part]`, keyed by (degree, index)."""
+def _tables(data, part, simplices):
+    """The operator tables `data[part]`, keyed by (degree n, index k):
+    every face d_k with 1 <= n <= bound and every degeneracy s_k with
+    0 <= n < bound, 0 <= k <= n, and nothing else, where `simplices`
+    holds the cells of degrees 0..bound.  A table is keyed by cells of
+    degree n."""
+    bound = len(simplices) - 1
+    op, low, high = ("d", 1, bound) if part == "faces" else ("s", 0, bound - 1)
     out = {}
-    for key, table in _need(data[part], dict, repr(part)).items():
-        _put(out, _ints(key, 2, repr(part)), _table(table, f"{part} {key!r}"),
-             repr(part))
+    for key, table in _need(_field(data, part), dict, repr(part)).items():
+        n, k = _ints(key, 2, repr(part))
+        if not (low <= n <= high and 0 <= k <= n):
+            raise DocumentError(
+                f"{part!r}: no {op}_{k} out of degree {n} at bound {bound} "
+                f"(key {key!r})")
+        table = _table(table, f"{part} {key!r}")
+        stray = sorted(table.keys() - simplices[n], key=sort_key)
+        if stray:
+            raise DocumentError(f"{part} {key!r}: {stray[0]!r} is not a cell "
+                                f"of degree {n}")
+        _put(out, (n, k), table, repr(part))
+    for n in range(low, high + 1):
+        for k in range(n + 1):
+            if (n, k) not in out:
+                raise DocumentError(
+                    f"{part!r}: missing table {op}_{k} out of degree {n}")
     return out
 
 

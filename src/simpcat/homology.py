@@ -3,11 +3,13 @@ weak-equivalence probe.
 
 All arithmetic is arbitrary-precision integer.  Boundary matrices are
 kept sparse (column dicts), and `smith_invariants` reduces them in one
-sparse elimination loop, unit and non-unit pivots alike.
+sparse elimination loop, unit and non-unit pivots alike, that takes each
+pivot from a lazy heap of candidates instead of rescanning the matrix.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -161,41 +163,43 @@ def smith_invariants(cols):
     {col: {row: value}}.
 
     One elimination loop: the pivot is an entry of least absolute value,
-    ties broken by Markowitz cost.  Column operations with floor
-    quotients clear its row; once the row is clear, reducing its column
-    modulo the pivot touches only that column.  A pivot alone in its row
-    and column is split off.  Each pass either splits a pivot or leaves
-    an entry smaller than the pivot, so the loop ends.  A gcd/lcm pass
-    over the split pivots greater than 1 puts them in divisibility
-    order."""
+    ties broken by Markowitz cost.  Candidates wait in a lazy min-heap of
+    (|value|, cost, row, col) records, built once and pushed again each
+    time an entry's value changes.  A popped record whose entry is gone
+    or has another absolute value is dropped; one whose cost has moved
+    goes back with the new cost, and so does a pivot that is not split
+    off.  Every live entry keeps a record of its
+    current absolute value, so the popped pivot is an entry of least
+    absolute value.  Column operations with floor quotients clear its
+    row; once the row is clear, reducing its column modulo the pivot
+    touches only that column.  A pivot alone in its row and column is
+    split off.  Each pass either splits a pivot or leaves an entry
+    smaller than the pivot, so the loop ends.  A gcd/lcm pass over the
+    split pivots greater than 1 puts them in divisibility order."""
     cols = {c: dict(col) for c, col in cols.items() if col}
     rows = {}
     for c, col in cols.items():
         for r in col:
             rows.setdefault(r, set()).add(c)
+
+    def cost(r, c):
+        return (len(cols[c]) - 1) * (len(rows[r]) - 1)
+
+    heap = [(abs(v), cost(r, c), r, c)
+            for c, col in cols.items() for r, v in col.items()]
+    heapq.heapify(heap)
     units = 0
     torsion = []
     while cols:
-        # The least value and its cost are kept as two scalars, so a
-        # larger entry is skipped before its cost is computed; the first
-        # unit of cost 0 ends the scan.
-        least = math.inf
-        for c, col in cols.items():
-            cheap_col = len(col) - 1
-            for r, v in col.items():
-                if v < 0:
-                    v = -v
-                if v > least:
-                    continue
-                cost = cheap_col * (len(rows[r]) - 1)
-                if v < least or cost < best_cost:
-                    least, best_cost, r0, c0 = v, cost, r, c
-                    if cost == 0 and v == 1:
-                        break
-            if best_cost == 0 and least == 1:
-                break
-        pivot_col = cols[c0]
-        p = pivot_col[r0]
+        least, stale, r0, c0 = heapq.heappop(heap)
+        pivot_col = cols.get(c0, {})
+        p = pivot_col.get(r0)
+        if p is None or abs(p) != least:
+            continue
+        now = cost(r0, c0)
+        if now != stale:
+            heapq.heappush(heap, (least, now, r0, c0))
+            continue
         for c in list(rows[r0]):
             if c == c0:
                 continue
@@ -206,29 +210,31 @@ def smith_invariants(cols):
                 if nv:
                     col[r] = nv
                     rows[r].add(c)
+                    heapq.heappush(heap, (abs(nv), cost(r, c), r, c))
                 elif r in col:
                     del col[r]
                     rows[r].discard(c)
             if not col:
                 del cols[c]
-        if len(rows[r0]) > 1:
-            continue
-        for r in list(pivot_col):
-            if r != r0:
-                v = pivot_col[r] % p
-                if v:
-                    pivot_col[r] = v
+        if len(rows[r0]) == 1:
+            for r in list(pivot_col):
+                if r != r0:
+                    v = pivot_col[r] % p
+                    if not v:
+                        del pivot_col[r]
+                        rows[r].discard(c0)
+                    elif v != pivot_col[r]:
+                        pivot_col[r] = v
+                        heapq.heappush(heap, (abs(v), cost(r, c0), r, c0))
+            if len(pivot_col) == 1:
+                del cols[c0]
+                del rows[r0]
+                if least == 1:
+                    units += 1
                 else:
-                    del pivot_col[r]
-                    rows[r].discard(c0)
-        if len(pivot_col) > 1:
-            continue
-        del cols[c0]
-        del rows[r0]
-        if least == 1:
-            units += 1
-        else:
-            torsion.append(least)
+                    torsion.append(least)
+                continue
+        heapq.heappush(heap, (least, now, r0, c0))
     for i in range(len(torsion)):
         for j in range(i + 1, len(torsion)):
             g = math.gcd(torsion[i], torsion[j])

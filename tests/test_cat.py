@@ -91,14 +91,20 @@ def test_free_product_does_not_close():
         colimit_cat([pt, Z2, Z2], [(0, 1, f), (0, 2, f)], 100)
 
 
-def test_pushout_cocones_validate():
+def _pushout():
+    """The chaotic groupoid on two objects glued to Z/2 along a point,
+    with its cocones."""
     B = chaotic(range(2))
     A = FinCategory((0,), ((0, 0),), {(0, 0): 0}, {(0, 0): 0},
                     {0: (0, 0)}, {((0, 0), (0, 0)): (0, 0)})
     incl = Functor(A, B, {0: 0}, {(0, 0): (0, 0)})
     C = cyclic_group(2)
     f = Functor(A, C, {0: "*"}, {(0, 0): 0})
-    P, cocones = colimit_cat([A, B, C], [(0, 1, incl), (0, 2, f)])
+    return colimit_cat([A, B, C], [(0, 1, incl), (0, 2, f)])
+
+
+def test_pushout_cocones_validate():
+    P, cocones = _pushout()
     assert P.validate() == []
     for c in cocones:
         assert c.validate() == []
@@ -126,3 +132,24 @@ def test_equalizer_needs_parallel_functors():
         equalizer_cat(Functor.identity(cyclic_group(2)),
                       Functor.identity(cyclic_group(3)))
 
+
+@pytest.mark.parametrize("C", [
+    chaotic(range(3)), cyclic_group(3), arrow_cat(),
+    product_cat(arrow_cat(), cyclic_group(2)),
+    product_cat(chaotic(range(2)), arrow_cat()), _pushout()[0],
+    colimit_cat([terminal_cat(), arrow_cat()], [])[0],
+], ids=["chaotic", "cyclic", "arrow", "product-arrow-cyclic",
+        "product-chaotic-arrow", "pushout", "coproduct-colimit"])
+def test_chains_equal_filtered_product(C):
+    """Extending by the morphisms out of the last target gives the chains
+    of the filtered product over all morphisms, in the same order."""
+    expected = {0: C.objects}
+    chains = [()]
+    for k in range(1, 5):
+        chains = [c + (m,) for c in chains for m in C.morphisms
+                  if not c or C.tgt[c[-1]] == C.src[m]]
+        expected[k] = tuple(chains)
+    for top in range(5):
+        assert C.chains(range(top + 1)) == {k: expected[k]
+                                            for k in range(top + 1)}
+    assert C.chains((4,)) == {4: expected[4]}

@@ -266,3 +266,66 @@ def test_pi1_of_set_without_vertices_is_bad_input(tmp_path, capsys):
                   "degens": {}}}]}))
     assert main(["compute", "pi1", str(path), "E"]) == 2
     assert "vertex" in capsys.readouterr().err
+
+
+def _delta_data(steps, value):
+    """`delta(1, 2)` data with the entry at `steps` set to `value`, or
+    removed when `value` is None."""
+    data = sset_to_entry("X", delta(1, 2))["data"]
+    table = data
+    for step in steps[:-1]:
+        table = table[step]
+    if value is None:
+        del table[steps[-1]]
+    else:
+        table[steps[-1]] = value
+    return data
+
+
+def _point_data(**fields):
+    return dict({"bound": 0, "simplices": {"0": [0]}, "faces": {},
+                 "degens": {}}, **fields)
+
+
+@pytest.mark.parametrize("data, message", [
+    (_point_data(simplices={"-1": [0], "0": [0]}),
+     "'simplices': degree '-1' is outside 0..0"),
+    (_point_data(faces={"0,0": {"0": 0}}),
+     "'faces': no d_0 out of degree 0 at bound 0"),
+    (_delta_data(["simplices", "3"], []),
+     "'simplices': degree '3' is outside 0..2"),
+    (_delta_data(["faces", "2,3"], {}), "no d_3 out of degree 2 at bound 2"),
+    (_delta_data(["faces", "3,0"], {}), "no d_0 out of degree 3 at bound 2"),
+    (_delta_data(["degens", "2,0"], {}), "no s_0 out of degree 2 at bound 2"),
+    (_delta_data(["degens", "1,2"], {}), "no s_2 out of degree 1 at bound 2"),
+    (_delta_data(["degens", "-1,0"], {}),
+     "no s_0 out of degree -1 at bound 2"),
+    (_delta_data(["degens", "0,0", "[5]"], [0, 0]),
+     "degens '0,0': (5,) is not a cell of degree 0"),
+    (_point_data(bound=-1, simplices={}),
+     "'bound' must be at least 0, so that degree 0 exists; got -1"),
+    (_point_data(bound=2), "'simplices': missing degree 1"),
+    (_delta_data(["simplices", "1"], None), "'simplices': missing degree 1"),
+    (_delta_data(["faces", "2,1"], None),
+     "'faces': missing table d_1 out of degree 2"),
+    (_delta_data(["degens", "1,1"], None),
+     "'degens': missing table s_1 out of degree 1"),
+    (_delta_data(["degens"], None), "'data' has no 'degens'"),
+    (_delta_data(["simplices"], None), "'data' has no 'simplices'"),
+    (_delta_data(["bound"], None), "'data' has no 'bound'"),
+], ids=["degree-negative", "face-out-of-vertices", "degree-above-bound",
+        "face-index", "face-degree", "degen-at-bound", "degen-index",
+        "degen-degree", "table-key-not-a-cell", "bound-negative",
+        "only-vertices", "no-degree", "no-face-table", "no-degen-table",
+        "no-degens", "no-simplices", "no-bound"])
+def test_bad_degree_or_table_in_data_is_named(tmp_path, capsys, data,
+                                              message):
+    """A degree or table key out of range, a table key that is not a cell,
+    and a missing degree, table or field each exit 2 with a message that
+    names it."""
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"schema": "simpcat-document/1", "entities": [
+        {"name": "E", "kind": "simplicial_set", "data": data}]}))
+    assert main(["build", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: entity 'E': ") and message in err

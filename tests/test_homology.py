@@ -33,6 +33,13 @@ def test_smith_invariants_examples():
     assert smith_invariants({}) == []
     # row-equivalent matrices share invariants
     assert smith_invariants({0: {0: 1, 1: 1}, 1: {0: 1, 1: -1}}) == [1, 2]
+    # a negative pivot leaves negative remainders; the loop must still
+    # find the least absolute value among them
+    assert smith_invariants({
+        0: {0: 13, 2: 8, 5: 40, 6: 5}, 1: {1: -5, 3: -33, 5: 7, 6: 18},
+        2: {0: 36, 1: 6, 2: 7, 4: 8, 5: -37},
+        3: {1: 24, 2: -6, 3: -17, 6: 36},
+        4: {0: 2, 2: -19, 3: -13, 5: -12}}) == [1, 1, 1, 1, 1]
 
 
 @st.composite
@@ -48,6 +55,10 @@ def integer_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(integer_matrices())
 def test_smith_invariants_match_sympy(rows):
+    _check_against_sympy(rows)
+
+
+def _check_against_sympy(rows):
     cols = {}
     for c in range(len(rows[0])):
         col = {r: row[c] for r, row in enumerate(rows) if row[c]}
@@ -57,6 +68,25 @@ def test_smith_invariants_match_sympy(rows):
     M = sympy.Matrix(rows)
     theirs = [abs(int(v)) for v in smith_normal_form(M).diagonal() if v != 0]
     assert mine == theirs
+
+
+@st.composite
+def boundary_shaped_matrices(draw):
+    """Rows of a tall sparse matrix shaped like a boundary: 1-40 columns
+    over 1-12 rows, each column with at most four entries in -2..2."""
+    nr, nc = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    rows = [[0] * nc for _ in range(nr)]
+    for c in range(nc):
+        for r in draw(st.lists(st.integers(0, nr - 1), max_size=4,
+                               unique=True)):
+            rows[r][c] = draw(st.integers(-2, 2))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_shaped_matrices())
+def test_smith_invariants_match_sympy_on_boundary_shapes(rows):
+    _check_against_sympy(rows)
 
 
 def test_homology_of_spheres():
