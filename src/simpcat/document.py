@@ -32,6 +32,11 @@ class DocumentError(Exception):
 def encode_name(name):
     """Names are ints, strings, or nested tuples of those; tuples become
     JSON arrays."""
+    kind = type(name)
+    if kind is tuple:
+        return list(map(encode_name, name))
+    if kind is int or kind is str:
+        return name
     if isinstance(name, tuple):
         return [encode_name(part) for part in name]
     if isinstance(name, (int, str)) and not isinstance(name, bool):
@@ -40,6 +45,11 @@ def encode_name(name):
 
 
 def decode_name(obj):
+    kind = type(obj)
+    if kind is list:
+        return tuple(map(decode_name, obj))
+    if kind is int or kind is str:
+        return obj
     if isinstance(obj, list):
         return tuple(decode_name(part) for part in obj)
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
@@ -47,15 +57,22 @@ def decode_name(obj):
     raise DocumentError(f"bad name payload {obj!r}")
 
 
+def _keys(cells):
+    """{cell: its JSON-encoded table key}, so that each cell is encoded
+    once however many tables it keys."""
+    return {x: json.dumps(encode_name(x)) for x in cells}
+
+
 def _encode_sset(X):
+    keys = [_keys(X.simplices[n]) for n in X.degrees()]
     data = {
         "bound": X.bound,
         "simplices": {str(n): [encode_name(x) for x in X.simplices[n]]
                       for n in X.degrees()},
-        "faces": {f"{n},{i}": {json.dumps(encode_name(x)): encode_name(y)
+        "faces": {f"{n},{i}": {keys[n][x]: encode_name(y)
                                for x, y in X.faces[(n, i)].items()}
                   for (n, i) in sorted(X.faces)},
-        "degens": {f"{n},{j}": {json.dumps(encode_name(x)): encode_name(y)
+        "degens": {f"{n},{j}": {keys[n][x]: encode_name(y)
                                 for x, y in X.degens[(n, j)].items()}
                    for (n, j) in sorted(X.degens)},
     }
@@ -97,15 +114,20 @@ def _put(out, key, value, what):
     out[key] = value
 
 
-def _table(table, what):
-    """{cell: cell} from an object whose keys are JSON-encoded cells."""
+def _table(table, what, memo):
+    """{cell: cell} from an object whose keys are JSON-encoded cells.
+    `memo` maps each key string already decoded to its cell; tables that
+    share a memo parse and decode each spelling of a key once."""
     out = {}
     for key, value in _need(table, dict, what).items():
-        try:
-            cell = json.loads(key)
-        except ValueError as e:
-            raise DocumentError(f"{what}: bad cell key {key!r}") from e
-        _put(out, decode_name(cell), decode_name(value), what)
+        cell = memo.get(key)
+        if cell is None:
+            try:
+                cell = json.loads(key)
+            except ValueError as e:
+                raise DocumentError(f"{what}: bad cell key {key!r}") from e
+            cell = memo[key] = decode_name(cell)
+        _put(out, cell, decode_name(value), what)
     return out
 
 
@@ -160,14 +182,14 @@ def _tables(data, part, simplices):
     degree n."""
     bound = len(simplices) - 1
     op, low, high = ("d", 1, bound) if part == "faces" else ("s", 0, bound - 1)
-    out = {}
+    out, memo = {}, {}
     for key, table in _need(_field(data, part), dict, repr(part)).items():
         n, k = _ints(key, 2, repr(part))
         if not (low <= n <= high and 0 <= k <= n):
             raise DocumentError(
                 f"{part!r}: no {op}_{k} out of degree {n} at bound {bound} "
                 f"(key {key!r})")
-        table = _table(table, f"{part} {key!r}")
+        table = _table(table, f"{part} {key!r}", memo)
         stray = sorted(table.keys() - simplices[n], key=sort_key)
         if stray:
             raise DocumentError(f"{part} {key!r}: {stray[0]!r} is not a cell "
@@ -182,13 +204,12 @@ def _tables(data, part, simplices):
 
 
 def _encode_category(C):
+    keys = _keys(C.morphisms)
     return {
         "objects": [encode_name(o) for o in C.objects],
         "morphisms": [encode_name(m) for m in C.morphisms],
-        "src": {json.dumps(encode_name(m)): encode_name(C.src[m])
-                for m in C.morphisms},
-        "tgt": {json.dumps(encode_name(m)): encode_name(C.tgt[m])
-                for m in C.morphisms},
+        "src": {keys[m]: encode_name(C.src[m]) for m in C.morphisms},
+        "tgt": {keys[m]: encode_name(C.tgt[m]) for m in C.morphisms},
         "ident": {json.dumps(encode_name(o)): encode_name(C.ident[o])
                   for o in C.objects},
         "comp": [[encode_name(g), encode_name(f), encode_name(h)]
@@ -206,12 +227,13 @@ def _decode_category(data):
                                 f"got {triple!r}")
         g, f, h = (decode_name(x) for x in triple)
         _put(comp, (g, f), h, "'comp'")
+    memo = {}
     return FinCategory(
         _distinct(data["objects"], "'objects'", "an object is listed twice"),
         _distinct(data["morphisms"], "'morphisms'",
                   "a morphism is listed twice"),
-        _table(data["src"], "'src'"), _table(data["tgt"], "'tgt'"),
-        _table(data["ident"], "'ident'"), comp)
+        _table(data["src"], "'src'", memo), _table(data["tgt"], "'tgt'", memo),
+        _table(data["ident"], "'ident'", memo), comp)
 
 
 _SSET_BUILDERS = {
@@ -392,11 +414,11 @@ def parse_document(text):
             elif kind == "simplicial_map":
                 src = _ref(entry, "source", entities, TruncatedSimplicialSet)
                 tgt = _ref(entry, "target", entities, TruncatedSimplicialSet)
-                assign = {}
+                assign, memo = {}, {}
                 for degree, table in _need(entry["assign"], dict,
                                            "'assign'").items():
                     _put(assign, _ints(degree, 1, "'assign'")[0],
-                         _table(table, f"assign {degree!r}"), "'assign'")
+                         _table(table, f"assign {degree!r}", memo), "'assign'")
                 obj = SimplicialMap(src, tgt, assign)
             else:
                 raise DocumentError(f"unknown entity kind {kind!r}")

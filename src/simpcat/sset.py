@@ -103,9 +103,11 @@ class TruncatedSimplicialSet:
         ez = {0: {x: (x, ()) for x in self.simplices[0]}}
         for n in range(1, self.bound + 1):
             witness = {}
+            cells = self.simplices[n - 1]
             for j in range(n):
-                table = self.degens[(n - 1, j)]
-                for y, x in table.items():
+                # only the cells of degree n - 1, so a stray key is never
+                # read; a missing entry gives None, which is no cell
+                for y, x in zip(cells, map(self.degens[(n - 1, j)].get, cells)):
                     witness.setdefault(x, (j, y))
             level = {}
             for x in self.simplices[n]:
@@ -143,62 +145,89 @@ class TruncatedSimplicialSet:
 
         `cells(n)` lists the degree-n cells and `table(n, m, k)` is the
         operator dict as in `from_operators`, or None when it is missing.
-        Missing tables, cells missing from a table and values that are not
-        cells of the target degree come first; the simplicial identities
-        are checked only when every table is total."""
-        sets = [frozenset(cells(n)) for n in range(bound + 1)]
-        ops, total = {}, True
+        Missing tables, cells missing from a table, values that are not
+        cells of the target degree and keys that are not cells of the
+        source degree come first; the simplicial identities are checked
+        only when every table is total.
+
+        Each total table becomes a list of target positions indexed by
+        source position in `cells(n)`, so an identity compares two
+        composed lists; only a block whose lists differ is walked to name
+        its cells."""
+        names = [cells(n) for n in range(bound + 1)]
+        pos = [{x: p for p, x in enumerate(cs)} for cs in names]
+        # d[n][k] and s[n][k]: the positions of d_k x and s_k x, indexed
+        # by the position of x in names[n]
+        d = [[None] * (n + 1) for n in range(bound + 1)]
+        s = [[None] * (n + 1) for n in range(bound + 1)]
+        total = True
         for n in range(bound + 1):
             for m in (n - 1, n + 1):
                 if not 0 <= m <= bound:
                     continue
-                kind, op = ("face", "d") if m < n else ("degeneracy", "s")
+                kind, op, rows = (("face", "d", d) if m < n
+                                  else ("degeneracy", "s", s))
                 for k in range(n + 1):
-                    t = ops[n, m, k] = table(n, m, k)
+                    t = table(n, m, k)
                     if t is None:
                         total = False
                         yield f"missing {kind} table {op}_{k} at degree {n}"
                         continue
-                    for x in cells(n):
-                        if x not in t:
+                    try:
+                        rows[n][k] = list(map(pos[m].__getitem__,
+                                              map(t.__getitem__, names[n])))
+                    except KeyError:
+                        total = False
+                        for x in names[n]:
+                            if x not in t:
+                                yield f"{op}_{k} undefined on {x!r} at degree {n}"
+                            elif t[x] not in pos[m]:
+                                yield f"{op}_{k}({x!r}) not a ({m})-simplex"
+                    if rows[n][k] is not None and len(t) == len(pos[n]):
+                        continue            # total on cells, so no stray key
+                    for x in t:
+                        if x not in pos[n]:
                             total = False
-                            yield f"{op}_{k} undefined on {x!r} at degree {n}"
-                        elif t[x] not in sets[m]:
-                            total = False
-                            yield f"{op}_{k}({x!r}) not a ({m})-simplex"
+                            yield f"{op}_{k} defined on non-cell {x!r} at degree {n}"
         if not total:
             return
         for n in range(2, bound + 1):
+            dn, dm = d[n], d[n - 1]
             for j in range(1, n + 1):
-                dj, ddj = ops[n, n - 1, j], ops[n - 1, n - 2, j - 1]
+                dj, ddj = dn[j], dm[j - 1].__getitem__
                 for i in range(j):
-                    di, ddi = ops[n, n - 1, i], ops[n - 1, n - 2, i]
-                    for x in cells(n):
-                        if ddi[dj[x]] != ddj[di[x]]:
-                            yield f"d_{i} d_{j} != d_{j-1} d_{i} on {x!r} (degree {n})"
+                    left = list(map(dm[i].__getitem__, dj))
+                    right = list(map(ddj, dn[i]))
+                    if left != right:
+                        yield from _differences(
+                            n, names[n], left, right,
+                            f"d_{i} d_{j} != d_{j-1} d_{i}")
         for n in range(bound - 1):
+            sn, sm = s[n], s[n + 1]
             for i in range(n + 1):
-                si, ssi = ops[n, n + 1, i], ops[n + 1, n + 2, i]
+                si, ssi = sn[i], sm[i].__getitem__
                 for j in range(i, n + 1):
-                    sj, ssj = ops[n, n + 1, j], ops[n + 1, n + 2, j + 1]
-                    for x in cells(n):
-                        if ssj[si[x]] != ssi[sj[x]]:
-                            yield f"s_{j+1} s_{i} != s_{i} s_{j} on {x!r} (degree {n})"
+                    left = list(map(sm[j + 1].__getitem__, si))
+                    right = list(map(ssi, sn[j]))
+                    if left != right:
+                        yield from _differences(
+                            n, names[n], left, right,
+                            f"s_{j+1} s_{i} != s_{i} s_{j}")
         for n in range(bound):
-            identity = {x: x for x in cells(n)}
+            identity = list(map(pos[n].__getitem__, names[n]))
             for j in range(n + 1):
-                sj = ops[n, n + 1, j]
+                sj = s[n][j]
                 for i in range(n + 2):
-                    di = ops[n + 1, n, i]
+                    left = list(map(d[n + 1][i].__getitem__, sj))
                     if i in (j, j + 1):     # d_i s_j = identity
-                        d = s = identity
+                        right = identity
                     elif i < j:             # d_i s_j = s_{j-1} d_i
-                        d, s = ops[n, n - 1, i], ops[n - 1, n, j - 1]
+                        right = list(map(s[n - 1][j - 1].__getitem__, d[n][i]))
                     else:                   # d_i s_j = s_j d_{i-1}
-                        d, s = ops[n, n - 1, i - 1], ops[n - 1, n, j]
-                    for x in cells(n):
-                        if di[sj[x]] != s[d[x]]:
-                            yield f"d_{i} s_{j} identity fails on {x!r} (degree {n})"
+                        right = list(map(s[n - 1][j].__getitem__, d[n][i - 1]))
+                    if left != right:
+                        yield from _differences(n, names[n], left, right,
+                                                f"d_{i} s_{j} identity fails")
 
     def audit(self, max_violations=20):
         """Exhaustive check of totality and all simplicial identities.
@@ -313,6 +342,14 @@ class SimplicialMap:
     def __hash__(self):
         return hash(frozenset((n, frozenset(level.items()))
                               for n, level in self.assign.items()))
+
+
+def _differences(n, cells, left, right, equation):
+    """One failure of `equation` for each degree-n cell at whose position
+    the composed position lists `left` and `right` differ."""
+    for x, a, b in zip(cells, left, right):
+        if a != b:
+            yield f"{equation} on {x!r} (degree {n})"
 
 
 # ---------------------------------------------------------------------

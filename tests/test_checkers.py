@@ -8,7 +8,7 @@ from simpcat.bisset import (BisimplicialMap, TruncatedBisimplicialSet,
                             box_product, dec)
 from simpcat.cat import Functor
 from simpcat.scat import SimplicialFunctor, s0_scat
-from simpcat.sset import SimplicialMap, delta
+from simpcat.sset import SimplicialMap, TruncatedSimplicialSet, delta
 
 
 def _sset():
@@ -118,3 +118,20 @@ def test_bisimplicial_map_with_a_missing_image_is_reported():
     del assign[(1, 1)][B.simplices[(1, 1)][0]]
     bad = BisimplicialMap(B, B, assign).validate()
     assert any("no valid image" in msg for msg in bad)
+
+
+@pytest.mark.parametrize("part, key, stray, value, message", [
+    ("faces", (1, 0), (5, 5), (0,), "d_0 defined on non-cell (5, 5) at degree 1"),
+    ("degens", (0, 0), (5,), (0, 1), "s_0 defined on non-cell (5,) at degree 0"),
+], ids=["face", "degeneracy"])
+def test_stray_table_key_is_reported(part, key, stray, value, message):
+    """A table key that is not a cell of its degree, in an object built
+    in code: the constructor does not read it, and the audit names it."""
+    X = delta(1, 2)
+    tables = {"faces": {k: dict(t) for k, t in X.faces.items()},
+              "degens": {k: dict(t) for k, t in X.degens.items()}}
+    tables[part][key][stray] = value
+    Y = TruncatedSimplicialSet(X.bound, X.simplices, tables["faces"],
+                               tables["degens"])
+    assert Y.audit() == [message]
+    assert Y.nondegenerate(1) == X.nondegenerate(1)

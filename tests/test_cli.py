@@ -4,7 +4,9 @@ import pytest
 
 from simpcat.cli import main
 from simpcat.cat import cyclic_group
-from simpcat.document import category_to_entry, sset_to_entry
+from simpcat.document import (category_to_entry, document_for_entity,
+                              parse_document, serialize_document,
+                              sset_to_entry)
 from simpcat.sset import delta, point
 
 
@@ -329,3 +331,44 @@ def test_bad_degree_or_table_in_data_is_named(tmp_path, capsys, data,
     assert main(["build", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: entity 'E': ") and message in err
+
+
+def _write_sset(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps({"schema": "simpcat-document/1", "entities": [
+        {"name": "X", "kind": "simplicial_set", "data": data}]}))
+    return str(path)
+
+
+def _respelled(data, table, old, new):
+    """`data` with the key `old` of faces `table` spelled `new`."""
+    faces = dict(data["faces"])
+    faces[table] = {new if k == old else k: v for k, v in faces[table].items()}
+    return dict(data, faces=faces)
+
+
+def test_one_cell_spelled_two_ways_in_two_tables_loads(tmp_path, capsys):
+    """Table keys are decoded once per spelling: a cell keyed "[0, 1]" in
+    d_0 and "[0,1]" in d_1 is one cell, so the set loads, and its
+    canonical document equals the tidy spelling's byte for byte."""
+    tidy = sset_to_entry("X", delta(1, 2))["data"]
+    mixed = _respelled(tidy, "1,1", "[0, 1]", "[0,1]")
+    assert "[0,1]" in mixed["faces"]["1,1"] and "[0, 1]" in mixed["faces"]["1,0"]
+    canonical = []
+    for name, data in (("tidy.json", tidy), ("mixed.json", mixed)):
+        path = _write_sset(tmp_path, name, data)
+        assert main(["build", path]) == 0
+        with open(path) as fh:
+            X = parse_document(fh.read()).entity("X")
+        canonical.append(serialize_document(document_for_entity(
+            "X", "simplicial_set", {"data": sset_to_entry("X", X)["data"]})))
+    assert canonical[0] == canonical[1]
+
+
+def test_bad_key_first_met_in_a_later_table_names_that_table(tmp_path,
+                                                             capsys):
+    data = _respelled(sset_to_entry("X", delta(1, 2))["data"], "1,1",
+                      "[0, 1]", "[0, 1")
+    assert main(["build", _write_sset(tmp_path, "bad.json", data)]) == 2
+    assert ("faces '1,1': bad cell key '[0, 1'"
+            in capsys.readouterr().err)
