@@ -100,24 +100,29 @@ class TruncatedSimplicialSet:
     # -- Eilenberg-Zilber data ----------------------------------------
 
     def _compute_ez(self):
-        ez = {0: {x: (x, ()) for x in self.simplices[0]}}
+        below = [(x, ()) for x in self.simplices[0]]
+        ez = {0: dict(zip(self.simplices[0], below))}
         for n in range(1, self.bound + 1):
+            # witness[x] = (j, p): x is s_j of the cell at position p of
+            # degree n - 1.  Only the cells of degree n - 1 are looked up,
+            # so a stray key is never read; a missing entry gives None,
+            # which is no cell.
             witness = {}
-            cells = self.simplices[n - 1]
             for j in range(n):
-                # only the cells of degree n - 1, so a stray key is never
-                # read; a missing entry gives None, which is no cell
-                for y, x in zip(cells, map(self.degens[(n - 1, j)].get, cells)):
-                    witness.setdefault(x, (j, y))
-            level = {}
+                images = map(self.degens[(n - 1, j)].get, self.simplices[n - 1])
+                for p, x in enumerate(images):
+                    witness.setdefault(x, (j, p))
+            level = []
             for x in self.simplices[n]:
-                if x not in witness:
-                    level[x] = (x, ())
+                w = witness.get(x)
+                if w is None:
+                    level.append((x, ()))
                 else:
-                    j, y = witness[x]
-                    base, word = ez[n - 1][y]
-                    level[x] = (base, normalize_word((j,) + word))
-            ez[n] = level
+                    j, p = w
+                    base, word = below[p]
+                    level.append((base, normalize_word((j,) + word)))
+            ez[n] = dict(zip(self.simplices[n], level))
+            below = level
         return ez
 
     def ez(self, n, x):
