@@ -37,10 +37,6 @@ def encode_name(name):
         return list(map(encode_name, name))
     if kind is int or kind is str:
         return name
-    if isinstance(name, tuple):
-        return [encode_name(part) for part in name]
-    if isinstance(name, (int, str)) and not isinstance(name, bool):
-        return name
     raise DocumentError(f"unserializable name {name!r}")
 
 
@@ -49,10 +45,6 @@ def decode_name(obj):
     if kind is list:
         return tuple(map(decode_name, obj))
     if kind is int or kind is str:
-        return obj
-    if isinstance(obj, list):
-        return tuple(decode_name(part) for part in obj)
-    if isinstance(obj, (int, str)) and not isinstance(obj, bool):
         return obj
     raise DocumentError(f"bad name payload {obj!r}")
 
@@ -63,17 +55,27 @@ def _keys(cells):
     return {x: json.dumps(encode_name(x)) for x in cells}
 
 
+def _encode_table(keys, table, what):
+    """`table` with each source cell replaced by its key in `keys`; a
+    source that is not a cell of its degree raises a DocumentError."""
+    try:
+        return {keys[x]: encode_name(y) for x, y in table.items()}
+    except KeyError as stray:
+        raise DocumentError(f"{what}: key {stray.args[0]!r} is not a cell "
+                            f"of its degree") from None
+
+
 def _encode_sset(X):
     keys = [_keys(X.simplices[n]) for n in X.degrees()]
     data = {
         "bound": X.bound,
         "simplices": {str(n): [encode_name(x) for x in X.simplices[n]]
                       for n in X.degrees()},
-        "faces": {f"{n},{i}": {keys[n][x]: encode_name(y)
-                               for x, y in X.faces[(n, i)].items()}
+        "faces": {f"{n},{i}": _encode_table(keys[n], X.faces[(n, i)],
+                                            f"d_{i} out of degree {n}")
                   for (n, i) in sorted(X.faces)},
-        "degens": {f"{n},{j}": {keys[n][x]: encode_name(y)
-                                for x, y in X.degens[(n, j)].items()}
+        "degens": {f"{n},{j}": _encode_table(keys[n], X.degens[(n, j)],
+                                             f"s_{j} out of degree {n}")
                    for (n, j) in sorted(X.degens)},
     }
     if X.is_pointed():

@@ -8,7 +8,7 @@ from simpcat.document import (DocumentError, category_to_entry, decode_name,
                               document_for_entity, encode_name,
                               parse_document, serialize_document,
                               sset_to_entry)
-from simpcat.sset import boundary, sphere
+from simpcat.sset import TruncatedSimplicialSet, boundary, delta, sphere
 
 
 def doc_text(entities, suites=None, config=None):
@@ -131,3 +131,13 @@ def test_encode_decode_name_round_trip(name):
 def test_encode_name_rejects_bool():
     with pytest.raises(DocumentError):
         encode_name(True)
+
+
+def test_stray_table_key_is_a_named_encode_error():
+    X = delta(1, 2)
+    faces = {k: dict(t) for k, t in X.faces.items()}
+    faces[(1, 0)][(5, 5)] = (0,)
+    Y = TruncatedSimplicialSet(X.bound, X.simplices, faces, X.degens)
+    with pytest.raises(DocumentError,
+                       match=r"d_0 out of degree 1: key \(5, 5\) is not a cell"):
+        sset_to_entry("y", Y)
