@@ -13,13 +13,13 @@ Exit codes: 0 success, 1 verification failure, 2 bad input,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 from .bisset import TruncatedBisimplicialSet, d_star, dec, diag, wbar
 from .cat import BoundExceeded, CategoryError, FinCategory, nerve
-from .document import (DocumentError, parse_document, serialize_document,
-                       sset_to_entry)
+from .document import (DocumentError, canonical_json, parse_document,
+                       serialize_document, sset_to_entry)
 from .homology import (CertificationError, abelianization, edge_path_group,
                        homology_list, pi0)
 from .scat import SimplicialCategory, diag_nerve_iso, wbar_nerve_iso
@@ -33,24 +33,22 @@ EXIT_BAD_INPUT = 2
 EXIT_BOUND = 3
 
 
-def _json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
-
-
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise DocumentError(f"cannot write {out}: {e}") from e
     else:
         sys.stdout.write(text)
 
 
 def _load(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DocumentError(f"cannot read {path}: {e}") from e
     return parse_document(text)
 
@@ -166,7 +164,7 @@ def cmd_compute(args):
         raise DocumentError(f"unknown operation {op!r}")
     report["operation"] = op
     report["entity"] = args.entity
-    _emit(_json(report), args.out)
+    _emit(canonical_json(report), args.out)
     return EXIT_OK
 
 
@@ -207,13 +205,16 @@ def cmd_report(args):
             raise DocumentError(f"unknown suite {name!r}")
         reports.append(run_suite(name, config).to_dict())
     overall = all(r["overall"] == "pass" for r in reports)
-    _emit(_json({"schema": "simpcat-report/1",
-                 "overall": "pass" if overall else "fail",
-                 "suites": reports}), args.out)
+    _emit(canonical_json({"schema": "simpcat-report/1",
+                          "overall": "pass" if overall else "fail",
+                          "suites": reports}), args.out)
     return EXIT_OK if overall else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built on first use and shared by every
+    `main` call in the process."""
     parser = argparse.ArgumentParser(
         prog="simpcat",
         description="Finite workbench for truncated simplicial objects in "

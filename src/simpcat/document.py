@@ -363,6 +363,11 @@ def parse_document(text):
     except json.JSONDecodeError as e:
         raise DocumentError(f"parse error at line {e.lineno}, "
                             f"column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise DocumentError(f"document nests too deeply: {e}") from e
+    except ValueError as e:
+        # an integer literal longer than sys.get_int_max_str_digits()
+        raise DocumentError(f"parse error: {e}") from e
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     if raw.get("schema") != SCHEMA:
@@ -433,11 +438,54 @@ def parse_document(text):
     return WorkbenchDocument(raw, entities, list(suites), config)
 
 
+_quote = json.encoder.encode_basestring_ascii
+_INTS = {int}
+
+
+def _text(obj, pad):
+    """`obj` in canonical form, its closing bracket indented by `pad`;
+    dict keys must be strings.  The stdlib writes indented JSON with its
+    pure-Python encoder; this quotes strings and writes other leaves
+    with the C encoder, and joins a list of ints in one call.  Plain
+    loops keep it at one frame per nesting level."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        parts = []
+        for key in sorted(obj):
+            parts.append(_quote(key) + ": " + _text(obj[key], inner))
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, obj)) == _INTS:
+            parts = map(int.__repr__, obj)
+        else:
+            parts = []
+            for item in obj:
+                parts.append(_text(item, inner))
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
+def canonical_json(payload):
+    """The canonical text of a JSON value with string keys: what
+    `json.dumps` writes with sorted keys, an indent of 2 and the
+    separators "," and ": ", plus a final newline, byte for byte."""
+    return _text(payload, "") + "\n"
+
+
 def serialize_document(doc):
-    """Canonical text form; parse(serialize(doc)) reproduces the
-    document byte for byte."""
-    return json.dumps(doc.raw, sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    """Canonical text form (`canonical_json` of the raw document);
+    parse(serialize(doc)) reproduces the document byte for byte."""
+    return _text(doc.raw, "") + "\n"
 
 
 def document_for_entity(name, kind, payload, config=None):

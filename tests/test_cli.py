@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from simpcat.cli import main
+from simpcat.cli import main, make_parser
 from simpcat.cat import cyclic_group
 from simpcat.document import (category_to_entry, document_for_entity,
                               parse_document, serialize_document,
@@ -372,3 +373,119 @@ def test_bad_key_first_met_in_a_later_table_names_that_table(tmp_path,
     assert main(["build", _write_sset(tmp_path, "bad.json", data)]) == 2
     assert ("faces '1,1': bad cell key '[0, 1'"
             in capsys.readouterr().err)
+
+
+def stdlib_canonical(text):
+    """The stdlib's sorted, 2-space-indented form of the JSON `text`."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2,
+                      separators=(",", ": ")) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "@doc"],
+    ["compute", "nerve", "@doc", "z2"],
+    ["compute", "diag", "@doc", "bz2"],
+    ["compute", "wbar", "@doc", "bz2"],
+    ["compute", "dec", "@doc", "circle"],
+    ["compute", "dstar", "@doc", "circle"],
+    ["compute", "homology", "@doc", "circle"],
+    ["compute", "pi0", "@doc", "basket"],
+    ["compute", "pi1", "@doc", "circle", "--pointed"],
+    ["compute", "ktheory", "@doc", "s0"],
+    ["compute", "mapspace", "@doc", "s0", "--source", "basket"],
+    ["report", "@doc", "--suite", "k-theory"],
+], ids=lambda argv: "-".join(argv[:2]).replace("-@doc", ""))
+def test_output_is_the_stdlib_canonical_form(doc_path, capsys, argv):
+    assert main([doc_path if a == "@doc" else a for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert out == stdlib_canonical(out)
+
+
+def test_config_nested_900_deep_builds_canonically(tmp_path, capsys):
+    value = 0
+    for _ in range(900):
+        value = [value]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"schema": "simpcat-document/1",
+                                "config": {"x": value}, "entities": []}))
+    assert main(["build", str(path)]) == 0
+    assert capsys.readouterr().out == stdlib_canonical(path.read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "@doc"],
+    ["compute", "homology", "@doc", "circle"],
+    ["report", "@doc", "--suite", "k-theory"],
+], ids=["build", "compute", "report"])
+def test_unwritable_out_is_bad_input(doc_path, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.json"
+    argv = [doc_path if a == "@doc" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"schema": "simpcat-document/1", "entities": [], "x": "\xff"}',
+     "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100000, "document nests too deeply"),
+], ids=["not-utf-8", "too-deep"])
+def test_document_json_cannot_load_is_bad_input(tmp_path, capsys, content,
+                                                message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["build", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python has no integer digit limit")
+def test_integer_past_the_digit_limit_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"x": %s}' % ("9" * (sys.get_int_max_str_digits() + 1)))
+    assert main(["build", str(path)]) == 2
+    assert "error: parse error: Exceeds the limit" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert make_parser() is make_parser()
+
+
+def test_repeated_suite_option_does_not_accumulate(capsys):
+    for _ in range(2):
+        assert main(["verify", "--suite", "k-theory"]) == 0
+        assert capsys.readouterr().out.count("suite ") == 1
+
+
+def test_good_call_after_usage_error(doc_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "nope", doc_path, "circle"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["compute", "pi0", doc_path, "basket"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2
+
+
+def test_out_does_not_carry_to_the_next_call(doc_path, tmp_path, capsys):
+    out = tmp_path / "a.json"
+    assert main(["build", doc_path, "--out", str(out)]) == 0
+    written = out.read_text()
+    assert capsys.readouterr().out == ""
+    assert main(["compute", "pi0", doc_path, "basket"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2
+    assert out.read_text() == written
+
+
+@pytest.mark.parametrize("argv", [[], ["build"], ["compute", "nope"],
+                                  ["report", "--cap", "x"]])
+def test_usage_text_matches_a_fresh_parser(capsys, argv):
+    """Two calls of `main` print what a parser built for the call
+    prints."""
+    errs = []
+    for parse in (main, main, make_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0].startswith("usage: simpcat")
+    assert errs[0] == errs[1] == errs[2]

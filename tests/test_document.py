@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from simpcat.cat import cyclic_group
-from simpcat.document import (DocumentError, category_to_entry, decode_name,
+from simpcat.document import (DocumentError, canonical_json,
+                              category_to_entry, decode_name,
                               document_for_entity, encode_name,
                               parse_document, serialize_document,
                               sset_to_entry)
@@ -141,3 +143,26 @@ def test_stray_table_key_is_a_named_encode_error():
     with pytest.raises(DocumentError,
                        match=r"d_0 out of degree 1: key \(5, 5\) is not a cell"):
         sset_to_entry("y", Y)
+
+
+def stdlib_canonical(value):
+    return json.dumps(value, sort_keys=True, indent=2,
+                      separators=(",", ": ")) + "\n"
+
+
+awkward_text = st.text() | st.text(alphabet='"\\/\n\t\x00\x1f\x7f'
+                                            'é\u2028λ\U0001f600\ud800')
+json_values = st.recursive(
+    st.none() | st.booleans() | awkward_text
+    | st.integers() | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.lists(st.integers() | st.booleans())
+                   | st.lists(st.integers()).map(tuple)
+                   | st.dictionaries(awkward_text, inner)),
+    max_leaves=25)
+
+
+@given(json_values)
+def test_canonical_json_is_the_stdlib_indented_form(value):
+    assert canonical_json(value) == stdlib_canonical(value)
