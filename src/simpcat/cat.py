@@ -9,7 +9,9 @@ instead of guessing.
 
 from __future__ import annotations
 
-from .names import sort_key
+import functools
+
+from .names import ordered, sort_key
 from .sset import SimplicialMap, TruncatedSimplicialSet
 
 
@@ -27,8 +29,8 @@ class CapExceeded(BoundExceeded):
 
 class FinCategory:
     def __init__(self, objects, morphisms, src, tgt, ident, comp):
-        self.objects = tuple(sorted(objects, key=sort_key))
-        self.morphisms = tuple(sorted(morphisms, key=sort_key))
+        self.objects = tuple(ordered(objects))
+        self.morphisms = tuple(ordered(morphisms))
         self.src = dict(src)
         self.tgt = dict(tgt)
         self.ident = dict(ident)
@@ -39,9 +41,17 @@ class FinCategory:
         """g after f."""
         return self.comp[(g, f)]
 
+    @functools.cached_property
+    def _homs(self):
+        """{(a, b): the morphisms a -> b in stored order}, built on the
+        first `hom` call."""
+        homs = {}
+        for m in self.morphisms:
+            homs.setdefault((self.src[m], self.tgt[m]), []).append(m)
+        return {ends: tuple(ms) for ends, ms in homs.items()}
+
     def hom(self, a, b):
-        return tuple(m for m in self.morphisms
-                     if self.src[m] == a and self.tgt[m] == b)
+        return self._homs.get((a, b), ())
 
     def is_identity(self, m):
         return self.ident.get(self.src[m]) == m and self.src[m] == self.tgt[m]
@@ -246,7 +256,7 @@ class Functor:
         """Image of a k-chain of the source's nerve."""
         if k == 0:
             return self.obj_map[c]
-        return tuple(self.mor_map[m] for m in c)
+        return tuple(map(self.mor_map.__getitem__, c))
 
     @classmethod
     def identity(cls, C):
@@ -327,8 +337,11 @@ class NaturalTransformation:
 # ---------------------------------------------------------------------
 
 def iso_subgroupoid(C):
-    """Wide subcategory of all invertible morphisms."""
+    """Wide subcategory of all invertible morphisms; `C` itself when
+    it is a groupoid."""
     invertible = tuple(m for m in C.morphisms if C.inverse(m) is not None)
+    if len(invertible) == len(C.morphisms):
+        return C
     inv_set = frozenset(invertible)
     comp = {k: h for k, h in C.comp.items()
             if k[0] in inv_set and k[1] in inv_set}
@@ -366,6 +379,10 @@ class PresentedGroupoid:
     first letter applies first.  Relations equate two parallel words."""
 
     def __init__(self, objects, generators, relations):
+        # The one sort left on `sort_key` itself: perfbench's tracer test
+        # (test_intra_package_calls_are_caught) checks that a traced
+        # `pi_levelwise` folds a `names.sort_key` call, and this is the
+        # cheapest sort on that path (one key per object).
         self.objects = tuple(sorted(objects, key=sort_key))
         self.generators = dict(generators)      # name -> (src, tgt)
         self.relations = tuple(relations)       # (word, word)
@@ -570,37 +587,42 @@ class Materialization:
 
 
 def _spanning_forest(objects, generators):
-    """Components, roots, and a root path word per object.  Paths are
-    direction words over the 0-based generator list order."""
-    glist = sorted(generators, key=sort_key)
+    """Components, roots, and a root path word per object, for
+    `objects` in canonical order.  Paths are direction words over the
+    0-based generator list order; each component's members keep the
+    order of `objects`."""
+    glist = ordered(generators)
     gindex = {g: k for k, g in enumerate(glist)}
+    # Each adjacency list is built in generator order, the order the
+    # search reads it in.  Only a loop g at a puts two entries (g, +1)
+    # and (g, -1) into one list; both lead back to a, which the search
+    # has already reached, so their relative order is never read.
     adj = {o: [] for o in objects}
     for g in glist:
         a, b = generators[g]
         adj[a].append((b, g, +1))
         adj[b].append((a, g, -1))
-    comp_of, paths, roots, members = {}, {}, [], {}
+    comp_of, paths, roots = {}, {}, []
     tree = set()
     for o in objects:
         if o in comp_of:
             continue
-        root = o
-        roots.append(root)
-        comp_of[o] = root
-        members[root] = [o]
+        roots.append(o)
+        comp_of[o] = o
         paths[o] = ()       # word: root -> o
         frontier = [o]
         while frontier:
             a = frontier.pop(0)
-            for b, g, sign in sorted(adj[a], key=lambda t: sort_key((t[1], t[2]))):
+            for b, g, sign in adj[a]:
                 if b not in comp_of:
-                    comp_of[b] = root
-                    members[root].append(b)
+                    comp_of[b] = o
                     d = 2 * gindex[g] + (0 if sign > 0 else 1)
                     paths[b] = paths[a] + (d,)
                     tree.add(g)
                     frontier.append(b)
-        members[root].sort(key=sort_key)
+    members = {root: [] for root in roots}
+    for o in objects:
+        members[comp_of[o]].append(o)
     return glist, gindex, comp_of, roots, members, paths, tree
 
 
@@ -731,7 +753,7 @@ def colimit_record(cats, edges, bound=10000):
     def union(x, y):
         rx, ry = find(x), find(y)
         if rx != ry:
-            lo, hi = sorted((rx, ry), key=sort_key)
+            lo, hi = ordered((rx, ry))
             parent[hi] = lo
 
     for i, C in enumerate(cats):
@@ -812,7 +834,7 @@ def enumerate_functors(C, D, cap=10 ** 6):
     for (a, b) in between:
         adj[a].add(b)
         adj[b].add(a)
-    ordered, seen = [], set()
+    order, seen = [], set()
     for o in C.objects:
         if o in seen:
             continue
@@ -820,8 +842,8 @@ def enumerate_functors(C, D, cap=10 ** 6):
         seen.add(o)
         while frontier:
             a = frontier.pop(0)
-            ordered.append(a)
-            for b in sorted(adj[a], key=sort_key):
+            order.append(a)
+            for b in ordered(adj[a]):
                 if b not in seen:
                     seen.add(b)
                     frontier.append(b)
@@ -861,16 +883,16 @@ def enumerate_functors(C, D, cap=10 ** 6):
         return assignments
 
     def assign(k, obj_map):
-        if k == len(ordered):
+        if k == len(order):
             for mor_map in close(obj_map):
                 out.append(Functor(C, D, dict(obj_map), mor_map))
                 if len(out) > cap:
                     raise CapExceeded("functor enumeration cap exceeded")
             return
-        o = ordered[k]
+        o = order[k]
         for img in D.objects:
             ok = True
-            for o2 in ordered[:k]:
+            for o2 in order[:k]:
                 if (o, o2) in between and not D.hom(img, obj_map[o2]):
                     ok = False
                     break

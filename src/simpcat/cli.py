@@ -83,7 +83,17 @@ def _as_sset(obj, what):
                         f"got {type(obj).__name__}")
 
 
+def _at_least_zero(args, *options):
+    """A DocumentError (exit 2) naming the first of the integer
+    `options` that was given a negative value."""
+    for option in options:
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is not None and value < 0:
+            raise DocumentError(f"{option} must be at least 0, got {value}")
+
+
 def cmd_compute(args):
+    _at_least_zero(args, "--degree")
     doc = _load(args.document)
     obj = doc.entity(args.entity)
     op = args.operation
@@ -177,6 +187,7 @@ def _suite_names(args, doc):
 
 
 def _suite_config(args):
+    _at_least_zero(args, "--closure-bound", "--cap")
     return {"closure_bound": args.closure_bound, "cap": args.cap}
 
 

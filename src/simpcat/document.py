@@ -15,7 +15,7 @@ import json
 from .bisset import box_product, d_star, dec
 from .cat import (BoundExceeded, CategoryError, FinCategory, arrow_cat,
                   chaotic, cyclic_group, discrete, terminal_cat)
-from .names import sort_key
+from .names import ordered
 from .scat import (SimplicialCategory, add_basepoint, constant_pointed_scat,
                    constant_scat, pi_levelwise, s0_scat)
 from .spectra import sigma_infinity, terminal_spectrum
@@ -146,9 +146,9 @@ def _decode_sset(data):
         if not 0 <= n <= bound:
             raise DocumentError(f"'simplices': degree {key!r} is outside "
                                 f"0..{bound}")
-        _put(simplices, n, tuple(sorted(
+        _put(simplices, n, tuple(ordered(
             _distinct(cells, f"simplices {key!r}",
-                      f"a cell is listed twice in degree {n}"), key=sort_key)),
+                      f"a cell is listed twice in degree {n}"))),
              "'simplices'")
     for n in range(bound + 1):
         if n not in simplices:
@@ -192,7 +192,7 @@ def _tables(data, part, simplices):
                 f"{part!r}: no {op}_{k} out of degree {n} at bound {bound} "
                 f"(key {key!r})")
         table = _table(table, f"{part} {key!r}", memo)
-        stray = sorted(table.keys() - simplices[n], key=sort_key)
+        stray = ordered(table.keys() - simplices[n])
         if stray:
             raise DocumentError(f"{part} {key!r}: {stray[0]!r} is not a cell "
                                 f"of degree {n}")
@@ -215,8 +215,7 @@ def _encode_category(C):
         "ident": {json.dumps(encode_name(o)): encode_name(C.ident[o])
                   for o in C.objects},
         "comp": [[encode_name(g), encode_name(f), encode_name(h)]
-                 for (g, f), h in sorted(C.comp.items(),
-                                         key=lambda kv: sort_key(kv[0]))],
+                 for (g, f), h in ordered(C.comp.items())],
     }
 
 
@@ -374,7 +373,10 @@ def parse_document(text):
         raise DocumentError(f"unsupported schema {raw.get('schema')!r}")
     config = dict(_need(raw.get("config", {}), dict, "config"))
     if "closure_bound" in config:
-        _need(config["closure_bound"], int, "config 'closure_bound'")
+        bound = _need(config["closure_bound"], int, "config 'closure_bound'")
+        if bound < 0:
+            raise DocumentError(f"config 'closure_bound' must be at least 0, "
+                                f"got {bound}")
     entries = raw.get("entities", [])
     if not (isinstance(entries, list)
             and all(isinstance(entry, dict) for entry in entries)):

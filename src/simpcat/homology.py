@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .names import sort_key
+from .names import ordered
 from .sset import SimplicialError
 
 
@@ -317,7 +317,7 @@ def edge_path_group(X, v):
     frontier = [v]
     while frontier:
         a = frontier.pop()
-        for b, e in sorted(adj.get(a, []), key=lambda t: sort_key((t[0], t[1]))):
+        for b, e in ordered(adj.get(a, [])):
             if b not in reached:
                 reached.add(b)
                 tree_edges.add(e)

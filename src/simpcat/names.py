@@ -1,7 +1,16 @@
 """Deterministic ordering and canonical labels for simplex / object names.
 
 Names are ints, strings, or (nested) tuples of those, totally ordered by
-`sort_key`.
+`sort_key`: ints (bools included) before strings before tuples, and
+tuples lexicographically by that order.
+
+`ordered` computes the order.  Python's own comparison of ints, strings
+and nested tuples agrees with `sort_key` wherever it is defined, so
+`ordered` runs the built-in sort, which compares in C, and calls
+`sort_key` only when that sort raises TypeError: where an int meets a
+string or a tuple at one position.  `sort_key` is that fallback, the
+tests' oracle for `ordered`, and the key of one sort that keeps it on
+purpose (`cat.PresentedGroupoid`, which says why).
 
 Canonical order is a constructor invariant: every `TruncatedSimplicialSet`
 and `TruncatedBisimplicialSet` stores each degree's cells in strictly
@@ -26,3 +35,14 @@ def sort_key(name):
     if isinstance(name, tuple):
         return (2, tuple(sort_key(part) for part in name))
     raise TypeError(f"unsupported name type: {type(name).__name__}")
+
+
+def ordered(names):
+    """The names of the iterable `names` as a list in `sort_key` order.
+    The sort is stable, so equal names (1 and True) keep their order."""
+    if iter(names) is names:
+        names = tuple(names)        # the fallback reads `names` again
+    try:
+        return sorted(names)
+    except TypeError:
+        return sorted(names, key=sort_key)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .cat import CategoryError, _coset_closure
 from .homology import (CertificationError, abelianization, edge_path_group,
                        homology_list, pi0, ProbeVerdict)
-from .names import sort_key
+from .names import ordered
 from .scat import (SimplicialFunctor, constant_pointed_scat, diag_nerve_iso,
                    suspend)
 from .sset import (TruncatedSimplicialSet, delta, enumerate_maps,
@@ -116,7 +116,7 @@ def mapping_space(X, C, n_max=None):
         named = {}
         for f in maps:
             named[tuple(f(m, z) for (m, z) in cells)] = f
-        simplices[n] = tuple(sorted(named, key=sort_key))
+        simplices[n] = tuple(ordered(named))
         level_maps[n] = (cells, named)
 
     def table(n, m, k):

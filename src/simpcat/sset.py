@@ -3,8 +3,9 @@
 A `TruncatedSimplicialSet` stores every simplex up to a dimension bound
 together with total face and degeneracy tables.  Eilenberg-Zilber data
 (each simplex as an iterated degeneracy of a unique nondegenerate base)
-is derived from the degeneracy tables at construction time, which keeps
-the stored canonical forms consistent with the tables by construction.
+is derived from the degeneracy tables on first use, by `ez`,
+`is_degenerate` or `nondegenerate`, so it always agrees with the tables
+and a set that is never asked for it never computes it.
 
 Simplex names are ints, strings, or nested tuples of those; see
 :mod:`simpcat.names` for their canonical order.
@@ -12,6 +13,7 @@ Simplex names are ints, strings, or nested tuples of those; see
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -44,7 +46,11 @@ class TruncatedSimplicialSet:
     Invariant: each degree's simplices are stored in strictly increasing
     canonical name order (:mod:`simpcat.names`).  `_from_tuples` and
     `document._decode_sset` sort their cells; every other constructor
-    keeps the order of its ordered inputs."""
+    keeps the order of its ordered inputs.
+
+    The constructor stores the tables as given; Eilenberg-Zilber data is
+    derived from them on first use, so an incomplete set still
+    constructs and its `audit` names what is missing."""
 
     def __init__(self, bound, simplices, faces, degens, basepoint=None):
         self.bound = bound
@@ -53,7 +59,6 @@ class TruncatedSimplicialSet:
         self.degens = degens      # {(n, j): {name: name}}, 0 <= n < bound
         self.basepoint = basepoint
         self._index = {n: frozenset(self.simplices[n]) for n in self.simplices}
-        self._ez = self._compute_ez()
 
     @classmethod
     def from_operators(cls, bound, simplices, table, basepoint=None):
@@ -99,7 +104,10 @@ class TruncatedSimplicialSet:
 
     # -- Eilenberg-Zilber data ----------------------------------------
 
-    def _compute_ez(self):
+    @functools.cached_property
+    def _ez(self):
+        """{n: {x: (base, word)}}, computed on the first `ez`,
+        `is_degenerate` or `nondegenerate` call."""
         below = [(x, ()) for x in self.simplices[0]]
         ez = {0: dict(zip(self.simplices[0], below))}
         for n in range(1, self.bound + 1):

@@ -32,9 +32,22 @@ def test_groupoid_recognition():
 
 
 def test_iso_subgroupoid_of_arrow():
-    G = iso_subgroupoid(arrow_cat())
-    assert len(G.morphisms) == 2
+    C = arrow_cat()
+    G = iso_subgroupoid(C)
+    assert G is not C
+    assert G.objects == C.objects
+    assert G.morphisms == (("id", 0), ("id", 1))
+    assert G.ident == C.ident
+    assert G.comp == {(m, m): m for m in G.morphisms}
     assert G.validate() == []
+
+
+@pytest.mark.parametrize("C", [
+    chaotic(range(3)), cyclic_group(4), discrete(range(2)), terminal_cat(),
+    product_cat(chaotic(range(2)), cyclic_group(2)),
+], ids=["chaotic", "cyclic", "discrete", "terminal", "product"])
+def test_iso_subgroupoid_of_a_groupoid_is_itself(C):
+    assert iso_subgroupoid(C) is C
 
 
 def test_nerve_sizes():
@@ -153,3 +166,19 @@ def test_chains_equal_filtered_product(C):
         assert C.chains(range(top + 1)) == {k: expected[k]
                                             for k in range(top + 1)}
     assert C.chains((4,)) == {4: expected[4]}
+
+
+@pytest.mark.parametrize("C", [
+    chaotic(range(3)), cyclic_group(3), arrow_cat(), discrete(range(3)),
+    product_cat(arrow_cat(), cyclic_group(2)),
+    product_cat(chaotic(range(2)), arrow_cat()), _pushout()[0],
+], ids=["chaotic", "cyclic", "arrow", "discrete", "product-arrow-cyclic",
+        "product-chaotic-arrow", "pushout"])
+def test_hom_equals_filtered_morphisms(C):
+    """The indexed hom-sets are the linear filter of the morphisms by
+    source and target, in stored order, for every pair of objects."""
+    for a in C.objects:
+        for b in C.objects:
+            assert C.hom(a, b) == tuple(m for m in C.morphisms
+                                        if C.src[m] == a and C.tgt[m] == b)
+    assert C.hom("no such object", C.objects[0]) == ()

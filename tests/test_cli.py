@@ -155,6 +155,52 @@ def test_negative_nerve_bound_is_bad_input(doc_path, capsys):
     assert "bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["compute", "homology", "DOC", "circle", "--degree", "-1"], "--degree"),
+    (["compute", "mapspace", "DOC", "s0", "--source", "basket",
+      "--degree", "-1"], "--degree"),
+    (["verify", "--suite", "identities", "--closure-bound", "-1"],
+     "--closure-bound"),
+    (["report", "--suite", "niso-pushout", "--closure-bound", "-1"],
+     "--closure-bound"),
+    (["verify", "--suite", "unit", "--cap", "-1"], "--cap"),
+    (["report", "--suite", "directed-colimit", "--cap", "-1"], "--cap"),
+], ids=["homology-degree", "mapspace-degree", "verify-closure-bound",
+        "report-closure-bound", "verify-cap", "report-cap"])
+def test_negative_option_is_bad_input(doc_path, argv, option, capsys):
+    """A negative count is bad input (exit 2) naming its option, not an
+    empty result (exit 0) or a bound that was exceeded (exit 3)."""
+    argv = [doc_path if a == "DOC" else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {option} must be at least " \
+                                      f"0, got -1\n"
+
+
+def test_negative_config_closure_bound_is_bad_input(tmp_path, capsys):
+    doc = tmp_path / "negative.json"
+    doc.write_text(json.dumps({
+        "schema": "simpcat-document/1",
+        "config": {"closure_bound": -1},
+        "entities": [
+            {"name": "circle", "kind": "simplicial_set",
+             "builder": {"type": "sphere", "n": 1, "bound": 3}},
+            {"name": "pi", "kind": "simplicial_category",
+             "builder": {"type": "pi_dec", "space": "circle"}}]}))
+    for argv in (["build", str(doc)], ["verify", str(doc)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: config 'closure_bound' must be at least 0, got -1\n"
+
+
+def test_zero_options_keep_their_meaning(doc_path, capsys):
+    assert main(["compute", "homology", doc_path, "circle",
+                 "--degree", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["groups"] == ["Z"]
+    assert main(["verify", "--suite", "unit", "--cap", "0"]) == 3
+    assert main(["verify", "--suite", "niso-pushout",
+                 "--closure-bound", "0"]) == 3
+
+
 def _point_doc(**entity):
     return {"schema": "simpcat-document/1",
             "entities": [dict({"name": "Y", "kind": "simplicial_set",

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simpcat.sset import (SimplicialError, SimplicialMap, boundary, c_sigma,
+from simpcat.bisset import dec
+from simpcat.sset import (SimplicialError, SimplicialMap,
+                          TruncatedSimplicialSet, boundary, c_sigma,
                           colimit_sset, coproduct, delta, enumerate_maps,
                           generated_subcomplex, horn, normalize_word, point,
                           product_sset, quotient, sphere, truncate, two_point)
@@ -155,3 +159,56 @@ def test_quotient_of_vertices_still_audits(a, b):
 def test_products_audit(n, bound):
     P = product_sset(delta(n, bound), delta(1, bound))
     assert P.audit() == []
+
+
+def eager_ez(X):
+    """Eilenberg-Zilber data by brute force: the nondegenerate cells are
+    those outside the image of every degeneracy, and each cell is found
+    as s_{w_0} ... s_{w_{k-1}} y for exactly one nondegenerate y and one
+    strictly decreasing word w."""
+    nondegenerate, ez = {}, {}
+    for n in X.degrees():
+        images = {X.degens[(n - 1, j)][y]
+                  for j in range(n) for y in X.simplices[n - 1]}
+        nondegenerate[n] = tuple(x for x in X.simplices[n] if x not in images)
+        ez[n] = {}
+        for k in range(n + 1):
+            for word in itertools.combinations(range(n - 1, -1, -1), k):
+                for y in nondegenerate[n - k]:
+                    x = y
+                    for m, j in enumerate(reversed(word), start=n - k):
+                        x = X.degens[(m, j)][x]
+                    assert x not in ez[n], (n, x)
+                    ez[n][x] = (y, word)
+        assert set(ez[n]) == set(X.simplices[n])
+    return nondegenerate, ez
+
+
+def _row(X, q):
+    return dec(X).row(q)
+
+
+@pytest.mark.parametrize("X", [
+    delta(2, 3), boundary(2, 3), horn(2, 1, 3), sphere(2, 3), sphere(1, 4),
+    quotient(delta(2, 3), [(1, (0, 1), (1, 2))])[0],
+    product_sset(delta(1, 3), sphere(1, 3)),
+    _row(delta(1, 3), 0), _row(delta(1, 3), 1), _row(sphere(1, 4), 1),
+], ids=["delta", "boundary", "horn", "sphere-2", "sphere-1", "quotient",
+        "product", "dec-delta-row-0", "dec-delta-row-1", "dec-sphere-row-1"])
+def test_ez_matches_eager_reference(X):
+    nondegenerate, ez = eager_ez(X)
+    for n in X.degrees():
+        assert X.nondegenerate(n) == nondegenerate[n]
+        for x in X.simplices[n]:
+            assert X.ez(n, x) == ez[n][x]
+            assert X.is_degenerate(n, x) == bool(ez[n][x][1])
+
+
+def test_missing_degeneracy_table_is_reported_by_the_audit():
+    """Eilenberg-Zilber data is derived on first use, so a set built in
+    code without one degeneracy table constructs, and its audit names the
+    table instead of the constructor raising a KeyError."""
+    D = delta(1, 2)
+    degens = {key: table for key, table in D.degens.items() if key != (1, 0)}
+    X = TruncatedSimplicialSet(2, D.simplices, D.faces, degens)
+    assert "missing degeneracy table s_0 at degree 1" in X.audit()
