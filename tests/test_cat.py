@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simpcat.cat import (BoundExceeded, CategoryError, FinCategory, Functor,
+                         PresentedGroupoid, _spanning_forest,
                          arrow_cat, chaotic, colimit_cat, coproduct_cat,
                          cyclic_group, discrete, enumerate_functors,
                          equalizer_cat, fundamental_groupoid,
                          iso_subgroupoid, materialize_groupoid, nerve,
                          nerve_functor, product_cat, terminal_cat)
+from simpcat.names import sort_key
 from simpcat.sset import delta, sphere
 
 
@@ -182,3 +185,57 @@ def test_hom_equals_filtered_morphisms(C):
             assert C.hom(a, b) == tuple(m for m in C.morphisms
                                         if C.src[m] == a and C.tgt[m] == b)
     assert C.hom("no such object", C.objects[0]) == ()
+
+
+def _sorted_forest(objects, generators):
+    """The spanning forest with every list sorted by `sort_key`: each
+    adjacency list by (generator, sign) before it is read, and each
+    component's members at the end."""
+    glist = sorted(generators, key=sort_key)
+    gindex = {g: k for k, g in enumerate(glist)}
+    adj = {o: [] for o in objects}
+    for g in glist:
+        a, b = generators[g]
+        adj[a].append((b, g, +1))
+        adj[b].append((a, g, -1))
+    comp_of, paths, roots, members, tree = {}, {}, [], {}, set()
+    for o in objects:
+        if o in comp_of:
+            continue
+        roots.append(o)
+        comp_of[o], members[o], paths[o] = o, [o], ()
+        frontier = [o]
+        while frontier:
+            a = frontier.pop(0)
+            for b, g, sign in sorted(adj[a],
+                                     key=lambda t: sort_key((t[1], t[2]))):
+                if b not in comp_of:
+                    comp_of[b] = o
+                    members[o].append(b)
+                    d = 2 * gindex[g] + (0 if sign > 0 else 1)
+                    paths[b] = paths[a] + (d,)
+                    tree.add(g)
+                    frontier.append(b)
+        members[o].sort(key=sort_key)
+    return glist, gindex, comp_of, roots, members, paths, tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 5), st.sampled_from("abc")),
+                min_size=1, max_size=6, unique=True).flatmap(
+    lambda objects: st.tuples(
+        st.just(objects),
+        st.dictionaries(st.one_of(st.integers(0, 9),
+                                  st.tuples(st.integers(0, 2),
+                                            st.sampled_from("xy"))),
+                        st.tuples(st.sampled_from(objects),
+                                  st.sampled_from(objects)),
+                        max_size=8))))
+def test_spanning_forest_reads_its_lists_in_sorted_order(case):
+    """Adjacency lists built in generator order, loops and parallel
+    arrows included, and members listed in object order give the forest
+    that sorting every list gives."""
+    objects, generators = case
+    objects = PresentedGroupoid(objects, generators, ()).objects
+    assert _spanning_forest(objects, generators) == \
+        _sorted_forest(objects, generators)
