@@ -4,12 +4,14 @@ Categories are explicit composition tables, so every law is checked
 exhaustively.  Presented groupoids are materialized by a spanning-forest
 reduction followed by bounded coset closure of each vertex group; a
 closure that does not finish within the bound raises BoundExceeded
-instead of guessing.
+instead of guessing.  Functors are enumerated as the maps of 2-truncated
+nerves, by the hom search of :mod:`simpcat.sset`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .names import ordered, sort_key
 from .sset import SimplicialMap, TruncatedSimplicialSet
@@ -104,6 +106,17 @@ class FinCategory:
         if i == k:
             return c[:-1]
         return c[:i - 1] + (self.comp[(c[i], c[i - 1])],) + c[i + 1:]
+
+    def nerve_side(self, top):
+        """The nerve truncated at `top` as the pair (cells, operators)
+        that `SimplicialMap.commuting_maps` reads."""
+        chains = self.chains(range(top + 1))
+
+        def operators(k):
+            return [(m, functools.partial(self.chain_operator, k, m, i))
+                    for m in (k - 1, k + 1) if 0 <= m <= top
+                    for i in range(k + 1)]
+        return chains.__getitem__, operators
 
     def validate(self, max_violations=20):
         v = []
@@ -261,12 +274,6 @@ class Functor:
     @classmethod
     def identity(cls, C):
         return cls(C, C, {o: o for o in C.objects}, {m: m for m in C.morphisms})
-
-    def compose(self, other):
-        """self after other."""
-        return Functor(other.source, self.target,
-                       {o: self.obj_map[v] for o, v in other.obj_map.items()},
-                       {m: self.mor_map[v] for m, v in other.mor_map.items()})
 
     def validate(self, max_violations=20):
         v = []
@@ -823,88 +830,12 @@ def equalizer_cat(F, G):
 # ---------------------------------------------------------------------
 
 def enumerate_functors(C, D, cap=10 ** 6):
-    """All functors C -> D, by backtracking: object images are chosen in
-    a connectivity order with hom-set pruning, then morphism images are
-    closed under the composition table."""
-    between = {}
-    for m in C.morphisms:
-        if not C.is_identity(m):
-            between.setdefault((C.src[m], C.tgt[m]), []).append(m)
-    adj = {o: set() for o in C.objects}
-    for (a, b) in between:
-        adj[a].add(b)
-        adj[b].add(a)
-    order, seen = [], set()
-    for o in C.objects:
-        if o in seen:
-            continue
-        frontier = [o]
-        seen.add(o)
-        while frontier:
-            a = frontier.pop(0)
-            order.append(a)
-            for b in ordered(adj[a]):
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-
-    morphs = list(C.morphisms)
-    position = {m: k for k, m in enumerate(morphs)}
-    # composition triples become checkable once their last morphism,
-    # in enumeration order, receives an image
-    triples_at = [[] for _ in morphs]
-    for (g, f), h in C.comp.items():
-        triples_at[max(position[g], position[f], position[h])].append((g, f, h))
-    out = []
-
-    def close(obj_map):
-        assignments = [{}]
-        for k, m in enumerate(morphs):
-            a, b = obj_map[C.src[m]], obj_map[C.tgt[m]]
-            if C.is_identity(m):
-                options = [D.ident[a]]
-            else:
-                options = D.hom(a, b)
-            nxt = []
-            for partial in assignments:
-                for fm in options:
-                    trial = partial if len(options) == 1 else dict(partial)
-                    trial[m] = fm
-                    ok = True
-                    for (g, f, h) in triples_at[k]:
-                        if D.comp[(trial[g], trial[f])] != trial[h]:
-                            ok = False
-                            break
-                    if ok:
-                        nxt.append(trial)
-            assignments = nxt
-            if len(assignments) > cap:
-                raise CapExceeded("functor enumeration cap exceeded")
-        return assignments
-
-    def assign(k, obj_map):
-        if k == len(order):
-            for mor_map in close(obj_map):
-                out.append(Functor(C, D, dict(obj_map), mor_map))
-                if len(out) > cap:
-                    raise CapExceeded("functor enumeration cap exceeded")
-            return
-        o = order[k]
-        for img in D.objects:
-            ok = True
-            for o2 in order[:k]:
-                if (o, o2) in between and not D.hom(img, obj_map[o2]):
-                    ok = False
-                    break
-                if (o2, o) in between and not D.hom(obj_map[o2], img):
-                    ok = False
-                    break
-            if (o, o) in between and not D.hom(img, img):
-                ok = False
-            if ok:
-                obj_map[o] = img
-                assign(k + 1, obj_map)
-                del obj_map[o]
-
-    assign(0, {})
-    return out
+    """All functors C -> D, as the maps of 2-truncated nerves: objects,
+    morphisms and composable pairs, whose faces carry the endpoints and
+    the composite.  More than `cap` functors raise CapExceeded."""
+    maps = list(itertools.islice(SimplicialMap.commuting_maps(
+        (2, 1, 0), C.nerve_side(2), D.nerve_side(2)), cap + 1))
+    if len(maps) > cap:
+        raise CapExceeded("functor enumeration cap exceeded")
+    return [Functor(C, D, f[0], {m: fm for (m,), (fm,) in f[1].items()})
+            for f in maps]

@@ -5,18 +5,20 @@ categories with face and degeneracy functors.  On top of that this
 module provides the levelwise fundamental groupoid of a bisimplicial
 set, the levelwise nerve of the maximal subgroupoid with its diagonal
 and codiagonal, levelwise colimits and products, rho, the smash
-product with the basepoint orbit collapsed, and suspension.
+product with the basepoint orbit collapsed, and suspension.  Simplicial
+functors are enumerated by the hom search of :mod:`simpcat.sset`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .bisset import BidegreeShape, TruncatedBisimplicialSet, dec, wbar
 from .cat import (BoundExceeded, CapExceeded, CategoryError, Functor,
                   _materialize, colimit_record, coproduct_cat,
-                  enumerate_functors, fundamental_groupoid, iso_subgroupoid,
-                  product_cat, terminal_cat)
+                  fundamental_groupoid, iso_subgroupoid, product_cat,
+                  terminal_cat)
 from .sset import SimplicialMap, TruncatedSimplicialSet, sphere, truncate
 
 
@@ -430,36 +432,32 @@ def suspend(S, closure_bound=20000):
 # ---------------------------------------------------------------------
 
 def enumerate_simplicial_functors(S, T, cap=10 ** 6):
-    """All simplicial functors S -> T up to the shared bound, found by
-    extending level by level with commutation filtering."""
+    """All simplicial functors S -> T up to the shared bound, as the maps
+    of the levelwise nerves: cells at (p, n) are the p-chains of level n.
+    Composable pairs are cells of the top level only: below it
+    F_n = d_0 F_{n+1} s_0 preserves composition because F_{n+1} does.
+    More than `cap` functors raise CapExceeded."""
     bound = min(S.bound, T.bound)
-    per_level = {n: enumerate_functors(S.levels[n], T.levels[n], cap)
-                 for n in range(bound + 1)}
-    def signature(F):
-        return (frozenset(F.obj_map.items()), frozenset(F.mor_map.items()))
 
-    partials = [[F] for F in per_level[0]]
-    for n in range(1, bound + 1):
-        # bucket the level-n candidates by what they look like after the
-        # face and degeneracy operators, so each partial needs one lookup
-        buckets = {}
-        for F in per_level[n]:
-            key = (tuple(signature(T.face(n, i).compose(F))
-                         for i in range(n + 1)),
-                   tuple(signature(F.compose(S.degen(n - 1, j)))
-                         for j in range(n)))
-            buckets.setdefault(key, []).append(F)
-        nxt = []
-        for chosen in partials:
-            prev = chosen[n - 1]
-            key = (tuple(signature(prev.compose(S.face(n, i)))
-                         for i in range(n + 1)),
-                   tuple(signature(T.degen(n - 1, j).compose(prev))
-                         for j in range(n)))
-            for F in buckets.get(key, ()):
-                nxt.append(chosen + [F])
-                if len(nxt) > cap:
-                    raise CapExceeded("simplicial functor cap exceeded")
-        partials = nxt
-    return [SimplicialFunctor(S, T, dict(enumerate(levels)))
-            for levels in partials]
+    def side(R):
+        nerves = [R.levels[n].nerve_side(2 if n == bound else 1)
+                  for n in range(bound + 1)]
+
+        def operators(key):
+            p, n = key
+            return [((q, n), op) for q, op in nerves[n][1](p)] + [
+                ((p, m), functools.partial(R.table(n, m, k).on_chain, p))
+                for m in (n - 1, n + 1) if p < 2 and 0 <= m <= bound
+                for k in range(n + 1)]
+        return (lambda key: nerves[key[1]][0](key[0])), operators
+    keys = [(2, bound)] + [(p, n) for n in reversed(range(bound + 1))
+                           for p in (1, 0)]
+    maps = list(itertools.islice(SimplicialMap.commuting_maps(
+        keys, side(S), side(T)), cap + 1))
+    if len(maps) > cap:
+        raise CapExceeded("simplicial functor enumeration cap exceeded")
+    return [SimplicialFunctor(S, T, {
+                n: Functor(S.levels[n], T.levels[n], f[(0, n)],
+                           {m: fm for (m,), (fm,) in f[(1, n)].items()})
+                for n in range(bound + 1)})
+            for f in maps]

@@ -7,6 +7,9 @@ is derived from the degeneracy tables on first use, by `ez`,
 `is_degenerate` or `nondegenerate`, so it always agrees with the tables
 and a set that is never asked for it never computes it.
 
+Homs are enumerated by one search, `SimplicialMap.commuting_maps`, which
+`enumerate_maps` runs on two simplicial sets and `cat` and `scat` on nerves.
+
 Simplex names are ints, strings, or nested tuples of those; see
 :mod:`simpcat.names` for their canonical order.
 """
@@ -117,7 +120,11 @@ class TruncatedSimplicialSet:
             # which is no cell.
             witness = {}
             for j in range(n):
-                images = map(self.degens[(n - 1, j)].get, self.simplices[n - 1])
+                table = self.degens.get((n - 1, j))
+                if table is None:
+                    raise SimplicialError(
+                        f"missing degeneracy table s_{j} at degree {n - 1}")
+                images = map(table.get, self.simplices[n - 1])
                 for p, x in enumerate(images):
                     witness.setdefault(x, (j, p))
             level = []
@@ -143,12 +150,6 @@ class TruncatedSimplicialSet:
 
     def nondegenerate(self, n):
         return tuple(x for x in self.simplices[n] if not self._ez[n][x][1])
-
-    def apply_word(self, n, x, word):
-        """Apply a degeneracy word (outermost first) to a degree-n simplex."""
-        for pos, j in enumerate(reversed(word)):
-            x = self.degen(n + pos, j, x)
-        return x
 
     # -- audits -------------------------------------------------------
 
@@ -281,19 +282,6 @@ class SimplicialMap:
     def identity(cls, X):
         return cls(X, X, {n: {x: x for x in X.simplices[n]} for n in X.degrees()})
 
-    @classmethod
-    def from_nondegenerate(cls, X, Y, partial):
-        """Extend an assignment on nondegenerate simplices canonically."""
-        assign = {}
-        for n in X.degrees():
-            level = {}
-            for x in X.simplices[n]:
-                base, word = X.ez(n, x)
-                y = partial[(n - len(word), base)]
-                level[x] = Y.apply_word(n - len(word), y, word)
-            assign[n] = level
-        return cls(X, Y, assign)
-
     def compose(self, other):
         """self after other."""
         if other.target is not self.source:
@@ -330,6 +318,113 @@ class SimplicialMap:
                     for x in source_cells(n):
                         if g[s[x]] != t[f[x]]:
                             yield f"{op}_{k} not preserved on {x!r} at degree {n}"
+
+    @staticmethod
+    def commuting_maps(keys, source, target, fixed=None):
+        """Yield, depth first, each assignment {key: {cell: image}} of
+        source cells to target cells that commutes with every operator.
+
+        `keys` lists the cell keys, top key first.  `source` and `target`
+        are pairs (cells, operators): `cells(key)` lists the cells at a
+        key, `operators(key)` the operators out of it as (key2, function
+        on cells), in the same order on both sides.  `fixed` pins images,
+        keyed by (key, cell).
+
+        A binding pins its images under the operators, and so on; each
+        free cell with an operator into a new binding is then checked
+        against an index of the target's operator values, and pinned if
+        one candidate is left.  A free cell is offered only the target
+        cells that agree with its pinned images.  The stack is explicit,
+        so a wide source does not deepen the Python call stack."""
+        keys = list(keys)
+        at = {key: a for a, key in enumerate(keys)}
+        src = [tuple(source[0](key)) for key in keys]
+        tgt = [tuple(target[0](key)) for key in keys]
+        s_pos, t_pos = ([{x: p for p, x in enumerate(cs)} for cs in side]
+                        for side in (src, tgt))
+        # Cells are positions.  ops[a] holds (b, s, t) per operator out of
+        # key a, its two sides as position lists; image[a][x] is the image
+        # of cell x at key a, or -1 while x is free.
+        ops = [[(at[key2], [s_pos[at[key2]][s(x)] for x in src[a]],
+                 [t_pos[at[key2]][t(y)] for y in tgt[a]])
+                for (key2, s), (_, t) in zip(source[1](key), target[1](key))]
+               for a, key in enumerate(keys)]
+        image = [[-1] * len(cs) for cs in src]
+        # up[b][x]: the cells (a, x2) that an operator takes to cell x at b
+        up = [[[] for _ in cs] for cs in src]
+        for a, row in enumerate(ops):
+            for b, s, _ in row:
+                for x2, x in enumerate(s):
+                    up[b][x].append((a, x2))
+        trail = []          # (image row, position) of each binding, in order
+        index = {}          # (a, pinned operators): {their images: targets}
+
+        def pin(a, x, y):
+            work = [(a, x, y)]
+            while work:
+                a, x, y = work.pop()
+                if image[a][x] >= 0:
+                    if image[a][x] != y:
+                        return False
+                    continue
+                image[a][x] = y
+                trail.append((image[a], x))
+                work += [(b, s[x], t[y]) for b, s, t in ops[a]
+                         if image[b][s[x]] != t[y]]
+                # check at once each free cell whose images are all pinned
+                for a2, x2 in up[a][x]:
+                    if image[a2][x2] >= 0:
+                        continue
+                    pinned = [image[b][s[x2]] for b, s, _ in ops[a2]]
+                    if -1 not in pinned:
+                        options = candidates(a2, pinned)
+                        if not options:
+                            return False
+                        if len(options) == 1:
+                            work.append((a2, x2, options[0]))
+            return True
+
+        def candidates(a, pinned):
+            known = tuple([k for k, y in enumerate(pinned) if y >= 0])
+            if (a, known) not in index:
+                index[a, known] = {}
+                for y in range(len(tgt[a])):
+                    index[a, known].setdefault(
+                        tuple([ops[a][k][2][y] for k in known]), []).append(y)
+            return index[a, known].get(tuple([pinned[k] for k in known]), ())
+
+        for (key, x), y in (fixed or {}).items():
+            a = at[key]
+            if y not in t_pos[a] or not pin(a, s_pos[a][x], t_pos[a][y]):
+                return
+        cells = [(a, x) for a in range(len(keys)) for x in range(len(src[a]))]
+        # one frame per open choice: (index into cells, the candidates
+        # left, trail length before the choice)
+        stack = []
+        i = 0
+        while True:
+            while i < len(cells) and image[cells[i][0]][cells[i][1]] >= 0:
+                i += 1
+            if i == len(cells):
+                yield {key: dict(zip(src[a], map(tgt[a].__getitem__, image[a])))
+                       for a, key in enumerate(keys)}
+            else:
+                a, x = cells[i]
+                options = candidates(a, [image[b][s[x]] for b, s, _ in ops[a]])
+                stack.append((i, iter(options), len(trail)))
+            # backtrack to the innermost choice with a candidate left
+            while stack:
+                i, options, mark = stack[-1]
+                while len(trail) > mark:
+                    row, x = trail.pop()
+                    row[x] = -1
+                y = next(options, None)
+                if y is None:
+                    stack.pop()
+                elif pin(*cells[i], y):
+                    break
+            else:
+                return
 
     def validate(self, pointed=False, max_violations=20):
         X, Y = self.source, self.target
@@ -594,42 +689,17 @@ def c_sigma(n, sigma, bound=None):
 # ---------------------------------------------------------------------
 
 def enumerate_maps(X, Y, fixed=None):
-    """All simplicial maps X -> Y, by backtracking over the nondegenerate
-    simplices of X in degree order.  `fixed` pins images of selected
-    nondegenerate cells, keyed by (degree, simplex); pinning the
-    basepoint, {(0, X.basepoint): Y.basepoint}, gives the pointed maps."""
+    """All simplicial maps X -> Y.  `fixed` pins images of selected
+    cells, keyed by (degree, simplex); pinning the basepoint,
+    {(0, X.basepoint): Y.basepoint}, gives the pointed maps."""
     if Y.bound < X.bound:
         raise BoundMismatch(f"target bound {Y.bound} < source bound {X.bound}")
-    fixed = fixed or {}
-    cells = [(n, x) for n in X.degrees() for x in X.nondegenerate(n)]
 
-    def image_of(partial, n, x):
-        base, word = X.ez(n, x)
-        return Y.apply_word(n - len(word), partial[(n - len(word), base)], word)
-
-    results = []
-    partial = {}
-
-    def extend(k):
-        if k == len(cells):
-            results.append(SimplicialMap.from_nondegenerate(X, Y, dict(partial)))
-            return
-        n, x = cells[k]
-        if (n, x) in fixed:
-            candidates = [fixed[(n, x)]]
-        else:
-            candidates = Y.simplices[n]
-        for y in candidates:
-            ok = True
-            for i in range(n + 1) if n >= 1 else ():
-                fx = X.face(n, i, x)
-                if image_of(partial, n - 1, fx) != Y.face(n, i, y):
-                    ok = False
-                    break
-            if ok:
-                partial[(n, x)] = y
-                extend(k + 1)
-                del partial[(n, x)]
-
-    extend(0)
-    return results
+    def side(Z):
+        def operators(n):
+            return [(m, Z.table(n, m, k).__getitem__)
+                    for m in (n - 1, n + 1) if 0 <= m <= X.bound
+                    for k in range(n + 1)]
+        return Z.simplices.__getitem__, operators
+    return [SimplicialMap(X, Y, assign) for assign in SimplicialMap.commuting_maps(
+        reversed(X.degrees()), side(X), side(Y), fixed)]

@@ -12,14 +12,15 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from simpcat.bisset import box_product, d_star, dec, diag, wbar
-from simpcat.cat import (FinCategory, arrow_cat, chaotic, cyclic_group,
-                         nerve, product_cat)
+from simpcat.cat import nerve
 from simpcat.cli import main
 from simpcat.document import parse_document, sset_to_entry
 from simpcat.names import sort_key
 from simpcat.scat import constant_scat, diag_nerve_iso
-from simpcat.sset import (boundary, c_sigma, coproduct, delta, horn,
-                          product_sset, quotient, sphere, two_point)
+from simpcat.sset import (boundary, c_sigma, coproduct, delta, product_sset,
+                          quotient, two_point)
+
+from strategies import bounds, categories, standard
 
 
 def assert_canonical(cells):
@@ -35,37 +36,6 @@ def assert_sset_canonical(X):
 def assert_bisset_canonical(B):
     for pq in B.shape.support:
         assert_canonical(B.simplices[pq])
-
-
-bounds = st.integers(min_value=0, max_value=3)
-
-
-def standard(bound=bounds):
-    """delta, boundary, horn, sphere and two_point on small inputs."""
-    return st.one_of(
-        st.builds(delta, st.integers(min_value=0, max_value=2), bound),
-        st.builds(boundary, st.integers(min_value=1, max_value=3), bound),
-        st.integers(min_value=1, max_value=3).flatmap(
-            lambda n: st.builds(horn, st.just(n),
-                                st.integers(min_value=0, max_value=n), bound)),
-        st.builds(sphere, st.integers(min_value=1, max_value=2), bound),
-        st.builds(two_point, bound))
-
-
-def _given_in_reverse(C):
-    """The same category, handed to the constructor in reverse order."""
-    return FinCategory(reversed(C.objects), reversed(C.morphisms),
-                       C.src, C.tgt, C.ident, C.comp)
-
-
-categories = st.recursive(
-    st.one_of(st.integers(min_value=1, max_value=3).map(
-                  lambda k: chaotic(range(k))),
-              st.builds(cyclic_group, st.integers(min_value=1, max_value=3)),
-              st.just(arrow_cat())),
-    lambda inner: (st.builds(product_cat, inner, inner)
-                   | inner.map(_given_in_reverse)),
-    max_leaves=2)
 
 
 @settings(max_examples=30, deadline=None)

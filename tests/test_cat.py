@@ -87,6 +87,15 @@ def test_enumerate_functors_counts():
     assert len(enumerate_functors(chaotic(range(2)), chaotic(range(3)))) == 9
     assert len(enumerate_functors(discrete(range(2)), discrete(range(3)))) == 9
     assert len(enumerate_functors(chaotic(range(2)), discrete(range(3)))) == 3
+    # the endomorphisms of Z/3 x Z/3: composites are checked as soon as
+    # their factors are bound, not after every morphism is chosen
+    Z3Z3 = product_cat(cyclic_group(3), cyclic_group(3))
+    assert len(enumerate_functors(Z3Z3, Z3Z3)) == 81
+
+
+def test_enumerate_functors_from_a_wide_source():
+    (F,) = enumerate_functors(discrete(range(1500)), terminal_cat())
+    assert F.validate() == []
 
 
 def test_fundamental_groupoid_of_interval():

@@ -8,7 +8,7 @@ from simpcat.cat import cyclic_group
 from simpcat.document import (category_to_entry, document_for_entity,
                               parse_document, serialize_document,
                               sset_to_entry)
-from simpcat.sset import delta, point
+from simpcat.sset import coproduct, delta, point
 
 
 @pytest.fixture
@@ -77,6 +77,26 @@ def test_compute_mapspace(doc_path, capsys):
                  "--source", "basket"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["sizes"] == [2, 2, 2, 2]
+
+
+def test_compute_mapspace_from_a_wide_source(tmp_path, capsys):
+    # 1,200 components in explicit data: one map into the point, and no
+    # recursion per cell
+    X, _ = coproduct([point(1)] * 1200)
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps({
+        "schema": "simpcat-document/1", "config": {},
+        "entities": [
+            sset_to_entry("wide", X.with_basepoint(X.simplices[0][0])),
+            {"name": "one", "kind": "category",
+             "builder": {"type": "terminal"}},
+            {"name": "pt", "kind": "simplicial_category",
+             "builder": {"type": "constant_pointed", "category": "one",
+                         "basepoint": "*", "bound": 2}}],
+        "suites": []}))
+    assert main(["compute", "mapspace", str(doc), "pt",
+                 "--source", "wide"]) == 0
+    assert json.loads(capsys.readouterr().out)["sizes"] == [1, 1]
 
 
 def test_compute_dec(doc_path, capsys):

@@ -12,8 +12,9 @@ from simpcat.homology import (AbelianGroupDescriptor, CertificationError,
                               edge_path_group, homology, homology_list,
                               mapping_cone, normalized_chains, pi0, pi0_map,
                               smith_invariants, weak_equivalence_probe)
-from simpcat.sset import (SimplicialMap, boundary, c_sigma, delta, horn,
-                          point, product_sset, quotient, sphere)
+from simpcat.sset import (SimplicialError, SimplicialMap, boundary, c_sigma,
+                          delta, enumerate_maps, horn, point, product_sset,
+                          quotient, sphere)
 
 
 def test_descriptor_invariants():
@@ -161,6 +162,15 @@ def test_normalized_chains_dd_zero():
     normalized_chains(boundary(2, 3)).check_dd_zero()
 
 
+def test_missing_degeneracy_table_is_named_as_the_audit_names_it():
+    X = delta(1, 2)
+    del X.degens[(1, 0)]
+    assert X.audit() == ["missing degeneracy table s_0 at degree 1"]
+    with pytest.raises(SimplicialError,
+                       match="^missing degeneracy table s_0 at degree 1$"):
+        homology_list(X, 1)
+
+
 def test_pi0():
     assert len(pi0(boundary(1, 2))) == 2
     assert len(pi0(sphere(1, 3))) == 1
@@ -168,8 +178,8 @@ def test_pi0():
 
 def test_pi0_map():
     X, Y = boundary(1, 2), point(2)
-    f = SimplicialMap.from_nondegenerate(
-        X, Y, {(0, v): Y.simplices[0][0] for v in [(0,), (1,)]})
+    (f,) = enumerate_maps(
+        X, Y, fixed={(0, v): Y.simplices[0][0] for v in [(0,), (1,)]})
     induced, bijective = pi0_map(f)
     assert len(induced) == 2 and not bijective
 
@@ -187,16 +197,15 @@ def test_probe_confirms_identity():
 
 def test_probe_refutes_point_into_circle():
     X, Y = delta(0, 3), sphere(1, 3)
-    f = SimplicialMap.from_nondegenerate(
-        X, Y, {(0, X.simplices[0][0]): Y.basepoint})
+    (f,) = enumerate_maps(X, Y, fixed={(0, X.simplices[0][0]): Y.basepoint})
     verdict = weak_equivalence_probe(f, 2)
     assert verdict.kind == "refuted" and verdict.degree == 1
 
 
 def test_probe_refutes_component_mismatch():
     X, Y = boundary(1, 3), delta(0, 3)
-    f = SimplicialMap.from_nondegenerate(
-        X, Y, {(0, v): Y.simplices[0][0] for v in X.simplices[0]})
+    (f,) = enumerate_maps(
+        X, Y, fixed={(0, v): Y.simplices[0][0] for v in X.simplices[0]})
     assert weak_equivalence_probe(f, 2).kind == "refuted"
 
 

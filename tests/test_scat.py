@@ -1,6 +1,6 @@
 import pytest
 
-from simpcat.bisset import d_star, dec
+from simpcat.bisset import box_product, d_star, dec
 from simpcat.cat import CategoryError, cyclic_group, terminal_cat
 from simpcat.homology import homology_list
 from simpcat.scat import (add_basepoint, colimit_scat, constant_pointed_scat,
@@ -10,7 +10,7 @@ from simpcat.scat import (add_basepoint, colimit_scat, constant_pointed_scat,
                           s0_scat, smash, suspend, terminal_scat,
                           wbar_nerve_iso)
 from simpcat.sset import (SimplicialMap, boundary, delta, enumerate_maps,
-                          sphere, two_point)
+                          point, sphere, two_point)
 from simpcat.bisset import diag
 
 
@@ -195,6 +195,14 @@ def test_adjunction_hom_counts_into_circle_groupoid():
     left = len(enumerate_simplicial_functors(
         pi_levelwise(dec(delta(1, C.bound + 3))), C))
     assert left == len(enumerate_maps(delta(1, W.bound), W)) == 6
+
+
+def test_simplicial_functors_commute_with_vertical_degeneracies():
+    # the circle's edge has both faces at the basepoint, as the degenerate
+    # edge has, but the point's degenerate level-1 object may not go there
+    S = pi_levelwise(box_product(point(2), point(1)))
+    T = pi_levelwise(box_product(point(2), sphere(1, 1)))
+    assert len(enumerate_simplicial_functors(S, T)) == 1
 
 
 def test_diag_nerve_iso_map_of_identity():

@@ -88,8 +88,8 @@ def test_coproduct_injections():
 def test_colimit_wedge_of_circles():
     A, B = sphere(1, 3), sphere(1, 3)
     P = point(3)
-    m0 = SimplicialMap.from_nondegenerate(P, A, {(0, P.simplices[0][0]): A.basepoint})
-    m1 = SimplicialMap.from_nondegenerate(P, B, {(0, P.simplices[0][0]): B.basepoint})
+    (m0,) = enumerate_maps(P, A, fixed={(0, P.simplices[0][0]): A.basepoint})
+    (m1,) = enumerate_maps(P, B, fixed={(0, P.simplices[0][0]): B.basepoint})
     W, cocones = colimit_sset([P, A, B], [(0, 1, m0), (0, 2, m1)])
     assert W.size(0) == 1
     assert len(W.nondegenerate(1)) == 2
@@ -129,6 +129,14 @@ def test_enumerate_maps_fixed_cells():
     maps = enumerate_maps(X, T, fixed=fixed)
     assert len(maps) == 2
     assert all(f(0, v) == T.basepoint for f in maps)
+
+
+def test_enumerate_maps_from_a_wide_source():
+    # the search keeps its own stack: 1,500 components are not 1,500
+    # nested calls
+    X, _ = coproduct([point(1)] * 1500)
+    (f,) = enumerate_maps(X, point(1))
+    assert f.validate() == []
 
 
 def test_simplicial_map_validate_catches_breakage():
