@@ -17,14 +17,15 @@ import json
 
 import pytest
 
-from simpcat.bisset import box_product, d_star, dec, diag, wbar
+from simpcat.bisset import box_product, d_star, d_star_map, dec, diag, wbar
 from simpcat.cat import (Functor, arrow_cat, chaotic, cyclic_group, discrete,
                          nerve, nerve_functor)
 from simpcat.document import _encode_category, _encode_sset, encode_name
 from simpcat.names import sort_key
 from simpcat.scat import (SimplicialFunctor, add_basepoint, colimit_scat,
                           constant_pointed_scat, constant_scat,
-                          diag_nerve_iso, nerve_iso_levelwise, pi_levelwise,
+                          diag_nerve_iso, diag_nerve_iso_map,
+                          nerve_iso_levelwise, pi_functor, pi_levelwise,
                           product_scat, rho, s0_scat, smash, suspend)
 from simpcat.spectra import mapping_space
 from simpcat.sset import (SimplicialMap, boundary, c_sigma, colimit_sset,
@@ -77,6 +78,23 @@ def _scat(S):
 def _smap(f):
     return {"source": _sset(f.source), "target": _sset(f.target),
             "assign": {str(n): _table(f.assign[n]) for n in sorted(f.assign)}}
+
+
+def _probe_map(f):
+    """The assignment of a simplicial map with names several levels
+    deep, without its two ends."""
+    return {str(n): [[encode_name(x), encode_name(f(n, x))]
+                     for x in f.source.simplices[n]]
+            for n in f.source.degrees()}
+
+
+def _horn_probe_map():
+    """The diagonal-nerve map of pi(d_star) on horn(2, 2) -> delta(2, 6)."""
+    H, D = horn(2, 2, 6), delta(2, 6)
+    incl = SimplicialMap(H, D, {k: {x: x for x in H.simplices[k]}
+                                for k in H.degrees()})
+    return diag_nerve_iso_map(pi_functor(
+        d_star_map(incl), target_pi=pi_levelwise(d_star(D))))
 
 
 def _const_functor(C, D, obj):
@@ -158,6 +176,9 @@ CASES = {
     "diag_nerve_iso(s0)": lambda: _sset(diag_nerve_iso(s0_scat(3))),
     "diag_nerve_iso(pi)": lambda: _sset(diag_nerve_iso(
         pi_levelwise(d_star(delta(1, 5))))),
+    "diag_nerve_iso(suspend(s0))": lambda: _sset(diag_nerve_iso(
+        suspend(s0_scat(3)))),
+    "diag_nerve_iso_map(horn(2,2))": lambda: _probe_map(_horn_probe_map()),
     "mapping_space": lambda: _sset(mapping_space(
         two_point(3), add_basepoint(constant_scat(cyclic_group(2), 3)))),
 }
@@ -182,6 +203,8 @@ FROZEN = {
     'diag': '5c4d7b44bb3f9b8aeb278fb3906346cd328891750cb5e8558bff6b3b3846000e',
     'diag_nerve_iso(pi)': '7d5d803960a7afc238699d362ce997f3ce7a0b086878ebb469ae7d6351e06eda',
     'diag_nerve_iso(s0)': 'fa8ffb67d347b6d1039a654d9102114dfad2704121e07bb7403e0bce20bb22ec',
+    'diag_nerve_iso(suspend(s0))': '47a6b2ee8dca883bad908c7efea4c1d3c37fe1512af03d7fcee1da2098a50222',
+    'diag_nerve_iso_map(horn(2,2))': '5764fd39ec89160cd45d962cb0b61c35fbe0eeeb8f9055241c428543cba633eb',
     'horn(3,1,3)': '111f7312da6ff4c11f773fb3ecc56a1b578437975fe9ba20f646c47e94c56106',
     'mapping_space': '566a4ece57f49fa0ae14c36a5363b79e1f2bd2f087034deda2b26a38efd65e56',
     'nerve(Z/3,2)': 'd46dbef74fa0b5ff8ac98dc2941059e1dff2648251116420de0323b64512d140',
