@@ -6,12 +6,19 @@ reduction followed by bounded coset closure of each vertex group; a
 closure that does not finish within the bound raises BoundExceeded
 instead of guessing.  Functors are enumerated as the maps of 2-truncated
 nerves, by the hom search of :mod:`simpcat.sset`.
+
+A category numbers its objects and morphisms by their positions in
+stored order.  Nerve chains are numbered (an object position, or a tuple
+of morphism positions), the one nerve operator `chain_operator` and a
+functor's `on_chain` work on them, and names are decoded only where a
+nerve lists its cells (`chain_names`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from .names import ordered, sort_key
 from .sset import SimplicialMap, TruncatedSimplicialSet
@@ -70,50 +77,85 @@ class FinCategory:
     def is_groupoid(self):
         return all(self.inverse(m) is not None for m in self.morphisms)
 
-    # -- nerve chains -------------------------------------------------
+    # -- numbered tables and nerve chains ------------------------------
+
+    @functools.cached_property
+    def _numbered(self):
+        """The category on positions in stored order, built on first
+        use: (object positions {object: a}, morphism positions
+        {morphism: f}, source and target of each morphism, identity of
+        each object), all read and written as positions."""
+        obj = {o: a for a, o in enumerate(self.objects)}
+        mor = {m: f for f, m in enumerate(self.morphisms)}
+        return (obj, mor, [obj[self.src[m]] for m in self.morphisms],
+                [obj[self.tgt[m]] for m in self.morphisms],
+                [mor[self.ident[o]] for o in self.objects])
+
+    @functools.cached_property
+    def _after(self):
+        """Composition on positions: _after[g] = {f: the composite g f},
+        built on first use."""
+        mor = self._numbered[1]
+        after = [{} for _ in self.morphisms]
+        for (g, f), h in self.comp.items():
+            after[mor[g]][mor[f]] = mor[h]
+        return after
 
     def chains(self, degrees):
-        """{k: composable k-chains of morphisms, sorted} for each k in
-        `degrees`; degree 0 holds the objects.  The chains grow by one
-        morphism per degree, taken from the sorted morphisms out of the
-        last target; extending sorted chains by sorted morphisms keeps
-        them in lexicographic order."""
-        out_of = {}
-        for m in self.morphisms:
-            out_of.setdefault(self.src[m], []).append(m)
-        out = {0: self.objects} if 0 in degrees else {}
+        """{k: composable k-chains, in order} for each k in `degrees`,
+        numbered: degree 0 holds the object positions, degree k the
+        k-tuples of morphism positions.  The chains grow by one morphism
+        per degree, taken in order from the morphisms out of the last
+        target; extending ordered chains by ordered morphisms keeps them
+        in lexicographic order, which is the order of their names."""
+        _, _, src, tgt, _ = self._numbered
+        out_of = [[] for _ in self.objects]
+        for f, a in enumerate(src):
+            out_of[a].append(f)
+        out = {0: tuple(range(len(self.objects)))} if 0 in degrees else {}
         chains = [()]
         for k in range(1, max(degrees) + 1):
-            chains = [c + (m,) for c in chains
-                      for m in (out_of.get(self.tgt[c[-1]], ()) if c
-                                else self.morphisms)]
+            chains = [c + (f,) for c in chains
+                      for f in (out_of[tgt[c[-1]]] if c
+                                else range(len(self.morphisms)))]
             if k in degrees:
                 out[k] = tuple(chains)
         return out
 
-    def chain_operator(self, k, m, i, c):
-        """Nerve operator on the k-chain c: d_i when m = k - 1, s_i when
-        m = k + 1."""
+    def chain_names(self, k, chains):
+        """The names of numbered k-chains: the object at k = 0, else the
+        tuple of morphisms."""
+        if k == 0:
+            return tuple(map(self.objects.__getitem__, chains))
+        name = self.morphisms.__getitem__
+        return tuple([tuple(map(name, c)) for c in chains])
+
+    def chain_operator(self, k, m, i):
+        """The nerve operator d_i (m = k - 1) or s_i (m = k + 1) as a
+        function on numbered k-chains."""
+        _, _, src, tgt, ident = self._numbered
         if m > k:
             if k == 0:
-                return (self.ident[c],)
-            at = self.src[c[i]] if i < k else self.tgt[c[-1]]
-            return c[:i] + (self.ident[at],) + c[i:]
+                return lambda a: (ident[a],)
+            if i == k:
+                return lambda c: c + (ident[tgt[c[-1]]],)
+            return lambda c: c[:i] + (ident[src[c[i]]],) + c[i:]
         if k == 1:
-            return self.tgt[c[0]] if i == 0 else self.src[c[0]]
+            return (lambda c: tgt[c[0]]) if i == 0 else (lambda c: src[c[0]])
         if i == 0:
-            return c[1:]
+            return operator.itemgetter(slice(1, None))
         if i == k:
-            return c[:-1]
-        return c[:i - 1] + (self.comp[(c[i], c[i - 1])],) + c[i + 1:]
+            return operator.itemgetter(slice(None, -1))
+        after = self._after
+        return lambda c: c[:i - 1] + (after[c[i]][c[i - 1]],) + c[i + 1:]
 
     def nerve_side(self, top):
-        """The nerve truncated at `top` as the pair (cells, operators)
-        that `SimplicialMap.commuting_maps` reads."""
+        """The numbered nerve truncated at `top` as the pair (cells,
+        operators) that `SimplicialMap.commuting_maps` reads."""
         chains = self.chains(range(top + 1))
 
         def operators(k):
-            return [(m, functools.partial(self.chain_operator, k, m, i))
+            return [(m, self.chain_operator(k, m, i))
                     for m in (k - 1, k + 1) if 0 <= m <= top
                     for i in range(k + 1)]
         return chains.__getitem__, operators
@@ -265,15 +307,34 @@ class Functor:
     def __call__(self, m):
         return self.mor_map[m]
 
-    def on_chain(self, k, c):
-        """Image of a k-chain of the source's nerve."""
+    @functools.cached_property
+    def _numbered(self):
+        """(object images, morphism images) as target positions, indexed
+        by source position; built on first use."""
+        obj, mor = self.target._numbered[:2]
+        return ([obj[self.obj_map[o]] for o in self.source.objects],
+                [mor[self.mor_map[m]] for m in self.source.morphisms])
+
+    def on_chain(self, k):
+        """The image of numbered k-chains of the source's nerve, numbered
+        in the target's, as a function."""
+        objects, morphisms = self._numbered
         if k == 0:
-            return self.obj_map[c]
-        return tuple(map(self.mor_map.__getitem__, c))
+            return objects.__getitem__
+        image = morphisms.__getitem__
+        return lambda c: tuple(map(image, c))
 
     @classmethod
     def identity(cls, C):
         return cls(C, C, {o: o for o in C.objects}, {m: m for m in C.morphisms})
+
+    @classmethod
+    def from_numbered(cls, C, D, objects, arrows):
+        """The functor C -> D given on numbered nerve cells: `objects`
+        maps object positions and `arrows` numbered 1-chains."""
+        obj, mor = D.objects, D.morphisms
+        return cls(C, D, {C.objects[a]: obj[b] for a, b in objects.items()},
+                   {C.morphisms[f]: mor[g] for (f,), (g,) in arrows.items()})
 
     def validate(self, max_violations=20):
         v = []
@@ -360,21 +421,31 @@ def iso_subgroupoid(C):
 
 def nerve(C, bound):
     """Composable chains: degree k simplices are k-tuples of morphisms."""
+    return _nerve(C, bound)[0]
+
+
+def _nerve(C, bound):
+    """The nerve of C, its numbered chains, and their positions."""
     if bound < 0:
         raise CategoryError(f"nerve needs a bound >= 0, got {bound}")
-    simplices = C.chains(range(bound + 1))
+    chains = C.chains(range(bound + 1))
+    index = {k: {c: p for p, c in enumerate(cs)} for k, cs in chains.items()}
 
     def table(k, m, i):
-        return {c: C.chain_operator(k, m, i, c) for c in simplices[k]}
-    return TruncatedSimplicialSet.from_operators(bound, simplices, table)
+        return list(map(index[m].__getitem__,
+                        map(C.chain_operator(k, m, i), chains[k])))
+    X = TruncatedSimplicialSet.from_operators(
+        bound, {k: C.chain_names(k, cs) for k, cs in chains.items()}, table)
+    return X, chains, index
 
 
 def nerve_functor(F, bound):
     """Induced simplicial map between nerves."""
-    X, Y = nerve(F.source, bound), nerve(F.target, bound)
-    assign = {k: {c: F.on_chain(k, c) for c in X.simplices[k]}
-              for k in X.degrees()}
-    return SimplicialMap(X, Y, assign)
+    X, chains, _ = _nerve(F.source, bound)
+    Y, _, index = _nerve(F.target, bound)
+    return SimplicialMap(X, Y, {
+        k: list(map(index[k].__getitem__, map(F.on_chain(k), chains[k])))
+        for k in X.degrees()})
 
 
 # ---------------------------------------------------------------------
@@ -435,8 +506,9 @@ def fundamental_groupoid(X):
         first = X.face(2, 2, t)
         second = X.face(2, 0, t)
         relations.append((((first, 1), (second, 1)), ((long_edge, 1),)))
-    for e in X.simplices[1]:
-        if X.is_degenerate(1, e):
+    nondegenerate = set(X.nondegenerate_positions(1))
+    for p, e in enumerate(X.simplices[1]):
+        if p not in nondegenerate:
             relations.append((((e, 1),), ()))
     return PresentedGroupoid(X.simplices[0], generators, relations)
 
@@ -837,5 +909,4 @@ def enumerate_functors(C, D, cap=10 ** 6):
         (2, 1, 0), C.nerve_side(2), D.nerve_side(2)), cap + 1))
     if len(maps) > cap:
         raise CapExceeded("functor enumeration cap exceeded")
-    return [Functor(C, D, f[0], {m: fm for (m,), (fm,) in f[1].items()})
-            for f in maps]
+    return [Functor.from_numbered(C, D, f[0], f[1]) for f in maps]

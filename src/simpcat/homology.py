@@ -1,10 +1,16 @@
 """Exact integral homology, components, edge-path groups, and the
 weak-equivalence probe.
 
-All arithmetic is arbitrary-precision integer.  Boundary matrices are
-kept sparse (column dicts), and `smith_invariants` reduces them in one
-sparse elimination loop, unit and non-unit pivots alike, that takes each
-pivot from a lazy heap of candidates instead of rescanning the matrix.
+All arithmetic is arbitrary-precision integer.  Cells are read by
+position only: chains, chain maps, components and edge-path groups take
+the position lists of `TruncatedSimplicialSet.positions` and
+`SimplicialMap.positions`, and names appear only in what is returned.
+Boundary matrices are kept sparse (column dicts).  `smith_invariants`
+first sweeps the transpose, whose rows are the short per-cell columns,
+and splits off a unit pivot from each row that has a +-1 entry, in the
+shortest column; then one sparse elimination loop reduces what is left,
+taking each pivot from a lazy heap of candidates instead of rescanning
+the matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .names import ordered
 from .sset import SimplicialError
 
 
@@ -132,21 +137,35 @@ class ChainComplex:
                     raise SimplicialError(f"boundary composite nonzero at degree {i}")
 
 
+def _basis(X, n):
+    """The positions of the nondegenerate degree-n cells of X, and the
+    basis index of each degree-n cell, -1 for a degenerate one."""
+    cells = X.nondegenerate_positions(n)
+    index = [-1] * X.size(n)
+    for k, p in enumerate(cells):
+        index[p] = k
+    return cells, index
+
+
 def normalized_chains(X):
-    """Chains on nondegenerate simplices; degenerate face images vanish."""
-    basis = {n: {x: k for k, x in enumerate(X.nondegenerate(n))}
-             for n in X.degrees()}
-    ranks = {n: len(basis[n]) for n in basis}
+    """Chains on nondegenerate simplices; degenerate face images vanish.
+    Cells are read by position only."""
+    cells, index = _basis(X, 0)
+    ranks = {0: len(cells)}
     boundaries = {}
     for n in range(1, X.bound + 1):
+        below = index
+        cells, index = _basis(X, n)
+        ranks[n] = len(cells)
+        faces = [(X.positions(n, n - 1, i), 1 if i % 2 == 0 else -1)
+                 for i in range(n + 1)]
         cols = {}
-        for x, c in basis[n].items():
+        for c, x in enumerate(cells):
             acc = {}
-            for i in range(n + 1):
-                y = X.face(n, i, x)
-                r = basis[n - 1].get(y)
-                if r is not None:
-                    acc[r] = acc.get(r, 0) + (1 if i % 2 == 0 else -1)
+            for face, sign in faces:
+                r = below[face[x]]
+                if r >= 0:
+                    acc[r] = acc.get(r, 0) + sign
             cols[c] = {r: v for r, v in acc.items() if v}
         boundaries[n] = cols
     complex_ = ChainComplex(ranks, boundaries)
@@ -162,8 +181,18 @@ def smith_invariants(cols):
     """Invariant factors d1 | d2 | ... of a column-sparse integer matrix
     {col: {row: value}}.
 
-    One elimination loop: the pivot is an entry of least absolute value,
-    ties broken by Markowitz cost.  Candidates wait in a lazy min-heap of
+    First a sweep splits off unit pivots.  It works on the transpose: a
+    boundary matrix's column lists the faces of one cell, so the
+    transpose has short rows, one per cell, and one column per face.
+    The sweep takes the rows by increasing length.  A row with an entry
+    +-1 takes as pivot the one whose column is shortest, clears that
+    column by subtracting the pivot row times (entry * pivot) from every
+    other row in it (a unit is its own inverse), and is split off with
+    the column.  A row without a unit entry waits for the loop below.
+
+    Then one elimination loop reduces what is left: the pivot is an
+    entry of least absolute value, ties broken by Markowitz cost.
+    Candidates wait in a lazy min-heap of
     (|value|, cost, row, col) records, built once and pushed again each
     time an entry's value changes.  A popped record whose entry is gone
     or has another absolute value is dropped; one whose cost has moved
@@ -182,13 +211,45 @@ def smith_invariants(cols):
         for r in col:
             rows.setdefault(r, set()).add(c)
 
+    # The sweep: a column of `cols` is a row of the transpose, and
+    # rows[r] the transpose's column of face r.
+    units = 0
+    for c0 in sorted(cols, key=lambda c: len(cols[c])):
+        pivot_row = cols.get(c0)
+        if pivot_row is None:
+            continue
+        r0 = min((r for r, v in pivot_row.items() if v == 1 or v == -1),
+                 key=lambda r: len(rows[r]), default=None)
+        if r0 is None:
+            continue
+        p = pivot_row[r0]
+        for c in list(rows[r0]):
+            if c == c0:
+                continue
+            row = cols[c]
+            q = row[r0] * p
+            for r, v in pivot_row.items():
+                nv = row.get(r, 0) - q * v
+                if nv:
+                    row[r] = nv
+                    rows[r].add(c)
+                elif r in row:
+                    del row[r]
+                    rows[r].discard(c)
+            if not row:
+                del cols[c]
+        for r in pivot_row:
+            rows[r].discard(c0)
+        del rows[r0]
+        del cols[c0]
+        units += 1
+
     def cost(r, c):
         return (len(cols[c]) - 1) * (len(rows[r]) - 1)
 
     heap = [(abs(v), cost(r, c), r, c)
             for c, col in cols.items() for r, v in col.items()]
     heapq.heapify(heap)
-    units = 0
     torsion = []
     while cols:
         least, stale, r0, c0 = heapq.heappop(heap)
@@ -268,9 +329,10 @@ def homology_list(X, up_to=None):
 # components and edge paths
 # ---------------------------------------------------------------------
 
-def pi0(X):
-    """Components as sorted vertex tuples, themselves sorted."""
-    parent = {v: v for v in X.simplices[0]}
+def _components(X):
+    """The components of X as lists of vertex positions, in order of
+    their first vertex, and the component of each vertex."""
+    parent = list(range(X.size(0)))
 
     def find(v):
         while parent[v] != v:
@@ -279,26 +341,50 @@ def pi0(X):
         return v
 
     if X.bound >= 1:
-        for e in X.simplices[1]:
-            a, b = find(X.face(1, 1, e)), find(X.face(1, 0, e))
+        for a, b in zip(X.positions(1, 0, 1), X.positions(1, 0, 0)):
+            a, b = find(a), find(b)
             if a != b:
                 parent[a] = b
     classes = {}
-    for v in X.simplices[0]:
+    for v in range(X.size(0)):
         classes.setdefault(find(v), []).append(v)
-    return tuple(tuple(c) for c in classes.values())
+    comps = list(classes.values())
+    label = [0] * X.size(0)
+    for k, comp in enumerate(comps):
+        for v in comp:
+            label[v] = k
+    return comps, label
+
+
+def _vertex_names(X, comps):
+    return tuple(tuple(map(X.simplices[0].__getitem__, comp)) for comp in comps)
+
+
+def pi0(X):
+    """Components as sorted vertex tuples, themselves sorted."""
+    return _vertex_names(X, _components(X)[0])
+
+
+def _pi0_images(f):
+    """The components of f's source and of its target, and the target
+    component that each source component maps to."""
+    src, _ = _components(f.source)
+    tgt, label = _components(f.target)
+    image = f.positions(0)
+    return src, tgt, [label[image[comp[0]]] for comp in src]
 
 
 def pi0_map(f):
     """Induced component map as a dict, plus whether it is a bijection."""
-    src, tgt = pi0(f.source), pi0(f.target)
-    locate = {v: comp for comp in tgt for v in comp}
-    induced = {}
-    for comp in src:
-        induced[comp] = locate[f(0, comp[0])]
-    bijective = (len(src) == len(tgt)
-                 and len(set(induced.values())) == len(tgt))
-    return induced, bijective
+    src, tgt, images = _pi0_images(f)
+    names = _vertex_names(f.target, tgt)
+    induced = dict(zip(_vertex_names(f.source, src),
+                       map(names.__getitem__, images)))
+    return induced, _bijective(images, tgt)
+
+
+def _bijective(images, tgt):
+    return len(images) == len(tgt) and len(set(images)) == len(tgt)
 
 
 def edge_path_group(X, v):
@@ -307,9 +393,18 @@ def edge_path_group(X, v):
         raise CertificationError("edge-path group needs bound >= 2")
     if not X.has(0, v):
         raise SimplicialError(f"no vertex {v!r}")
+    return _edge_path_group(X, X.simplices[0].index(v))
+
+
+def _edge_path_group(X, v):
+    """`edge_path_group` at the vertex at position v, read by position:
+    positions follow the canonical name order, so the spanning tree and
+    the presentation are those of the names."""
+    target, source = X.positions(1, 0, 0), X.positions(1, 0, 1)
+    edges = X.nondegenerate_positions(1)
     adj = {}
-    for e in X.nondegenerate(1):
-        a, b = X.face(1, 1, e), X.face(1, 0, e)
+    for e in edges:
+        a, b = source[e], target[e]
         adj.setdefault(a, []).append((b, e))
         adj.setdefault(b, []).append((a, e))
     tree_edges = set()
@@ -317,33 +412,31 @@ def edge_path_group(X, v):
     frontier = [v]
     while frontier:
         a = frontier.pop()
-        for b, e in ordered(adj.get(a, [])):
+        for b, e in sorted(adj.get(a, [])):
             if b not in reached:
                 reached.add(b)
                 tree_edges.add(e)
                 frontier.append(b)
-    generators = tuple(e for e in X.nondegenerate(1)
-                       if e not in tree_edges
-                       and X.face(1, 0, e) in reached and X.face(1, 1, e) in reached)
+    generators = [e for e in edges
+                  if e not in tree_edges
+                  and target[e] in reached and source[e] in reached]
     gindex = {e: k + 1 for k, e in enumerate(generators)}
 
     def letter(e):
         """Word of a 1-simplex: empty for degenerate or tree edges."""
-        if X.is_degenerate(1, e) or e in tree_edges:
-            return ()
-        return (gindex[e],)
+        return (gindex[e],) if e in gindex else ()
 
+    last, long_edge, first = (X.positions(2, 1, i) for i in range(3))
     relators = []
-    for t in X.nondegenerate(2):
-        if X.face(1, 1, X.face(2, 2, t)) not in reached:
+    for t in X.nondegenerate_positions(2):
+        if source[first[t]] not in reached:
             continue
-        a = letter(X.face(2, 2, t))   # first leg
-        b = letter(X.face(2, 0, t))   # second leg
-        c = letter(X.face(2, 1, t))   # long edge
-        word = tuple(-g for g in reversed(c)) + b + a
+        word = (tuple(-g for g in reversed(letter(long_edge[t])))
+                + letter(last[t]) + letter(first[t]))
         if word:
             relators.append(word)
-    return PresentedGroup(generators, tuple(sorted(set(relators))))
+    return PresentedGroup(tuple(map(X.simplices[1].__getitem__, generators)),
+                          tuple(sorted(set(relators))))
 
 
 def abelianization(G):
@@ -370,16 +463,16 @@ def abelianization(G):
 def _chain_map(f):
     """Induced map on normalized chains, column-sparse per degree."""
     X, Y = f.source, f.target
-    basis_y = {n: {y: k for k, y in enumerate(Y.nondegenerate(n))}
-               for n in Y.degrees()}
     matrices = {}
     for n in X.degrees():
-        if n not in basis_y:
+        if n > Y.bound:
             continue
+        _, index = _basis(Y, n)
+        image = f.positions(n)
         cols = {}
-        for c, x in enumerate(X.nondegenerate(n)):
-            r = basis_y[n].get(f(n, x))
-            if r is not None:
+        for c, x in enumerate(X.nondegenerate_positions(n)):
+            r = index[image[x]]
+            if r >= 0:
                 cols[c] = {r: 1}
         matrices[n] = cols
     return matrices
@@ -431,10 +524,10 @@ def weak_equivalence_probe(f, k):
     if k > cert or k < 0:
         return ProbeVerdict.inconclusive(
             f"degree {k} beyond certified range {cert}")
-    _, bijective = pi0_map(f)
-    if not bijective:
+    comps, tgt, images = _pi0_images(f)
+    if not _bijective(images, tgt):
         return ProbeVerdict.refuted(
-            0, f"pi0 not bijective: {len(pi0(X))} vs {len(pi0(Y))} components")
+            0, f"pi0 not bijective: {len(comps)} vs {len(tgt)} components")
     cx, cy = normalized_chains(X), normalized_chains(Y)
     for i in range(k + 1):
         hx = _homology_from_complex(cx, i)
@@ -448,9 +541,10 @@ def weak_equivalence_probe(f, k):
             return ProbeVerdict.refuted(
                 i, f"induced map not an isomorphism near degree {i}: cone H = {hc}")
     if k >= 1 and X.bound >= 2 and Y.bound >= 2:
-        for comp in pi0(X):
-            a = abelianization(edge_path_group(X, comp[0]))
-            b = abelianization(edge_path_group(Y, f(0, comp[0])))
+        image = f.positions(0)
+        for comp in comps:
+            a = abelianization(_edge_path_group(X, comp[0]))
+            b = abelianization(_edge_path_group(Y, image[comp[0]]))
             if a != b:
                 return ProbeVerdict.refuted(
                     1, f"abelianized pi_1 mismatch on a component: {a} vs {b}")

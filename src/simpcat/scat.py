@@ -7,11 +7,15 @@ set, the levelwise nerve of the maximal subgroupoid with its diagonal
 and codiagonal, levelwise colimits and products, rho, the smash
 product with the basepoint orbit collapsed, and suspension.  Simplicial
 functors are enumerated by the hom search of :mod:`simpcat.sset`.
+
+The diagonal nerve is built on numbered chains: its tables and the
+tables of `diag_nerve_iso_map` are position lists, taken straight from
+the chain operator and the structure functors, and its cells are named
+once, as they are listed.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .bisset import BidegreeShape, TruncatedBisimplicialSet, dec, wbar
@@ -219,23 +223,36 @@ def pi_functor(f, target_pi=None, closure_bound=20000):
 # nerves of the maximal subgroupoid
 # ---------------------------------------------------------------------
 
+def _on_iso(F, G, H):
+    """The functor F restricted to the maximal subgroupoids G of its
+    source and H of its target."""
+    if F.source is G and F.target is H:
+        return F
+    return Functor(G, H, F.obj_map, {m: F.mor_map[m] for m in G.morphisms})
+
+
 def nerve_iso_levelwise(S, depth=None):
     """Bidegree (p, n): p-chains of invertible morphisms of level n."""
     depth = S.bound if depth is None else depth
     shape = BidegreeShape.rectangle(depth, S.bound)
     groupoids = {n: iso_subgroupoid(S.levels[n]) for n in range(S.bound + 1)}
-    simplices = {}
+    chains, simplices = {}, {}
     for n, G in groupoids.items():
-        for p, cells in G.chains(range(depth + 1)).items():
-            simplices[(p, n)] = cells
+        for p, cs in G.chains(range(depth + 1)).items():
+            chains[(p, n)] = cs
+            simplices[(p, n)] = G.chain_names(p, cs)
+    name = {pq: dict(zip(cs, simplices[pq])) for pq, cs in chains.items()}
 
     def htable(p, n, m, k):
-        op = groupoids[n].chain_operator
-        return {c: op(p, m, k, c) for c in simplices[(p, n)]}
+        op = groupoids[n].chain_operator(p, m, k)
+        return dict(zip(simplices[(p, n)], map(name[(m, n)].__getitem__,
+                                               map(op, chains[(p, n)]))))
 
     def vtable(p, n, m, k):
-        image = S.table(n, m, k).on_chain
-        return {c: image(p, c) for c in simplices[(p, n)]}
+        F = _on_iso(S.table(n, m, k), groupoids[n], groupoids[m])
+        return dict(zip(simplices[(p, n)], map(name[(p, m)].__getitem__,
+                                               map(F.on_chain(p),
+                                                   chains[(p, n)]))))
     bp = S.basepoints[0] if S.is_pointed() else None
     return TruncatedBisimplicialSet.from_operators(shape, simplices, htable,
                                                    vtable, basepoint=bp)
@@ -244,24 +261,40 @@ def nerve_iso_levelwise(S, depth=None):
 def diag_nerve_iso(S):
     """Diagonal of the levelwise nerve, built directly: degree n is the
     n-chains of invertible morphisms of level n."""
+    return _diag_nerve_iso(S)[0]
+
+
+def _diag_nerve_iso(S):
+    """The diagonal nerve, built on numbered chains with positional
+    tables, and per level n the maximal subgroupoid, its numbered
+    n-chains and their positions."""
     groupoids = {n: iso_subgroupoid(S.levels[n]) for n in range(S.bound + 1)}
-    simplices = {n: G.chains((n,))[n] for n, G in groupoids.items()}
+    chains = {n: G.chains((n,))[n] for n, G in groupoids.items()}
+    index = {n: {c: p for p, c in enumerate(cs)} for n, cs in chains.items()}
 
     def table(n, m, k):
-        op, image = groupoids[m].chain_operator, S.table(n, m, k).on_chain
-        return {c: op(n, m, k, image(n, c)) for c in simplices[n]}
+        op = groupoids[m].chain_operator(n, m, k)
+        F = _on_iso(S.table(n, m, k), groupoids[n], groupoids[m])
+        return list(map(index[m].__getitem__,
+                        map(op, map(F.on_chain(n), chains[n]))))
     bp = S.basepoints[0] if S.is_pointed() else None
-    return TruncatedSimplicialSet.from_operators(S.bound, simplices, table,
-                                                 basepoint=bp)
+    X = TruncatedSimplicialSet.from_operators(
+        S.bound, {n: G.chain_names(n, chains[n]) for n, G in groupoids.items()},
+        table, basepoint=bp)
+    return X, groupoids, chains, index
 
 
 def diag_nerve_iso_map(SF):
     """Simplicial map induced on the diagonal nerves by a simplicial
     functor between levelwise groupoids."""
-    X, Y = diag_nerve_iso(SF.source), diag_nerve_iso(SF.target)
+    X, source, chains, _ = _diag_nerve_iso(SF.source)
+    Y, target, _, index = _diag_nerve_iso(SF.target)
     bound = min(X.bound, Y.bound)
-    assign = {n: {c: SF.levels[n].on_chain(n, c) for c in X.simplices[n]}
-              for n in range(bound + 1)}
+    assign = {}
+    for n in range(bound + 1):
+        F = _on_iso(SF.levels[n], source[n], target[n])
+        assign[n] = list(map(index[n].__getitem__,
+                             map(F.on_chain(n), chains[n])))
     if bound < X.bound:
         X = truncate(X, bound)
         Y = truncate(Y, bound)
@@ -446,7 +479,7 @@ def enumerate_simplicial_functors(S, T, cap=10 ** 6):
         def operators(key):
             p, n = key
             return [((q, n), op) for q, op in nerves[n][1](p)] + [
-                ((p, m), functools.partial(R.table(n, m, k).on_chain, p))
+                ((p, m), R.table(n, m, k).on_chain(p))
                 for m in (n - 1, n + 1) if p < 2 and 0 <= m <= bound
                 for k in range(n + 1)]
         return (lambda key: nerves[key[1]][0](key[0])), operators
@@ -457,7 +490,7 @@ def enumerate_simplicial_functors(S, T, cap=10 ** 6):
     if len(maps) > cap:
         raise CapExceeded("simplicial functor enumeration cap exceeded")
     return [SimplicialFunctor(S, T, {
-                n: Functor(S.levels[n], T.levels[n], f[(0, n)],
-                           {m: fm for (m,), (fm,) in f[(1, n)].items()})
+                n: Functor.from_numbered(S.levels[n], T.levels[n], f[(0, n)],
+                                         f[(1, n)])
                 for n in range(bound + 1)})
             for f in maps]

@@ -1,11 +1,18 @@
 """Truncated simplicial sets with explicit face/degeneracy tables.
 
 A `TruncatedSimplicialSet` stores every simplex up to a dimension bound
-together with total face and degeneracy tables.  Eilenberg-Zilber data
+together with total face and degeneracy tables.  A table is a dict of
+names or a positional list: the position of each image in its degree's
+stored order, indexed by the position of the cell.  `positions` reads
+every table as a list, converting a dict once; a set given lists, such
+as a nerve, builds its dicts of names only when they are read.  A
+`SimplicialMap` holds its images either way too.  Eilenberg-Zilber data
 (each simplex as an iterated degeneracy of a unique nondegenerate base)
-is derived from the degeneracy tables on first use, by `ez`,
-`is_degenerate` or `nondegenerate`, so it always agrees with the tables
-and a set that is never asked for it never computes it.
+and the nondegenerate cells (those outside every degeneracy's image)
+are derived from the degeneracy lists on first use, by `ez`,
+`is_degenerate`, `nondegenerate` or `nondegenerate_positions`, so they
+always agree with the tables and a set that is never asked for them
+never computes them.
 
 Homs are enumerated by one search, `SimplicialMap.commuting_maps`, which
 `enumerate_maps` runs on two simplicial sets and `cat` and `scat` on nerves.
@@ -51,23 +58,38 @@ class TruncatedSimplicialSet:
     `document._decode_sset` sort their cells; every other constructor
     keeps the order of its ordered inputs.
 
-    The constructor stores the tables as given; Eilenberg-Zilber data is
-    derived from them on first use, so an incomplete set still
-    constructs and its `audit` names what is missing."""
+    A table is given either as a dict of names {cell: cell} or as a
+    positional table: the list of the target positions, indexed by
+    source position.  `positions(n, m, k)` reads every table as a list;
+    a set given dicts converts each one on its first read.  A set given
+    lists builds the dicts `faces` and `degens` on their first read.
+    Either way the constructor stores the tables as given, and the
+    Eilenberg-Zilber data is derived from them on first use, so an
+    incomplete set still constructs and its `audit` names what is
+    missing."""
 
     def __init__(self, bound, simplices, faces, degens, basepoint=None):
         self.bound = bound
         self.simplices = {n: tuple(simplices.get(n, ())) for n in range(bound + 1)}
-        self.faces = faces        # {(n, i): {name: name}}, 1 <= n <= bound
-        self.degens = degens      # {(n, j): {name: name}}, 0 <= n < bound
+        # faces {(n, i): table}, 1 <= n <= bound; degens {(n, j): table},
+        # 0 <= n < bound; each table as given
+        self._given = faces, degens
+        self._positions = {}
+        self._nondegenerate = {}
+        self._faces = self._degens = None
+        if any(isinstance(t, list) for t in (*faces.values(), *degens.values())):
+            for step, tables in ((-1, faces), (1, degens)):
+                for (n, k), t in tables.items():
+                    self._positions[n, n + step, k] = t
+        else:
+            self._faces, self._degens = faces, degens
         self.basepoint = basepoint
-        self._index = {n: frozenset(self.simplices[n]) for n in self.simplices}
 
     @classmethod
     def from_operators(cls, bound, simplices, table, basepoint=None):
         """Build from one callback: `table(n, m, k)` returns the table of
         the operator from degree n to degree m, d_k when m = n - 1 and
-        s_k when m = n + 1."""
+        s_k when m = n + 1, as a dict of names or a positional list."""
         faces = {(n, i): table(n, n - 1, i)
                  for n in range(1, bound + 1) for i in range(n + 1)}
         degens = {(n, j): table(n, n + 1, j)
@@ -75,6 +97,27 @@ class TruncatedSimplicialSet:
         return cls(bound, simplices, faces, degens, basepoint)
 
     # -- basic access -------------------------------------------------
+
+    @property
+    def faces(self):
+        if self._faces is None:
+            self._name_tables()
+        return self._faces
+
+    @property
+    def degens(self):
+        if self._degens is None:
+            self._name_tables()
+        return self._degens
+
+    def _name_tables(self):
+        """The dicts of names of a set given positional tables."""
+        cells = self.simplices
+        faces, degens = self._given
+        self._faces = {(n, i): dict(zip(cells[n], map(cells[n - 1].__getitem__, t)))
+                       for (n, i), t in faces.items()}
+        self._degens = {(n, j): dict(zip(cells[n], map(cells[n + 1].__getitem__, t)))
+                        for (n, j), t in degens.items()}
 
     def degrees(self):
         return range(self.bound + 1)
@@ -93,52 +136,79 @@ class TruncatedSimplicialSet:
         None when it is missing."""
         return (self.faces if m < n else self.degens).get((n, k))
 
+    def _stored(self, n, m, k):
+        """The table of `table(n, m, k)` as this set was given it."""
+        faces, degens = self._given
+        return (faces if m < n else degens).get((n, k))
+
+    def positions(self, n, m, k):
+        """The table of d_k (m = n - 1) or s_k (m = n + 1) on degree n as
+        a list: the position in degree m of the image of each degree-n
+        cell, indexed by its position.  A missing or partial table
+        raises SimplicialError with the audit's message."""
+        key = (n, m, k)
+        if key not in self._positions:
+            op = "d" if m < n else "s"
+            t = self.table(n, m, k)
+            if t is None:
+                raise SimplicialError(
+                    f"missing {'face' if m < n else 'degeneracy'} table "
+                    f"{op}_{k} at degree {n}")
+            cells, index = self.simplices[n], self._cell_index[m]
+            try:
+                self._positions[key] = _to_positions(t, cells, index)
+            except KeyError:
+                raise SimplicialError(next(_entry_failures(
+                    t, cells, index, f"{op}_{k}", n, m))) from None
+        return self._positions[key]
+
+    @functools.cached_property
+    def _cell_index(self):
+        """{n: {cell: position}}, built on first use."""
+        return {n: {x: p for p, x in enumerate(cells)}
+                for n, cells in self.simplices.items()}
+
     def has(self, n, x):
-        return n <= self.bound and x in self._index[n]
+        return n <= self.bound and x in self._cell_index[n]
 
     def is_pointed(self):
         return self.basepoint is not None
 
     def with_basepoint(self, v):
-        if v not in self._index[0]:
+        if v not in self._cell_index[0]:
             raise SimplicialError(f"basepoint {v!r} is not a 0-simplex")
-        return TruncatedSimplicialSet(self.bound, self.simplices, self.faces,
-                                      self.degens, basepoint=v)
+        return TruncatedSimplicialSet(self.bound, self.simplices,
+                                      *self._given, basepoint=v)
 
     # -- Eilenberg-Zilber data ----------------------------------------
 
     @functools.cached_property
     def _ez(self):
-        """{n: {x: (base, word)}}, computed on the first `ez`,
-        `is_degenerate` or `nondegenerate` call."""
-        below = [(x, ()) for x in self.simplices[0]]
-        ez = {0: dict(zip(self.simplices[0], below))}
+        """{n: {x: (base, word)}}, computed from the degeneracy lists on
+        the first `ez` or `is_degenerate` call."""
+        below = [(p, ()) for p in range(self.size(0))]
+        ez = {0: below}
         for n in range(1, self.bound + 1):
-            # witness[x] = (j, p): x is s_j of the cell at position p of
-            # degree n - 1.  Only the cells of degree n - 1 are looked up,
-            # so a stray key is never read; a missing entry gives None,
-            # which is no cell.
-            witness = {}
+            # witness[q] = (j, p): the cell at position q is s_j of the
+            # cell at position p of degree n - 1
+            witness = [None] * self.size(n)
             for j in range(n):
-                table = self.degens.get((n - 1, j))
-                if table is None:
-                    raise SimplicialError(
-                        f"missing degeneracy table s_{j} at degree {n - 1}")
-                images = map(table.get, self.simplices[n - 1])
-                for p, x in enumerate(images):
-                    witness.setdefault(x, (j, p))
+                for p, q in enumerate(self.positions(n - 1, n, j)):
+                    if witness[q] is None:
+                        witness[q] = (j, p)
             level = []
-            for x in self.simplices[n]:
-                w = witness.get(x)
+            for q, w in enumerate(witness):
                 if w is None:
-                    level.append((x, ()))
+                    level.append((q, ()))
                 else:
                     j, p = w
                     base, word = below[p]
                     level.append((base, normalize_word((j,) + word)))
-            ez[n] = dict(zip(self.simplices[n], level))
-            below = level
-        return ez
+            ez[n] = below = level
+        cells = self.simplices
+        return {n: dict(zip(cells[n], [(cells[n - len(word)][base], word)
+                                       for base, word in level]))
+                for n, level in ez.items()}
 
     def ez(self, n, x):
         """Return (base, word): x = s_{w_0} ... s_{w_k} base, word strictly
@@ -148,8 +218,20 @@ class TruncatedSimplicialSet:
     def is_degenerate(self, n, x):
         return bool(self._ez[n][x][1])
 
+    def nondegenerate_positions(self, n):
+        """The positions of the nondegenerate degree-n cells, in order:
+        the cells outside the image of every degeneracy into degree n."""
+        if n not in self._nondegenerate:
+            hit = set()
+            for j in range(n):
+                hit.update(self.positions(n - 1, n, j))
+            self._nondegenerate[n] = tuple(
+                q for q in range(self.size(n)) if q not in hit)
+        return self._nondegenerate[n]
+
     def nondegenerate(self, n):
-        return tuple(x for x in self.simplices[n] if not self._ez[n][x][1])
+        return tuple(map(self.simplices[n].__getitem__,
+                         self.nondegenerate_positions(n)))
 
     # -- audits -------------------------------------------------------
 
@@ -170,6 +252,14 @@ class TruncatedSimplicialSet:
         its cells."""
         names = [cells(n) for n in range(bound + 1)]
         pos = [{x: p for p, x in enumerate(cs)} for cs in names]
+        return TruncatedSimplicialSet._failures(names, pos, table, {})
+
+    @staticmethod
+    def _failures(names, pos, table, lists):
+        """`identity_failures` on the cells `names` of each degree,
+        indexed by `pos`.  The list of each total table is also stored
+        in `lists`, keyed by (n, m, k)."""
+        bound = len(names) - 1
         # d[n][k] and s[n][k]: the positions of d_k x and s_k x, indexed
         # by the position of x in names[n]
         d = [[None] * (n + 1) for n in range(bound + 1)]
@@ -188,15 +278,12 @@ class TruncatedSimplicialSet:
                         yield f"missing {kind} table {op}_{k} at degree {n}"
                         continue
                     try:
-                        rows[n][k] = list(map(pos[m].__getitem__,
-                                              map(t.__getitem__, names[n])))
+                        rows[n][k] = lists[n, m, k] = _to_positions(t, names[n],
+                                                                    pos[m])
                     except KeyError:
                         total = False
-                        for x in names[n]:
-                            if x not in t:
-                                yield f"{op}_{k} undefined on {x!r} at degree {n}"
-                            elif t[x] not in pos[m]:
-                                yield f"{op}_{k}({x!r}) not a ({m})-simplex"
+                        yield from _entry_failures(t, names[n], pos[m],
+                                                   f"{op}_{k}", n, m)
                     if rows[n][k] is not None and len(t) == len(pos[n]):
                         continue            # total on cells, so no stray key
                     for x in t:
@@ -246,9 +333,12 @@ class TruncatedSimplicialSet:
     def audit(self, max_violations=20):
         """Exhaustive check of totality and all simplicial identities.
         Returns a list of violation descriptions (empty = valid)."""
-        v = list(itertools.islice(self.identity_failures(
-            self.bound, self.simplices.__getitem__, self.table), max_violations))
-        if self.basepoint is not None and self.basepoint not in self._index[0]:
+        v = list(itertools.islice(self._failures(
+            [self.simplices[n] for n in self.degrees()],
+            [self._cell_index[n] for n in self.degrees()], self.table,
+            self._positions), max_violations))
+        if (self.basepoint is not None
+                and self.basepoint not in self._cell_index[0]):
             v.append("basepoint is not a 0-simplex")
         return v[:max_violations]
 
@@ -268,12 +358,44 @@ class TruncatedSimplicialSet:
 
 
 class SimplicialMap:
-    """Degreewise assignment commuting with faces and degeneracies."""
+    """Degreewise assignment commuting with faces and degeneracies.
+
+    `assign` gives each degree's images as a dict of names {cell: image}
+    or as a positional list, the target position of the image of each
+    source cell, indexed by its position.  `positions(n)` reads either
+    as a list, and `assign` reads either as dicts, each converting on
+    first read."""
 
     def __init__(self, source, target, assign):
         self.source = source
         self.target = target
-        self.assign = {n: dict(assign[n]) for n in assign}
+        if any(isinstance(level, list) for level in assign.values()):
+            self._positions, self._assign = dict(assign), None
+        else:
+            self._positions = {}
+            self._assign = {n: dict(assign[n]) for n in assign}
+
+    @property
+    def assign(self):
+        if self._assign is None:
+            cells, images = self.source.simplices, self.target.simplices
+            self._assign = {
+                n: dict(zip(cells[n], map(images[n].__getitem__, level)))
+                for n, level in self._positions.items()}
+        return self._assign
+
+    def positions(self, n):
+        """The images of the degree-n cells as target positions, indexed
+        by source position."""
+        if n not in self._positions:
+            level, cells = self.assign[n], self.source.simplices[n]
+            index = self.target._cell_index[n]
+            try:
+                self._positions[n] = _to_positions(level, cells, index)
+            except KeyError:
+                raise SimplicialError(next(_entry_failures(
+                    level, cells, index, "the map", n, n))) from None
+        return self._positions[n]
 
     def __call__(self, n, x):
         return self.assign[n][x]
@@ -452,6 +574,22 @@ class SimplicialMap:
                               for n, level in self.assign.items()))
 
 
+def _to_positions(table, cells, index):
+    """The dict of names `table` as a list: the position in `index` of
+    the image of each cell of `cells`.  KeyError when it is partial."""
+    return list(map(index.__getitem__, map(table.__getitem__, cells)))
+
+
+def _entry_failures(table, cells, index, op, n, m):
+    """One failure for each cell of degree n without an image under the
+    operator `op`, or whose image is not a cell of degree m."""
+    for x in cells:
+        if x not in table:
+            yield f"{op} undefined on {x!r} at degree {n}"
+        elif table[x] not in index:
+            yield f"{op}({x!r}) not a ({m})-simplex"
+
+
 def _differences(n, cells, left, right, equation):
     """One failure of `equation` for each degree-n cell at whose position
     the composed position lists `left` and `right` differ."""
@@ -492,7 +630,7 @@ def truncate(X, bound):
     if bound > X.bound:
         raise BoundMismatch(f"cannot extend bound {X.bound} to {bound}")
     simplices = {n: X.simplices[n] for n in range(bound + 1)}
-    return TruncatedSimplicialSet.from_operators(bound, simplices, X.table,
+    return TruncatedSimplicialSet.from_operators(bound, simplices, X._stored,
                                                  basepoint=X.basepoint)
 
 

@@ -74,8 +74,8 @@ def test_c_sigma_is_canonical(data):
 def test_nerves_and_chains_are_canonical(C, b):
     assert_canonical(C.objects)
     assert_canonical(C.morphisms)
-    for cells in C.chains(range(b + 1)).values():
-        assert_canonical(cells)
+    for k, cells in C.chains(range(b + 1)).items():
+        assert_canonical(C.chain_names(k, cells))
     assert_sset_canonical(nerve(C, b))
     assert_sset_canonical(diag_nerve_iso(constant_scat(C, b)))
 

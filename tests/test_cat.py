@@ -167,17 +167,21 @@ def test_equalizer_needs_parallel_functors():
         "product-chaotic-arrow", "pushout", "coproduct-colimit"])
 def test_chains_equal_filtered_product(C):
     """Extending by the morphisms out of the last target gives the chains
-    of the filtered product over all morphisms, in the same order."""
+    of the filtered product over all morphisms, in the same order, once
+    the numbered chains are named."""
     expected = {0: C.objects}
     chains = [()]
     for k in range(1, 5):
         chains = [c + (m,) for c in chains for m in C.morphisms
                   if not c or C.tgt[c[-1]] == C.src[m]]
         expected[k] = tuple(chains)
+
+    def names(chains):
+        return {k: C.chain_names(k, cs) for k, cs in chains.items()}
     for top in range(5):
-        assert C.chains(range(top + 1)) == {k: expected[k]
-                                            for k in range(top + 1)}
-    assert C.chains((4,)) == {4: expected[4]}
+        assert names(C.chains(range(top + 1))) == {k: expected[k]
+                                                   for k in range(top + 1)}
+    assert names(C.chains((4,))) == {4: expected[4]}
 
 
 @pytest.mark.parametrize("C", [

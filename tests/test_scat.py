@@ -78,7 +78,10 @@ def test_wbar_nerve_iso_matches_diag_for_constant_levels():
 
 
 def test_fused_diagonal_equals_composite():
-    for S in (s0_scat(3), pi_levelwise(dec(sphere(1, 6)))):
+    for S in (s0_scat(3), pi_levelwise(dec(sphere(1, 6))),
+              pi_levelwise(dec(boundary(2, 6))),
+              pi_levelwise(d_star(delta(1, 5))),
+              constant_scat(cyclic_group(3), 3)):
         fused = diag_nerve_iso(S)
         composed = diag(nerve_iso_levelwise(S))
         assert fused.simplices == composed.simplices
@@ -111,6 +114,29 @@ def horn_pair():
 def d_star_map_of(f):
     from simpcat.bisset import d_star_map
     return d_star_map(f)
+
+
+def test_diag_nerve_iso_map_equals_the_named_assignment():
+    """The positional map of a horn inclusion equals the map that sends
+    each named chain through the functor's name dicts."""
+    H, D = horn_pair()
+    f = SimplicialMap(H, D, {n: {x: x for x in H.simplices[n]}
+                             for n in H.degrees()})
+    g = pi_functor(d_star_map_of(f))
+    mapped = diag_nerve_iso_map(g)
+    named = {}
+    for n in mapped.source.degrees():
+        F = g.levels[n]
+        named[n] = {x: F.obj_map[x] if n == 0
+                    else tuple(F.mor_map[m] for m in x)
+                    for x in mapped.source.simplices[n]}
+    by_name = SimplicialMap(mapped.source, mapped.target, named)
+    assert mapped == by_name and by_name == mapped
+    assert hash(mapped) == hash(by_name)
+    assert mapped.assign == named
+    assert all(by_name.positions(n) == mapped.positions(n)
+               for n in mapped.source.degrees())
+    assert mapped.validate() == []
 
 
 def test_product_and_tensor_levels():
