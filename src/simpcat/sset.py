@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 
 class SimplicialError(Exception):
@@ -60,9 +61,10 @@ class TruncatedSimplicialSet:
 
     A table is given either as a dict of names {cell: cell} or as a
     positional table: the list of the target positions, indexed by
-    source position.  `positions(n, m, k)` reads every table as a list;
-    a set given dicts converts each one on its first read.  A set given
-    lists builds the dicts `faces` and `degens` on their first read.
+    source position, and a set's tables are all given one way.
+    `positions(n, m, k)` reads every table as a list; a set given dicts
+    converts each one on its first read.  A set given lists builds the
+    dicts `faces` and `degens` on their first read.
     Either way the constructor stores the tables as given, and the
     Eilenberg-Zilber data is derived from them on first use, so an
     incomplete set still constructs and its `audit` names what is
@@ -75,14 +77,16 @@ class TruncatedSimplicialSet:
         # 0 <= n < bound; each table as given
         self._given = faces, degens
         self._positions = {}
+        self._indices = {}
         self._nondegenerate = {}
-        self._faces = self._degens = None
-        if any(isinstance(t, list) for t in (*faces.values(), *degens.values())):
+        if isinstance(next(iter(faces.values()), None), list):
             for step, tables in ((-1, faces), (1, degens)):
                 for (n, k), t in tables.items():
                     self._positions[n, n + step, k] = t
         else:
-            self._faces, self._degens = faces, degens
+            # read as given; for a set given lists, the cached
+            # properties below build the dicts on first read
+            self.faces, self.degens = faces, degens
         self.basepoint = basepoint
 
     @classmethod
@@ -98,26 +102,20 @@ class TruncatedSimplicialSet:
 
     # -- basic access -------------------------------------------------
 
-    @property
+    @functools.cached_property
     def faces(self):
-        if self._faces is None:
-            self._name_tables()
-        return self._faces
+        return self._named(self._given[0], -1)
 
-    @property
+    @functools.cached_property
     def degens(self):
-        if self._degens is None:
-            self._name_tables()
-        return self._degens
+        return self._named(self._given[1], 1)
 
-    def _name_tables(self):
-        """The dicts of names of a set given positional tables."""
+    def _named(self, lists, step):
+        """Positional tables {(n, k): list} into degree n + step as dicts
+        of names."""
         cells = self.simplices
-        faces, degens = self._given
-        self._faces = {(n, i): dict(zip(cells[n], map(cells[n - 1].__getitem__, t)))
-                       for (n, i), t in faces.items()}
-        self._degens = {(n, j): dict(zip(cells[n], map(cells[n + 1].__getitem__, t)))
-                        for (n, j), t in degens.items()}
+        return {(n, k): dict(zip(cells[n], map(cells[n + step].__getitem__, t)))
+                for (n, k), t in lists.items()}
 
     def degrees(self):
         return range(self.bound + 1)
@@ -154,7 +152,7 @@ class TruncatedSimplicialSet:
                 raise SimplicialError(
                     f"missing {'face' if m < n else 'degeneracy'} table "
                     f"{op}_{k} at degree {n}")
-            cells, index = self.simplices[n], self._cell_index[m]
+            cells, index = self.simplices[n], self._index(m)
             try:
                 self._positions[key] = _to_positions(t, cells, index)
             except KeyError:
@@ -162,20 +160,20 @@ class TruncatedSimplicialSet:
                     t, cells, index, f"{op}_{k}", n, m))) from None
         return self._positions[key]
 
-    @functools.cached_property
-    def _cell_index(self):
-        """{n: {cell: position}}, built on first use."""
-        return {n: {x: p for p, x in enumerate(cells)}
-                for n, cells in self.simplices.items()}
+    def _index(self, n):
+        """{cell: position} for degree n, built on first use."""
+        if n not in self._indices:
+            self._indices[n] = {x: p for p, x in enumerate(self.simplices[n])}
+        return self._indices[n]
 
     def has(self, n, x):
-        return n <= self.bound and x in self._cell_index[n]
+        return n <= self.bound and x in self._index(n)
 
     def is_pointed(self):
         return self.basepoint is not None
 
     def with_basepoint(self, v):
-        if v not in self._cell_index[0]:
+        if v not in self._index(0):
             raise SimplicialError(f"basepoint {v!r} is not a 0-simplex")
         return TruncatedSimplicialSet(self.bound, self.simplices,
                                       *self._given, basepoint=v)
@@ -335,10 +333,10 @@ class TruncatedSimplicialSet:
         Returns a list of violation descriptions (empty = valid)."""
         v = list(itertools.islice(self._failures(
             [self.simplices[n] for n in self.degrees()],
-            [self._cell_index[n] for n in self.degrees()], self.table,
+            [self._index(n) for n in self.degrees()], self.table,
             self._positions), max_violations))
         if (self.basepoint is not None
-                and self.basepoint not in self._cell_index[0]):
+                and self.basepoint not in self._index(0)):
             v.append("basepoint is not a 0-simplex")
         return v[:max_violations]
 
@@ -362,34 +360,31 @@ class SimplicialMap:
 
     `assign` gives each degree's images as a dict of names {cell: image}
     or as a positional list, the target position of the image of each
-    source cell, indexed by its position.  `positions(n)` reads either
-    as a list, and `assign` reads either as dicts, each converting on
-    first read."""
+    source cell, indexed by its position; all degrees one way.
+    `positions(n)` reads either as a list, and `assign` reads either as
+    dicts, each converting on first read."""
 
     def __init__(self, source, target, assign):
         self.source = source
         self.target = target
-        if any(isinstance(level, list) for level in assign.values()):
-            self._positions, self._assign = dict(assign), None
+        if isinstance(next(iter(assign.values()), None), list):
+            self._positions = dict(assign)
         else:
             self._positions = {}
-            self._assign = {n: dict(assign[n]) for n in assign}
+            self.assign = {n: dict(assign[n]) for n in assign}
 
-    @property
+    @functools.cached_property
     def assign(self):
-        if self._assign is None:
-            cells, images = self.source.simplices, self.target.simplices
-            self._assign = {
-                n: dict(zip(cells[n], map(images[n].__getitem__, level)))
+        cells, images = self.source.simplices, self.target.simplices
+        return {n: dict(zip(cells[n], map(images[n].__getitem__, level)))
                 for n, level in self._positions.items()}
-        return self._assign
 
     def positions(self, n):
         """The images of the degree-n cells as target positions, indexed
         by source position."""
         if n not in self._positions:
             level, cells = self.assign[n], self.source.simplices[n]
-            index = self.target._cell_index[n]
+            index = self.target._index(n)
             try:
                 self._positions[n] = _to_positions(level, cells, index)
             except KeyError:
@@ -576,8 +571,16 @@ class SimplicialMap:
 
 def _to_positions(table, cells, index):
     """The dict of names `table` as a list: the position in `index` of
-    the image of each cell of `cells`.  KeyError when it is partial."""
-    return list(map(index.__getitem__, map(table.__getitem__, cells)))
+    the image of each cell of `cells`.  KeyError when it is partial.
+
+    A table built by iterating `cells` has the cells themselves as its
+    keys, in order; its values are then read in order, without hashing
+    its keys again."""
+    if len(table) == len(cells) and all(map(operator.is_, table, cells)):
+        images = table.values()
+    else:
+        images = map(table.__getitem__, cells)
+    return list(map(index.__getitem__, images))
 
 
 def _entry_failures(table, cells, index, op, n, m):
