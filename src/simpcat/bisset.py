@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import itertools
 
-from .sset import (SimplicialError, SimplicialMap, TruncatedSimplicialSet,
-                   _monotone_maps, _tuple_degen, _tuple_face)
+from .sset import (MAX_VIOLATIONS, SimplicialError, SimplicialMap,
+                   TruncatedSimplicialSet, _monotone_maps, _tuple_degen,
+                   _tuple_face)
 
 
 class BidegreeShape:
@@ -127,7 +128,7 @@ class TruncatedBisimplicialSet:
             raise SimplicialError(f"no bidegrees with vertical index {q}")
         bound = self.shape.row_top[q]
         simplices = {p: self.simplices[(p, q)] for p in range(bound + 1)}
-        return TruncatedSimplicialSet.from_operators(
+        return TruncatedSimplicialSet.from_names(
             bound, simplices, lambda p, m, k: self.htable(p, q, m, k))
 
     def _row(self, q):
@@ -140,17 +141,17 @@ class TruncatedBisimplicialSet:
         return (lambda q: self.simplices[(p, q)],
                 lambda q, m, k: self.vtable(p, q, m, k))
 
-    def audit(self, max_violations=20):
+    def audit(self):
         """Rows and columns are simplicial sets, and each horizontal
         operator is a map of simplicial sets from column p to column m."""
         rows, columns = self.shape.row_top, self.shape.column_top
         v = []
         for q, top in sorted(rows.items()):
             v += _prefixed(f"row {q}: ", TruncatedSimplicialSet.identity_failures(
-                top, *self._row(q)), max_violations)
+                top, *self._row(q)))
         for p, top in sorted(columns.items()):
             v += _prefixed(f"column {p}: ", TruncatedSimplicialSet.identity_failures(
-                top, *self._column(p)), max_violations)
+                top, *self._column(p)))
         if not v:
             for p, top in sorted(columns.items()):
                 for m in (p - 1, p + 1):
@@ -161,11 +162,10 @@ class TruncatedBisimplicialSet:
                             SimplicialMap.commutation_failures(
                                 min(top, columns[m]), *self._column(p),
                                 *self._column(m),
-                                lambda q: self.htable(p, q, m, k)),
-                            max_violations)
+                                lambda q: self.htable(p, q, m, k)))
         if self.basepoint is not None and self.basepoint not in self._index[(0, 0)]:
             v.append("basepoint is not a (0,0)-simplex")
-        return v[:max_violations]
+        return v[:MAX_VIOLATIONS]
 
     def __repr__(self):
         return (f"TruncatedBisimplicialSet({len(self.shape.support)} bidegrees, "
@@ -181,7 +181,7 @@ class BisimplicialMap:
     def __call__(self, p, q, x):
         return self.assign[(p, q)][x]
 
-    def validate(self, max_violations=20):
+    def validate(self):
         """Each row and each column of the assignment is a map of
         simplicial sets, on the bidegrees both shapes share."""
         B, C = self.source, self.target
@@ -190,18 +190,18 @@ class BisimplicialMap:
             if q in C.shape.row_top:
                 v += _prefixed(f"row {q}: ", SimplicialMap.commutation_failures(
                     min(top, C.shape.row_top[q]), *B._row(q), *C._row(q),
-                    lambda p: self.assign.get((p, q))), max_violations)
+                    lambda p: self.assign.get((p, q))))
         for p, top in sorted(B.shape.column_top.items()):
             if p in C.shape.column_top:
                 v += _prefixed(f"column {p}: ", SimplicialMap.commutation_failures(
                     min(top, C.shape.column_top[p]), *B._column(p), *C._column(p),
-                    lambda q: self.assign.get((p, q))), max_violations)
-        return v[:max_violations]
+                    lambda q: self.assign.get((p, q))))
+        return v[:MAX_VIOLATIONS]
 
 
-def _prefixed(prefix, failures, limit):
-    """The first `limit` failure messages, each after `prefix`."""
-    return [prefix + msg for msg in itertools.islice(failures, limit)]
+def _prefixed(prefix, failures):
+    """The first `MAX_VIOLATIONS` failure messages, each after `prefix`."""
+    return [prefix + msg for msg in itertools.islice(failures, MAX_VIOLATIONS)]
 
 
 # ---------------------------------------------------------------------
@@ -237,7 +237,7 @@ def diag(B):
     def table(n, m, k):
         v, h = B.vtable(n, n, m, k), B.htable(n, m, m, k)
         return {x: h[v[x]] for x in simplices[n]}
-    return TruncatedSimplicialSet.from_operators(bound, simplices, table,
+    return TruncatedSimplicialSet.from_names(bound, simplices, table,
                                                  basepoint=B.basepoint)
 
 
@@ -408,5 +408,5 @@ def wbar(B):
         op = face if m < n else degen
         return {t: op(n, k, t) for t in simplices[n]}
     bp = (B.basepoint,) if B.is_pointed() else None
-    return TruncatedSimplicialSet.from_operators(bound, simplices, table,
+    return TruncatedSimplicialSet.from_names(bound, simplices, table,
                                                  basepoint=bp)

@@ -11,7 +11,9 @@ A category numbers its objects and morphisms by their positions in
 stored order.  Nerve chains are numbered (an object position, or a tuple
 of morphism positions), the one nerve operator `chain_operator` and a
 functor's `on_chain` work on them, and names are decoded only where a
-nerve lists its cells (`chain_names`).
+nerve lists its cells (`chain_names`).  `numbered_nerve` gives the
+truncated nerve as chains, their positions and the operators' position
+lists; the nerve stores those lists, and the functor search reads them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 import operator
 
 from .names import ordered, sort_key
-from .sset import SimplicialMap, TruncatedSimplicialSet
+from .sset import MAX_VIOLATIONS, SimplicialMap, TruncatedSimplicialSet
 
 
 class CategoryError(Exception):
@@ -149,18 +151,20 @@ class FinCategory:
         after = self._after
         return lambda c: c[:i - 1] + (after[c[i]][c[i - 1]],) + c[i + 1:]
 
-    def nerve_side(self, top):
-        """The numbered nerve truncated at `top` as the pair (cells,
-        operators) that `SimplicialMap.commuting_maps` reads."""
+    def numbered_nerve(self, top):
+        """The nerve truncated at `top` on numbered chains: its chains
+        {k: chains, in order}, their positions {k: {chain: position}},
+        and its operator tables {(k, m, i): position list} in
+        `TruncatedSimplicialSet.positions` order."""
         chains = self.chains(range(top + 1))
+        index = {k: {c: p for p, c in enumerate(cs)} for k, cs in chains.items()}
+        tables = {(k, m, i): list(map(index[m].__getitem__,
+                                      map(self.chain_operator(k, m, i), chains[k])))
+                  for k in range(top + 1) for m in (k - 1, k + 1)
+                  if 0 <= m <= top for i in range(k + 1)}
+        return chains, index, tables
 
-        def operators(k):
-            return [(m, self.chain_operator(k, m, i))
-                    for m in (k - 1, k + 1) if 0 <= m <= top
-                    for i in range(k + 1)]
-        return chains.__getitem__, operators
-
-    def validate(self, max_violations=20):
+    def validate(self):
         v = []
         for o in self.objects:
             i = self.ident.get(o)
@@ -170,7 +174,7 @@ class FinCategory:
             if self.src.get(m) not in self.objects or self.tgt.get(m) not in self.objects:
                 v.append(f"dangling endpoints on {m!r}")
         if v:
-            return v[:max_violations]
+            return v[:MAX_VIOLATIONS]
         for f in self.morphisms:
             for g in self.morphisms:
                 composable = self.tgt[f] == self.src[g]
@@ -184,7 +188,7 @@ class FinCategory:
                             or self.tgt[h] != self.tgt[g]):
                         v.append(f"composite ({g!r}, {f!r}) ill-typed")
         if v:
-            return v[:max_violations]
+            return v[:MAX_VIOLATIONS]
         for m in self.morphisms:
             if self.comp[(m, self.ident[self.src[m]])] != m:
                 v.append(f"right identity law fails on {m!r}")
@@ -199,7 +203,7 @@ class FinCategory:
                         continue
                     if self.comp[(h, self.comp[(g, f)])] != self.comp[(self.comp[(h, g)], f)]:
                         v.append(f"associativity fails on ({h!r}, {g!r}, {f!r})")
-        return v[:max_violations]
+        return v[:MAX_VIOLATIONS]
 
     def __repr__(self):
         return f"FinCategory({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
@@ -330,13 +334,13 @@ class Functor:
 
     @classmethod
     def from_numbered(cls, C, D, objects, arrows):
-        """The functor C -> D given on numbered nerve cells: `objects`
-        maps object positions and `arrows` numbered 1-chains."""
-        obj, mor = D.objects, D.morphisms
-        return cls(C, D, {C.objects[a]: obj[b] for a, b in objects.items()},
-                   {C.morphisms[f]: mor[g] for (f,), (g,) in arrows.items()})
+        """The functor C -> D given on positions: `objects` lists the
+        image of each object and `arrows` of each morphism, which are
+        the numbered 1-chains."""
+        return cls(C, D, dict(zip(C.objects, map(D.objects.__getitem__, objects))),
+                   dict(zip(C.morphisms, map(D.morphisms.__getitem__, arrows))))
 
-    def validate(self, max_violations=20):
+    def validate(self):
         v = []
         C, D = self.source, self.target
         for o in C.objects:
@@ -346,7 +350,7 @@ class Functor:
             if self.mor_map.get(m) not in D.src:
                 v.append(f"morphism {m!r} has no image in the target")
         if v:
-            return v[:max_violations]
+            return v[:MAX_VIOLATIONS]
         for o in C.objects:
             if self.mor_map[C.ident[o]] != D.ident[self.obj_map[o]]:
                 v.append(f"identity at {o!r} not preserved")
@@ -356,11 +360,11 @@ class Functor:
                     or D.tgt[fm] != self.obj_map[C.tgt[m]]:
                 v.append(f"endpoints of {m!r} not preserved")
         if v:
-            return v[:max_violations]
+            return v[:MAX_VIOLATIONS]
         for (g, f), h in C.comp.items():
             if D.comp[(self.mor_map[g], self.mor_map[f])] != self.mor_map[h]:
                 v.append(f"composite ({g!r}, {f!r}) not preserved")
-        return v[:max_violations]
+        return v[:MAX_VIOLATIONS]
 
     def signature(self):
         """Canonical hashable form."""
@@ -382,7 +386,7 @@ class NaturalTransformation:
         self.target = target
         self.components = dict(components)
 
-    def validate(self, max_violations=20):
+    def validate(self):
         v = []
         F, G = self.source, self.target
         D = F.target
@@ -391,13 +395,13 @@ class NaturalTransformation:
             if c is None or D.src[c] != F.obj_map[o] or D.tgt[c] != G.obj_map[o]:
                 v.append(f"component at {o!r} ill-typed")
         if v:
-            return v[:max_violations]
+            return v[:MAX_VIOLATIONS]
         for m in F.source.morphisms:
             a, b = F.source.src[m], F.source.tgt[m]
             if D.comp[(self.components[b], F.mor_map[m])] != \
                     D.comp[(G.mor_map[m], self.components[a])]:
                 v.append(f"naturality fails at {m!r}")
-        return v[:max_violations]
+        return v[:MAX_VIOLATIONS]
 
 
 # ---------------------------------------------------------------------
@@ -428,14 +432,9 @@ def _nerve(C, bound):
     """The nerve of C, its numbered chains, and their positions."""
     if bound < 0:
         raise CategoryError(f"nerve needs a bound >= 0, got {bound}")
-    chains = C.chains(range(bound + 1))
-    index = {k: {c: p for p, c in enumerate(cs)} for k, cs in chains.items()}
-
-    def table(k, m, i):
-        return list(map(index[m].__getitem__,
-                        map(C.chain_operator(k, m, i), chains[k])))
-    X = TruncatedSimplicialSet.from_operators(
-        bound, {k: C.chain_names(k, cs) for k, cs in chains.items()}, table)
+    chains, index, tables = C.numbered_nerve(bound)
+    X = TruncatedSimplicialSet(
+        bound, {k: C.chain_names(k, cs) for k, cs in chains.items()}, tables)
     return X, chains, index
 
 
@@ -905,8 +904,12 @@ def enumerate_functors(C, D, cap=10 ** 6):
     """All functors C -> D, as the maps of 2-truncated nerves: objects,
     morphisms and composable pairs, whose faces carry the endpoints and
     the composite.  More than `cap` functors raise CapExceeded."""
+    def side(E):
+        chains, _, tables = E.numbered_nerve(2)
+        return (lambda k: len(chains[k]),
+                lambda k: [(m, t) for (j, m, _), t in tables.items() if j == k])
     maps = list(itertools.islice(SimplicialMap.commuting_maps(
-        (2, 1, 0), C.nerve_side(2), D.nerve_side(2)), cap + 1))
+        (2, 1, 0), side(C), side(D)), cap + 1))
     if len(maps) > cap:
         raise CapExceeded("functor enumeration cap exceeded")
     return [Functor.from_numbered(C, D, f[0], f[1]) for f in maps]

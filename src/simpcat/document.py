@@ -154,10 +154,11 @@ def _decode_sset(data):
         if n not in simplices:
             raise DocumentError(f"'simplices': missing degree {n}")
     bp = decode_name(data["basepoint"]) if "basepoint" in data else None
-    return TruncatedSimplicialSet(bound, simplices,
-                                  _tables(data, "faces", simplices),
-                                  _tables(data, "degens", simplices),
-                                  basepoint=bp)
+    faces = _tables(data, "faces", simplices)
+    degens = _tables(data, "degens", simplices)
+    return TruncatedSimplicialSet.from_names(
+        bound, simplices, lambda n, m, k: (faces if m < n else degens)[n, k],
+        basepoint=bp)
 
 
 def _field(data, key):

@@ -6,10 +6,12 @@ module provides the levelwise fundamental groupoid of a bisimplicial
 set, the levelwise nerve of the maximal subgroupoid with its diagonal
 and codiagonal, levelwise colimits and products, rho, the smash
 product with the basepoint orbit collapsed, and suspension.  Simplicial
-functors are enumerated by the hom search of :mod:`simpcat.sset`.
+functors are enumerated by the hom search of :mod:`simpcat.sset`, on the
+position lists of each level's numbered nerve and of the structure
+functors' object and morphism images.
 
 The diagonal nerve is built on numbered chains: its tables and the
-tables of `diag_nerve_iso_map` are position lists, taken straight from
+images of `diag_nerve_iso_map` are position lists, taken straight from
 the chain operator and the structure functors, and its cells are named
 once, as they are listed.
 """
@@ -23,7 +25,8 @@ from .cat import (BoundExceeded, CapExceeded, CategoryError, Functor,
                   _materialize, colimit_record, coproduct_cat,
                   fundamental_groupoid, iso_subgroupoid, product_cat,
                   terminal_cat)
-from .sset import SimplicialMap, TruncatedSimplicialSet, sphere, truncate
+from .sset import (MAX_VIOLATIONS, SimplicialMap, TruncatedSimplicialSet,
+                   sphere, truncate)
 
 
 # The two simplicial sets of a simplicial category: the attribute of
@@ -77,18 +80,18 @@ class SimplicialCategory:
     def is_pointed(self):
         return self.basepoints is not None
 
-    def audit(self, max_violations=20):
+    def audit(self):
         v = [f"level {n}: {msg}" for n in range(self.bound + 1)
              for msg in self.levels[n].validate()]
         v += [f"structure functor at {(n, i)}: {msg}"
               for (n, i), F in list(self.faces.items()) + list(self.degens.items())
               for msg in F.validate()]
         if v:
-            return v[:max_violations]
+            return v[:MAX_VIOLATIONS]
         for cells, mapping in _PARTS:
             v += [f"{cells}: {msg}" for msg in itertools.islice(
                 TruncatedSimplicialSet.identity_failures(
-                    self.bound, *self._part(cells, mapping)), max_violations)]
+                    self.bound, *self._part(cells, mapping)), MAX_VIOLATIONS)]
         if self.basepoints is not None:
             for n in range(self.bound + 1):
                 if self.basepoints[n] not in self.levels[n].objects:
@@ -99,7 +102,7 @@ class SimplicialCategory:
             for (n, j), F in self.degens.items():
                 if F.obj_map[self.basepoints[n]] != self.basepoints[n + 1]:
                     v.append(f"basepoint not stable under degeneracy {(n, j)}")
-        return v[:max_violations]
+        return v[:MAX_VIOLATIONS]
 
     def __repr__(self):
         sizes = tuple(len(self.levels[n].objects) for n in range(self.bound + 1))
@@ -116,7 +119,7 @@ class SimplicialFunctor:
     def level(self, n):
         return self.levels[n]
 
-    def validate(self, pointed=False, max_violations=20):
+    def validate(self, pointed=False):
         v = []
         S, T = self.source, self.target
         bound = min(S.bound, T.bound)
@@ -128,12 +131,12 @@ class SimplicialFunctor:
                 SimplicialMap.commutation_failures(
                     bound, *S._part(cells, mapping), *T._part(cells, mapping),
                     lambda n: getattr(self.levels.get(n), mapping, None)),
-                max_violations)]
+                MAX_VIOLATIONS)]
         if pointed:
             for n in range(bound + 1):
                 if self.levels[n].obj_map[S.basepoints[n]] != T.basepoints[n]:
                     v.append(f"basepoint not preserved at level {n}")
-        return v[:max_violations]
+        return v[:MAX_VIOLATIONS]
 
 
 # ---------------------------------------------------------------------
@@ -473,16 +476,17 @@ def enumerate_simplicial_functors(S, T, cap=10 ** 6):
     bound = min(S.bound, T.bound)
 
     def side(R):
-        nerves = [R.levels[n].nerve_side(2 if n == bound else 1)
+        nerves = [R.levels[n].numbered_nerve(2 if n == bound else 1)
                   for n in range(bound + 1)]
 
         def operators(key):
             p, n = key
-            return [((q, n), op) for q, op in nerves[n][1](p)] + [
-                ((p, m), R.table(n, m, k).on_chain(p))
+            return [((q, n), t) for (k, q, _), t in nerves[n][2].items()
+                    if k == p] + [
+                ((p, m), R.table(n, m, k)._numbered[p])    # p-chain images
                 for m in (n - 1, n + 1) if p < 2 and 0 <= m <= bound
                 for k in range(n + 1)]
-        return (lambda key: nerves[key[1]][0](key[0])), operators
+        return (lambda key: len(nerves[key[1]][0][key[0]])), operators
     keys = [(2, bound)] + [(p, n) for n in reversed(range(bound + 1))
                            for p in (1, 0)]
     maps = list(itertools.islice(SimplicialMap.commuting_maps(

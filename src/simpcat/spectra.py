@@ -16,8 +16,8 @@ from .homology import (CertificationError, abelianization, edge_path_group,
 from .names import ordered
 from .scat import (SimplicialFunctor, constant_pointed_scat, diag_nerve_iso,
                    suspend)
-from .sset import (TruncatedSimplicialSet, delta, enumerate_maps,
-                   product_sset, truncate)
+from .sset import (MAX_VIOLATIONS, TruncatedSimplicialSet, delta,
+                   enumerate_maps, product_sset, truncate)
 from .cat import Functor, terminal_cat
 
 
@@ -35,18 +35,18 @@ class SpectrumObject:
     def level(self, n):
         return self.levels[n]
 
-    def validate(self, max_violations=20):
+    def validate(self):
         v = []
         for n, D in enumerate(self.levels):
             if not D.is_pointed():
                 v.append(f"level {n} is not pointed")
-            v.extend(f"level {n}: {msg}" for msg in D.audit(max_violations))
+            v.extend(f"level {n}: {msg}" for msg in D.audit())
         for n, sigma in enumerate(self.structure):
             if sigma.target is not self.levels[n + 1]:
                 v.append(f"structure map {n} has wrong target")
             v.extend(f"structure map {n}: {msg}"
                      for msg in sigma.validate(pointed=True))
-        return v[:max_violations]
+        return v[:MAX_VIOLATIONS]
 
 
 def sigma_infinity(C, length, closure_bound=20000):
@@ -135,8 +135,8 @@ def mapping_space(X, C, n_max=None):
                for m in range(b + 1) for z in f.source.simplices[m]):
             bp = name
             break
-    return TruncatedSimplicialSet.from_operators(top, simplices, table,
-                                                 basepoint=bp)
+    return TruncatedSimplicialSet.from_names(top, simplices, table,
+                                             basepoint=bp)
 
 
 # ---------------------------------------------------------------------

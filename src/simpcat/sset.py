@@ -1,12 +1,14 @@
 """Truncated simplicial sets with explicit face/degeneracy tables.
 
 A `TruncatedSimplicialSet` stores every simplex up to a dimension bound
-together with total face and degeneracy tables.  A table is a dict of
-names or a positional list: the position of each image in its degree's
-stored order, indexed by the position of the cell.  `positions` reads
-every table as a list, converting a dict once; a set given lists, such
-as a nerve, builds its dicts of names only when they are read.  A
-`SimplicialMap` holds its images either way too.  Eilenberg-Zilber data
+together with total face and degeneracy tables, each a position list:
+the position of each image in its degree's stored order, indexed by the
+position of the cell.  `positions` reads them, and `faces`, `degens`,
+`table`, `face` and `degen` read a names view built from them on first
+read.  Dicts of names enter only through
+`TruncatedSimplicialSet.from_names`, which converts each table once and
+keeps what did not convert for the audit.  A `SimplicialMap` holds its
+images as dicts of names or as position lists.  Eilenberg-Zilber data
 (each simplex as an iterated degeneracy of a unique nondegenerate base)
 and the nondegenerate cells (those outside every degeneracy's image)
 are derived from the degeneracy lists on first use, by `ez`,
@@ -14,8 +16,9 @@ are derived from the degeneracy lists on first use, by `ez`,
 always agree with the tables and a set that is never asked for them
 never computes them.
 
-Homs are enumerated by one search, `SimplicialMap.commuting_maps`, which
-`enumerate_maps` runs on two simplicial sets and `cat` and `scat` on nerves.
+Homs are enumerated by one search on position lists,
+`SimplicialMap.commuting_maps`, which `enumerate_maps` runs on two
+simplicial sets and `cat` and `scat` on numbered nerves.
 
 Simplex names are ints, strings, or nested tuples of those; see
 :mod:`simpcat.names` for their canonical order.
@@ -25,7 +28,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
+
+# the most failures that an audit or a validation lists
+MAX_VIOLATIONS = 20
 
 
 class SimplicialError(Exception):
@@ -51,6 +56,14 @@ def _push(j, word):
     return (word[0] + 1,) + _push(j, word[1:])
 
 
+def _operator_keys(bound):
+    """(n, m, k) for each operator of a set truncated at `bound`, in
+    audit order: per degree n, the faces d_k into m = n - 1, then the
+    degeneracies s_k into m = n + 1."""
+    return [(n, m, k) for n in range(bound + 1) for m in (n - 1, n + 1)
+            if 0 <= m <= bound for k in range(n + 1)]
+
+
 class TruncatedSimplicialSet:
     """Simplices per degree, with total face and degeneracy tables.
 
@@ -59,63 +72,60 @@ class TruncatedSimplicialSet:
     `document._decode_sset` sort their cells; every other constructor
     keeps the order of its ordered inputs.
 
-    A table is given either as a dict of names {cell: cell} or as a
-    positional table: the list of the target positions, indexed by
-    source position, and a set's tables are all given one way.
-    `positions(n, m, k)` reads every table as a list; a set given dicts
-    converts each one on its first read.  A set given lists builds the
-    dicts `faces` and `degens` on their first read.
-    Either way the constructor stores the tables as given, and the
-    Eilenberg-Zilber data is derived from them on first use, so an
-    incomplete set still constructs and its `audit` names what is
-    missing."""
+    `tables` holds each operator's position list, keyed by (n, m, k) as
+    in `positions`."""
 
-    def __init__(self, bound, simplices, faces, degens, basepoint=None):
+    def __init__(self, bound, simplices, tables, basepoint=None):
         self.bound = bound
         self.simplices = {n: tuple(simplices.get(n, ())) for n in range(bound + 1)}
-        # faces {(n, i): table}, 1 <= n <= bound; degens {(n, j): table},
-        # 0 <= n < bound; each table as given
-        self._given = faces, degens
-        self._positions = {}
+        self._lists = tables
+        self._failed = {}
         self._indices = {}
         self._nondegenerate = {}
-        if isinstance(next(iter(faces.values()), None), list):
-            for step, tables in ((-1, faces), (1, degens)):
-                for (n, k), t in tables.items():
-                    self._positions[n, n + step, k] = t
-        else:
-            # read as given; for a set given lists, the cached
-            # properties below build the dicts on first read
-            self.faces, self.degens = faces, degens
         self.basepoint = basepoint
 
     @classmethod
     def from_operators(cls, bound, simplices, table, basepoint=None):
-        """Build from one callback: `table(n, m, k)` returns the table of
-        the operator from degree n to degree m, d_k when m = n - 1 and
-        s_k when m = n + 1, as a dict of names or a positional list."""
-        faces = {(n, i): table(n, n - 1, i)
-                 for n in range(1, bound + 1) for i in range(n + 1)}
-        degens = {(n, j): table(n, n + 1, j)
-                  for n in range(bound) for j in range(n + 1)}
-        return cls(bound, simplices, faces, degens, basepoint)
+        """Build from one callback: `table(n, m, k)` returns the position
+        list of the operator from degree n to degree m, d_k when
+        m = n - 1 and s_k when m = n + 1."""
+        return cls(bound, simplices,
+                   {key: table(*key) for key in _operator_keys(bound)},
+                   basepoint)
+
+    @classmethod
+    def from_names(cls, bound, simplices, table, basepoint=None):
+        """Build from tables of names: `table(n, m, k)` returns the
+        operator as a dict {cell: cell}, or None when it is missing.
+        Each table is converted once; the dicts are kept as the names
+        view, and what did not convert as failures for `audit` and
+        `positions`."""
+        given = {key: table(*key) for key in _operator_keys(bound)}
+        cells = {n: tuple(simplices.get(n, ())) for n in range(bound + 1)}
+        lists, failed = _convert(cells, given)
+        X = cls(bound, cells, lists, basepoint)
+        X._failed = failed
+        X.faces, X.degens = ({(n, k): t for (n, m, k), t in given.items()
+                              if m == n + step and t is not None}
+                             for step in (-1, 1))
+        return X
 
     # -- basic access -------------------------------------------------
 
     @functools.cached_property
     def faces(self):
-        return self._named(self._given[0], -1)
+        return self._named(-1)
 
     @functools.cached_property
     def degens(self):
-        return self._named(self._given[1], 1)
+        return self._named(1)
 
-    def _named(self, lists, step):
-        """Positional tables {(n, k): list} into degree n + step as dicts
-        of names."""
+    def _named(self, step):
+        """The position lists into degree n + step as dicts of names,
+        keyed by (n, k)."""
         cells = self.simplices
-        return {(n, k): dict(zip(cells[n], map(cells[n + step].__getitem__, t)))
-                for (n, k), t in lists.items()}
+        return {(n, k): dict(zip(cells[n], map(cells[m].__getitem__, t)))
+                for (n, m, k), t in self._lists.items() if m == n + step}
 
     def degrees(self):
         return range(self.bound + 1)
@@ -134,31 +144,21 @@ class TruncatedSimplicialSet:
         None when it is missing."""
         return (self.faces if m < n else self.degens).get((n, k))
 
-    def _stored(self, n, m, k):
-        """The table of `table(n, m, k)` as this set was given it."""
-        faces, degens = self._given
-        return (faces if m < n else degens).get((n, k))
-
     def positions(self, n, m, k):
         """The table of d_k (m = n - 1) or s_k (m = n + 1) on degree n as
         a list: the position in degree m of the image of each degree-n
-        cell, indexed by its position.  A missing or partial table
+        cell, indexed by its position.  A table that did not convert
         raises SimplicialError with the audit's message."""
-        key = (n, m, k)
-        if key not in self._positions:
-            op = "d" if m < n else "s"
-            t = self.table(n, m, k)
-            if t is None:
-                raise SimplicialError(
-                    f"missing {'face' if m < n else 'degeneracy'} table "
-                    f"{op}_{k} at degree {n}")
-            cells, index = self.simplices[n], self._index(m)
-            try:
-                self._positions[key] = _to_positions(t, cells, index)
-            except KeyError:
-                raise SimplicialError(next(_entry_failures(
-                    t, cells, index, f"{op}_{k}", n, m))) from None
-        return self._positions[key]
+        try:
+            return self._lists[n, m, k]
+        except KeyError:
+            raise SimplicialError(self._failed[n, m, k][0]) from None
+
+    def _operators(self, n, top):
+        """The operators out of degree n into degrees up to `top`, as
+        (m, position list) in `positions` order."""
+        return [(m, self.positions(n, m, k))
+                for j, m, k in _operator_keys(top) if j == n]
 
     def _index(self, n):
         """{cell: position} for degree n, built on first use."""
@@ -175,8 +175,8 @@ class TruncatedSimplicialSet:
     def with_basepoint(self, v):
         if v not in self._index(0):
             raise SimplicialError(f"basepoint {v!r} is not a 0-simplex")
-        return TruncatedSimplicialSet(self.bound, self.simplices,
-                                      *self._given, basepoint=v)
+        return TruncatedSimplicialSet.from_operators(
+            self.bound, self.simplices, self.positions, basepoint=v)
 
     # -- Eilenberg-Zilber data ----------------------------------------
 
@@ -238,107 +238,24 @@ class TruncatedSimplicialSet:
         """Yield every way the operators fail to make a simplicial set.
 
         `cells(n)` lists the degree-n cells and `table(n, m, k)` is the
-        operator dict as in `from_operators`, or None when it is missing.
-        Missing tables, cells missing from a table, values that are not
-        cells of the target degree and keys that are not cells of the
-        source degree come first; the simplicial identities are checked
-        only when every table is total.
-
-        Each total table becomes a list of target positions indexed by
-        source position in `cells(n)`, so an identity compares two
-        composed lists; only a block whose lists differ is walked to name
-        its cells."""
+        operator dict as in `from_names`, or None when it is missing.
+        What does not convert to position lists comes first; the
+        simplicial identities are checked on the lists only when every
+        table converts, and only a block whose composed lists differ is
+        walked to name its cells."""
         names = [cells(n) for n in range(bound + 1)]
-        pos = [{x: p for p, x in enumerate(cs)} for cs in names]
-        return TruncatedSimplicialSet._failures(names, pos, table, {})
+        return _failures(names, *_convert(
+            names, {key: table(*key) for key in _operator_keys(bound)}))
 
-    @staticmethod
-    def _failures(names, pos, table, lists):
-        """`identity_failures` on the cells `names` of each degree,
-        indexed by `pos`.  The list of each total table is also stored
-        in `lists`, keyed by (n, m, k)."""
-        bound = len(names) - 1
-        # d[n][k] and s[n][k]: the positions of d_k x and s_k x, indexed
-        # by the position of x in names[n]
-        d = [[None] * (n + 1) for n in range(bound + 1)]
-        s = [[None] * (n + 1) for n in range(bound + 1)]
-        total = True
-        for n in range(bound + 1):
-            for m in (n - 1, n + 1):
-                if not 0 <= m <= bound:
-                    continue
-                kind, op, rows = (("face", "d", d) if m < n
-                                  else ("degeneracy", "s", s))
-                for k in range(n + 1):
-                    t = table(n, m, k)
-                    if t is None:
-                        total = False
-                        yield f"missing {kind} table {op}_{k} at degree {n}"
-                        continue
-                    try:
-                        rows[n][k] = lists[n, m, k] = _to_positions(t, names[n],
-                                                                    pos[m])
-                    except KeyError:
-                        total = False
-                        yield from _entry_failures(t, names[n], pos[m],
-                                                   f"{op}_{k}", n, m)
-                    if rows[n][k] is not None and len(t) == len(pos[n]):
-                        continue            # total on cells, so no stray key
-                    for x in t:
-                        if x not in pos[n]:
-                            total = False
-                            yield f"{op}_{k} defined on non-cell {x!r} at degree {n}"
-        if not total:
-            return
-        for n in range(2, bound + 1):
-            dn, dm = d[n], d[n - 1]
-            for j in range(1, n + 1):
-                dj, ddj = dn[j], dm[j - 1].__getitem__
-                for i in range(j):
-                    left = list(map(dm[i].__getitem__, dj))
-                    right = list(map(ddj, dn[i]))
-                    if left != right:
-                        yield from _differences(
-                            n, names[n], left, right,
-                            f"d_{i} d_{j} != d_{j-1} d_{i}")
-        for n in range(bound - 1):
-            sn, sm = s[n], s[n + 1]
-            for i in range(n + 1):
-                si, ssi = sn[i], sm[i].__getitem__
-                for j in range(i, n + 1):
-                    left = list(map(sm[j + 1].__getitem__, si))
-                    right = list(map(ssi, sn[j]))
-                    if left != right:
-                        yield from _differences(
-                            n, names[n], left, right,
-                            f"s_{j+1} s_{i} != s_{i} s_{j}")
-        for n in range(bound):
-            identity = list(map(pos[n].__getitem__, names[n]))
-            for j in range(n + 1):
-                sj = s[n][j]
-                for i in range(n + 2):
-                    left = list(map(d[n + 1][i].__getitem__, sj))
-                    if i in (j, j + 1):     # d_i s_j = identity
-                        right = identity
-                    elif i < j:             # d_i s_j = s_{j-1} d_i
-                        right = list(map(s[n - 1][j - 1].__getitem__, d[n][i]))
-                    else:                   # d_i s_j = s_j d_{i-1}
-                        right = list(map(s[n - 1][j].__getitem__, d[n][i - 1]))
-                    if left != right:
-                        yield from _differences(n, names[n], left, right,
-                                                f"d_{i} s_{j} identity fails")
-
-    def audit(self, max_violations=20):
+    def audit(self):
         """Exhaustive check of totality and all simplicial identities.
         Returns a list of violation descriptions (empty = valid)."""
-        v = list(itertools.islice(self._failures(
-            [self.simplices[n] for n in self.degrees()],
-            [self._index(n) for n in self.degrees()], self.table,
-            self._positions), max_violations))
+        v = list(itertools.islice(_failures(self.simplices, self._lists,
+                                            self._failed), MAX_VIOLATIONS))
         if (self.basepoint is not None
                 and self.basepoint not in self._index(0)):
             v.append("basepoint is not a 0-simplex")
-        return v[:max_violations]
+        return v[:MAX_VIOLATIONS]
 
     def audit_or_raise(self):
         v = self.audit()
@@ -353,6 +270,85 @@ class TruncatedSimplicialSet:
     def __repr__(self):
         pt = ", pointed" if self.is_pointed() else ""
         return f"TruncatedSimplicialSet(bound={self.bound}, sizes={self.degree_sizes()}{pt})"
+
+
+def _convert(names, tables):
+    """The dicts of names `tables` {(n, m, k): table or None} over the
+    cells `names[n]` of each degree, as (lists, failed): the position
+    list of each table with an image in degree m for every cell, and the
+    failures of each table that is missing, partial, sends a cell to a
+    non-cell or has a key that is not a cell, both keyed by (n, m, k) in
+    the order of `tables`."""
+    index = [{x: p for p, x in enumerate(names[n])} for n in range(len(names))]
+    lists, failed = {}, {}
+    for (n, m, k), t in tables.items():
+        kind, op = ("face", "d") if m < n else ("degeneracy", "s")
+        if t is None:
+            failed[n, m, k] = [f"missing {kind} table {op}_{k} at degree {n}"]
+            continue
+        cells, bad = names[n], []
+        try:
+            lists[n, m, k] = list(map(index[m].__getitem__,
+                                      map(t.__getitem__, cells)))
+        except KeyError:
+            bad = list(_entry_failures(t, cells, index[m], f"{op}_{k}", n, m))
+        if bad or len(t) != len(cells):
+            bad += [f"{op}_{k} defined on non-cell {x!r} at degree {n}"
+                    for x in t if x not in index[n]]
+        if bad:
+            failed[n, m, k] = bad
+    return lists, failed
+
+
+def _failures(names, lists, failed):
+    """The failures of the tables that did not convert, in order; when
+    there are none, every simplicial identity that the position lists
+    `lists` {(n, m, k): list} on the cells `names[n]` break."""
+    if failed:
+        for messages in failed.values():
+            yield from messages
+        return
+    bound = len(names) - 1
+
+    def d(n, k):
+        return lists[n, n - 1, k]
+
+    def s(n, k):
+        return lists[n, n + 1, k]
+
+    for n in range(2, bound + 1):
+        for j in range(1, n + 1):
+            dj, ddj = d(n, j), d(n - 1, j - 1).__getitem__
+            for i in range(j):
+                left = list(map(d(n - 1, i).__getitem__, dj))
+                right = list(map(ddj, d(n, i)))
+                if left != right:
+                    yield from _differences(n, names[n], left, right,
+                                            f"d_{i} d_{j} != d_{j-1} d_{i}")
+    for n in range(bound - 1):
+        for i in range(n + 1):
+            si, ssi = s(n, i), s(n + 1, i).__getitem__
+            for j in range(i, n + 1):
+                left = list(map(s(n + 1, j + 1).__getitem__, si))
+                right = list(map(ssi, s(n, j)))
+                if left != right:
+                    yield from _differences(n, names[n], left, right,
+                                            f"s_{j+1} s_{i} != s_{i} s_{j}")
+    for n in range(bound):
+        identity = list(range(len(names[n])))
+        for j in range(n + 1):
+            sj = s(n, j)
+            for i in range(n + 2):
+                left = list(map(d(n + 1, i).__getitem__, sj))
+                if i in (j, j + 1):     # d_i s_j = identity
+                    right = identity
+                elif i < j:             # d_i s_j = s_{j-1} d_i
+                    right = list(map(s(n - 1, j - 1).__getitem__, d(n, i)))
+                else:                   # d_i s_j = s_j d_{i-1}
+                    right = list(map(s(n - 1, j).__getitem__, d(n, i - 1)))
+                if left != right:
+                    yield from _differences(n, names[n], left, right,
+                                            f"d_{i} s_{j} identity fails")
 
 
 class SimplicialMap:
@@ -386,7 +382,8 @@ class SimplicialMap:
             level, cells = self.assign[n], self.source.simplices[n]
             index = self.target._index(n)
             try:
-                self._positions[n] = _to_positions(level, cells, index)
+                self._positions[n] = list(map(index.__getitem__,
+                                              map(level.__getitem__, cells)))
             except KeyError:
                 raise SimplicialError(next(_entry_failures(
                     level, cells, index, "the map", n, n))) from None
@@ -438,14 +435,17 @@ class SimplicialMap:
 
     @staticmethod
     def commuting_maps(keys, source, target, fixed=None):
-        """Yield, depth first, each assignment {key: {cell: image}} of
-        source cells to target cells that commutes with every operator.
+        """Yield, depth first, each assignment {key: images} of source
+        cells to target cells that commutes with every operator.  Cells
+        are positions: `images` lists the target position of the image
+        of each source cell.
 
         `keys` lists the cell keys, top key first.  `source` and `target`
-        are pairs (cells, operators): `cells(key)` lists the cells at a
-        key, `operators(key)` the operators out of it as (key2, function
-        on cells), in the same order on both sides.  `fixed` pins images,
-        keyed by (key, cell).
+        are pairs (size, operators): `size(key)` counts the cells at a
+        key, `operators(key)` lists the operators out of it as (key2,
+        position list), in the same order on both sides.  `fixed` pins
+        images, {(key, position): position}; a pin outside the target's
+        cells leaves nothing to yield.
 
         A binding pins its images under the operators, and so on; each
         free cell with an operator into a new binding is then checked
@@ -455,20 +455,16 @@ class SimplicialMap:
         so a wide source does not deepen the Python call stack."""
         keys = list(keys)
         at = {key: a for a, key in enumerate(keys)}
-        src = [tuple(source[0](key)) for key in keys]
-        tgt = [tuple(target[0](key)) for key in keys]
-        s_pos, t_pos = ([{x: p for p, x in enumerate(cs)} for cs in side]
-                        for side in (src, tgt))
-        # Cells are positions.  ops[a] holds (b, s, t) per operator out of
-        # key a, its two sides as position lists; image[a][x] is the image
-        # of cell x at key a, or -1 while x is free.
-        ops = [[(at[key2], [s_pos[at[key2]][s(x)] for x in src[a]],
-                 [t_pos[at[key2]][t(y)] for y in tgt[a]])
+        # ops[a] holds (b, s, t) per operator out of key a, its two sides
+        # as position lists; image[a][x] is the image of cell x at key a,
+        # or -1 while x is free.
+        ops = [[(at[key2], s, t)
                 for (key2, s), (_, t) in zip(source[1](key), target[1](key))]
-               for a, key in enumerate(keys)]
-        image = [[-1] * len(cs) for cs in src]
+               for key in keys]
+        image = [[-1] * source[0](key) for key in keys]
+        sizes = [target[0](key) for key in keys]    # target cells per key
         # up[b][x]: the cells (a, x2) that an operator takes to cell x at b
-        up = [[[] for _ in cs] for cs in src]
+        up = [[[] for _ in row] for row in image]
         for a, row in enumerate(ops):
             for b, s, _ in row:
                 for x2, x in enumerate(s):
@@ -505,16 +501,16 @@ class SimplicialMap:
             known = tuple([k for k, y in enumerate(pinned) if y >= 0])
             if (a, known) not in index:
                 index[a, known] = {}
-                for y in range(len(tgt[a])):
+                for y in range(sizes[a]):
                     index[a, known].setdefault(
                         tuple([ops[a][k][2][y] for k in known]), []).append(y)
             return index[a, known].get(tuple([pinned[k] for k in known]), ())
 
         for (key, x), y in (fixed or {}).items():
             a = at[key]
-            if y not in t_pos[a] or not pin(a, s_pos[a][x], t_pos[a][y]):
+            if not 0 <= y < sizes[a] or not pin(a, x, y):
                 return
-        cells = [(a, x) for a in range(len(keys)) for x in range(len(src[a]))]
+        cells = [(a, x) for a, row in enumerate(image) for x in range(len(row))]
         # one frame per open choice: (index into cells, the candidates
         # left, trail length before the choice)
         stack = []
@@ -523,8 +519,7 @@ class SimplicialMap:
             while i < len(cells) and image[cells[i][0]][cells[i][1]] >= 0:
                 i += 1
             if i == len(cells):
-                yield {key: dict(zip(src[a], map(tgt[a].__getitem__, image[a])))
-                       for a, key in enumerate(keys)}
+                yield dict(zip(keys, map(list, image)))
             else:
                 a, x = cells[i]
                 options = candidates(a, [image[b][s[x]] for b, s, _ in ops[a]])
@@ -543,18 +538,18 @@ class SimplicialMap:
             else:
                 return
 
-    def validate(self, pointed=False, max_violations=20):
+    def validate(self, pointed=False):
         X, Y = self.source, self.target
         v = list(itertools.islice(self.commutation_failures(
             X.bound, X.simplices.__getitem__, X.table,
             lambda n: Y.simplices.get(n, ()), Y.table, self.assign.get),
-            max_violations))
+            MAX_VIOLATIONS))
         if pointed:
             if not (X.is_pointed() and Y.is_pointed()):
                 v.append("pointed validation on unpointed object")
             elif self.assign.get(0, {}).get(X.basepoint) != Y.basepoint:
                 v.append("basepoint not preserved")
-        return v[:max_violations]
+        return v[:MAX_VIOLATIONS]
 
     def is_pointed(self):
         return (self.source.is_pointed() and self.target.is_pointed()
@@ -567,20 +562,6 @@ class SimplicialMap:
     def __hash__(self):
         return hash(frozenset((n, frozenset(level.items()))
                               for n, level in self.assign.items()))
-
-
-def _to_positions(table, cells, index):
-    """The dict of names `table` as a list: the position in `index` of
-    the image of each cell of `cells`.  KeyError when it is partial.
-
-    A table built by iterating `cells` has the cells themselves as its
-    keys, in order; its values are then read in order, without hashing
-    its keys again."""
-    if len(table) == len(cells) and all(map(operator.is_, table, cells)):
-        images = table.values()
-    else:
-        images = map(table.__getitem__, cells)
-    return list(map(index.__getitem__, images))
 
 
 def _entry_failures(table, cells, index, op, n, m):
@@ -621,10 +602,12 @@ def _tuple_degen(t, j):
 def _from_tuples(bound, level_sets):
     """Build a simplicial set whose degree-n simplices are vertex tuples."""
     simplices = {n: tuple(sorted(level_sets[n])) for n in range(bound + 1)}
+    index = {n: {t: p for p, t in enumerate(cells)}
+             for n, cells in simplices.items()}
 
     def table(n, m, k):
         op = _tuple_face if m < n else _tuple_degen
-        return {t: op(t, k) for t in simplices[n]}
+        return [index[m][op(t, k)] for t in simplices[n]]
     return TruncatedSimplicialSet.from_operators(bound, simplices, table)
 
 
@@ -633,7 +616,7 @@ def truncate(X, bound):
     if bound > X.bound:
         raise BoundMismatch(f"cannot extend bound {X.bound} to {bound}")
     simplices = {n: X.simplices[n] for n in range(bound + 1)}
-    return TruncatedSimplicialSet.from_operators(bound, simplices, X._stored,
+    return TruncatedSimplicialSet.from_operators(bound, simplices, X.positions,
                                                  basepoint=X.basepoint)
 
 
@@ -692,16 +675,32 @@ def coproduct(objects):
     bound = bounds.pop()
     simplices = {n: tuple((i, x) for i, X in enumerate(objects) for x in X.simplices[n])
                  for n in range(bound + 1)}
+    # offsets[n][i]: the position of the first cell of objects[i] in degree n
+    offsets = {n: list(itertools.accumulate([X.size(n) for X in objects], initial=0))
+               for n in range(bound + 1)}
 
     def table(n, m, k):
-        tables = [X.table(n, m, k) for X in objects]
-        return {(t, x): (t, tables[t][x])
-                for t, X in enumerate(objects) for x in X.simplices[n]}
+        return [offsets[m][i] + q for i, X in enumerate(objects)
+                for q in X.positions(n, m, k)]
     total = TruncatedSimplicialSet.from_operators(bound, simplices, table)
-    injections = [SimplicialMap(X, total, {n: {x: (i, x) for x in X.simplices[n]}
-                                           for n in X.degrees()})
+    injections = [SimplicialMap(X, total, {
+                      n: list(range(offsets[n][i], offsets[n][i + 1]))
+                      for n in X.degrees()})
                   for i, X in enumerate(objects)]
     return total, injections
+
+
+def _restricted(X, kept, to, basepoint):
+    """The set on the cells of X at the positions `kept[n]`, in order,
+    with each operator image q in degree m sent to `to[m][q]`."""
+    simplices = {n: tuple(map(X.simplices[n].__getitem__, kept[n]))
+                 for n in X.degrees()}
+
+    def table(n, m, k):
+        return list(map(to[m].__getitem__,
+                        map(X.positions(n, m, k).__getitem__, kept[n])))
+    return TruncatedSimplicialSet.from_operators(X.bound, simplices, table,
+                                                 basepoint=basepoint)
 
 
 def quotient(X, pairs):
@@ -709,46 +708,40 @@ def quotient(X, pairs):
     (degree, a, b)).  Closure propagates identifications along all faces
     and degeneracies; each class is represented by its first member in
     X's stored order, which is its least member."""
-    parent = {}
+    parent = [list(range(X.size(n))) for n in X.degrees()]
+    ops = [X._operators(n, X.bound) for n in X.degrees()]
 
-    def find(k):
-        root = k
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(k, k) != k:
-            parent[k], k = root, parent[k]
+    def find(n, p):
+        row, root = parent[n], p
+        while row[root] != root:
+            root = row[root]
+        while row[p] != root:
+            row[p], p = root, row[p]
         return root
 
-    work = [((n, a), (n, b)) for n, a, b in pairs]
+    work = [(n, X._index(n)[a], X._index(n)[b]) for n, a, b in pairs]
     while work:
-        ka, kb = work.pop()
-        ra, rb = find(ka), find(kb)
+        n, a, b = work.pop()
+        ra, rb = find(n, a), find(n, b)
         if ra == rb:
             continue
-        parent[rb] = ra
-        (n, a), (_, b) = ka, kb
-        for i in range(n + 1) if n >= 1 else ():
-            work.append(((n - 1, X.face(n, i, a)), (n - 1, X.face(n, i, b))))
-        if n < X.bound:
-            for j in range(n + 1):
-                work.append(((n + 1, X.degen(n, j, a)), (n + 1, X.degen(n, j, b))))
+        parent[n][rb] = ra
+        work += [(m, t[a], t[b]) for m, t in ops[n]]
 
-    classes = {n: {} for n in X.degrees()}
+    # least[n][p]: the least position in the class of p
+    least = []
     for n in X.degrees():
-        for x in X.simplices[n]:
-            classes[n].setdefault(find((n, x)), []).append(x)
-    proj = {n: {x: classes[n][find((n, x))][0] for x in X.simplices[n]}
-            for n in X.degrees()}
-    simplices = {n: tuple(x for x in X.simplices[n] if proj[n][x] == x)
-                 for n in X.degrees()}
-
-    def table(n, m, k):
-        t = X.table(n, m, k)
-        return {proj[n][x]: proj[m][t[x]] for x in X.simplices[n]}
-    bp = proj[0][X.basepoint] if X.is_pointed() else None
-    Q = TruncatedSimplicialSet.from_operators(X.bound, simplices, table,
-                                              basepoint=bp)
-    return Q, SimplicialMap(X, Q, proj)
+        first = {}
+        least.append([first.setdefault(find(n, p), p) for p in range(X.size(n))])
+    kept = [[p for p, q in enumerate(row) if p == q] for row in least]
+    proj = []
+    for row, ks in zip(least, kept):
+        new = dict(zip(ks, itertools.count()))
+        proj.append(list(map(new.__getitem__, row)))
+    bp = (X.simplices[0][least[0][X._index(0)[X.basepoint]]]
+          if X.is_pointed() else None)
+    Q = _restricted(X, kept, proj, bp)
+    return Q, SimplicialMap(X, Q, dict(enumerate(proj)))
 
 
 def colimit_sset(objects, edges):
@@ -776,8 +769,9 @@ def product_sset(X, Y):
                  for n in range(bound + 1)}
 
     def table(n, m, k):
-        tx, ty = X.table(n, m, k), Y.table(n, m, k)
-        return {(x, y): (tx[x], ty[y]) for x, y in simplices[n]}
+        # (x, y) sits at position x * Y.size(n) + y
+        tx, ty, width = X.positions(n, m, k), Y.positions(n, m, k), Y.size(m)
+        return [a * width + b for a in tx for b in ty]
     bp = (X.basepoint, Y.basepoint) if X.is_pointed() and Y.is_pointed() else None
     return TruncatedSimplicialSet.from_operators(bound, simplices, table,
                                                  basepoint=bp)
@@ -786,28 +780,20 @@ def product_sset(X, Y):
 def generated_subcomplex(X, generators):
     """Smallest subcomplex of X containing `generators` (list of
     (degree, simplex)), closed under faces and degeneracies up to the bound."""
-    keep = {n: set() for n in X.degrees()}
-    work = list(generators)
+    keep = [set() for _ in X.degrees()]
+    ops = [X._operators(n, X.bound) for n in X.degrees()]
+    work = [(n, X._index(n)[x]) for n, x in generators]
     while work:
-        n, x = work.pop()
-        if x in keep[n]:
+        n, p = work.pop()
+        if p in keep[n]:
             continue
-        keep[n].add(x)
-        if n >= 1:
-            for i in range(n + 1):
-                work.append((n - 1, X.face(n, i, x)))
-        if n < X.bound:
-            for j in range(n + 1):
-                work.append((n + 1, X.degen(n, j, x)))
-    simplices = {n: tuple(x for x in X.simplices[n] if x in keep[n])
-                 for n in X.degrees()}
-
-    def table(n, m, k):
-        t = X.table(n, m, k)
-        return {x: t[x] for x in simplices[n]}
-    bp = X.basepoint if X.is_pointed() and X.basepoint in keep[0] else None
-    return TruncatedSimplicialSet.from_operators(X.bound, simplices, table,
-                                                 basepoint=bp)
+        keep[n].add(p)
+        work += [(m, t[p]) for m, t in ops[n]]
+    kept = [sorted(ps) for ps in keep]
+    to = [dict(zip(ks, itertools.count())) for ks in kept]
+    bp = (X.basepoint if X.is_pointed() and X._index(0)[X.basepoint] in keep[0]
+          else None)
+    return _restricted(X, kept, to, bp)
 
 
 def c_sigma(n, sigma, bound=None):
@@ -835,12 +821,8 @@ def enumerate_maps(X, Y, fixed=None):
     {(0, X.basepoint): Y.basepoint}, gives the pointed maps."""
     if Y.bound < X.bound:
         raise BoundMismatch(f"target bound {Y.bound} < source bound {X.bound}")
-
-    def side(Z):
-        def operators(n):
-            return [(m, Z.table(n, m, k).__getitem__)
-                    for m in (n - 1, n + 1) if 0 <= m <= X.bound
-                    for k in range(n + 1)]
-        return Z.simplices.__getitem__, operators
+    pins = {(n, X._index(n)[x]): Y._index(n).get(y, -1)
+            for (n, x), y in (fixed or {}).items()}
     return [SimplicialMap(X, Y, assign) for assign in SimplicialMap.commuting_maps(
-        reversed(X.degrees()), side(X), side(Y), fixed)]
+        reversed(X.degrees()), (X.size, lambda n: X._operators(n, X.bound)),
+        (Y.size, lambda n: Y._operators(n, X.bound)), pins)]

@@ -133,7 +133,7 @@ def chaotic_functor(A, C, obj_map):
 def _nerve_map(F, NX, NY):
     """Nerve of a functor, re-targeted at prebuilt nerve instances."""
     g = nerve_functor(F, NX.bound)
-    return SimplicialMap(NX, NY, g.assign)
+    return SimplicialMap(NX, NY, {n: g.positions(n) for n in NX.degrees()})
 
 
 def _inclusion_map(X, Y):

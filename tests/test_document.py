@@ -139,7 +139,9 @@ def test_stray_table_key_is_a_named_encode_error():
     X = delta(1, 2)
     faces = {k: dict(t) for k, t in X.faces.items()}
     faces[(1, 0)][(5, 5)] = (0,)
-    Y = TruncatedSimplicialSet(X.bound, X.simplices, faces, X.degens)
+    Y = TruncatedSimplicialSet.from_names(
+        X.bound, X.simplices,
+        lambda n, m, k: faces[n, k] if m < n else X.degens[n, k])
     with pytest.raises(DocumentError,
                        match=r"d_0 out of degree 1: key \(5, 5\) is not a cell"):
         sset_to_entry("y", Y)

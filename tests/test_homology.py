@@ -12,9 +12,10 @@ from simpcat.homology import (AbelianGroupDescriptor, CertificationError,
                               edge_path_group, homology, homology_list,
                               mapping_cone, normalized_chains, pi0, pi0_map,
                               smith_invariants, weak_equivalence_probe)
-from simpcat.sset import (SimplicialError, SimplicialMap, boundary, c_sigma,
-                          delta, enumerate_maps, horn, point, product_sset,
-                          quotient, sphere)
+from simpcat.sset import (SimplicialError, SimplicialMap,
+                          TruncatedSimplicialSet, boundary, c_sigma, delta,
+                          enumerate_maps, horn, point, product_sset, quotient,
+                          sphere)
 
 
 def test_descriptor_invariants():
@@ -163,8 +164,10 @@ def test_normalized_chains_dd_zero():
 
 
 def test_missing_degeneracy_table_is_named_as_the_audit_names_it():
-    X = delta(1, 2)
-    del X.degens[(1, 0)]
+    D = delta(1, 2)
+    X = TruncatedSimplicialSet.from_names(
+        2, D.simplices,
+        lambda n, m, k: None if (n, m, k) == (1, 2, 0) else D.table(n, m, k))
     assert X.audit() == ["missing degeneracy table s_0 at degree 1"]
     with pytest.raises(SimplicialError,
                        match="^missing degeneracy table s_0 at degree 1$"):

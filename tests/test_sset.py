@@ -10,6 +10,8 @@ from simpcat.sset import (SimplicialError, SimplicialMap,
                           generated_subcomplex, horn, normalize_word, point,
                           product_sset, quotient, sphere, truncate, two_point)
 
+from strategies import standard
+
 
 def test_delta_sizes():
     X = delta(1, 2)
@@ -217,6 +219,51 @@ def test_missing_degeneracy_table_is_reported_by_the_audit():
     code without one degeneracy table constructs, and its audit names the
     table instead of the constructor raising a KeyError."""
     D = delta(1, 2)
-    degens = {key: table for key, table in D.degens.items() if key != (1, 0)}
-    X = TruncatedSimplicialSet(2, D.simplices, D.faces, degens)
+    X = TruncatedSimplicialSet.from_names(
+        2, D.simplices,
+        lambda n, m, k: None if (n, m, k) == (1, 2, 0) else D.table(n, m, k))
     assert "missing degeneracy table s_0 at degree 1" in X.audit()
+
+
+def _operator_keys(X):
+    return [(n, m, k) for n in X.degrees() for m in (n - 1, n + 1)
+            if 0 <= m <= X.bound for k in range(n + 1)]
+
+
+def _dec_rows(X):
+    B = dec(X)
+    return st.sampled_from([B.row(q) for q in sorted(B.shape.row_top)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(standard() | standard(st.integers(min_value=1, max_value=3)).flatmap(_dec_rows))
+def test_from_names_round_trip(X):
+    """Converting a set's names view back gives its position lists, its
+    audit and its names view."""
+    Y = TruncatedSimplicialSet.from_names(X.bound, X.simplices, X.table,
+                                          basepoint=X.basepoint)
+    assert all(Y.positions(*key) == X.positions(*key) for key in _operator_keys(X))
+    assert Y.audit() == X.audit()
+    assert (Y.faces, Y.degens) == (X.faces, X.degens)
+
+
+def test_enumerated_maps_equal_maps_built_from_names():
+    H, D = horn(2, 1, 3), delta(2, 3)
+    maps = enumerate_maps(H, D)
+    named = [SimplicialMap(H, D, {n: dict(zip(H.simplices[n],
+                                              map(D.simplices[n].__getitem__,
+                                                  f.positions(n))))
+                                  for n in H.degrees()})
+             for f in maps]
+    assert maps == named
+    assert [hash(f) for f in maps] == [hash(g) for g in named]
+    inclusion = SimplicialMap(H, D, {n: {x: x for x in H.simplices[n]}
+                                     for n in H.degrees()})
+    (same,) = [f for f in maps if f == inclusion]
+    assert hash(same) == hash(inclusion)
+
+
+def test_a_pin_outside_the_target_gives_no_maps():
+    X, Y = point(2), delta(1, 2)
+    assert enumerate_maps(X, Y, fixed={(0, (0,)): (7,)}) == []
+    assert enumerate_maps(X, Y, fixed={(0, (0,)): (1,)}) != []
