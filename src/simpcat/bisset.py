@@ -249,16 +249,16 @@ def dec(Y):
     shape = BidegreeShape.staircase(Y.bound - 1)
     simplices = {(p, q): Y.simplices[p + q + 1] for (p, q) in shape.support}
 
-    def restrict(n, m, k):
-        t = Y.table(n, m, k)
-        return {x: t[x] for x in Y.simplices[n]}
+    def named(n, m, k):
+        return dict(zip(Y.simplices[n],
+                        map(Y.simplices[m].__getitem__, Y.positions(n, m, k))))
     bp = None
     if Y.is_pointed():
-        bp = Y.degen(0, 0, Y.basepoint)
+        bp = Y.simplices[1][Y.positions(0, 1, 0)[Y.simplices[0].index(Y.basepoint)]]
     return TruncatedBisimplicialSet.from_operators(
         shape, simplices,
-        lambda p, q, m, k: restrict(p + q + 1, m + q + 1, k),
-        lambda p, q, m, k: restrict(p + q + 1, p + m + 1, p + 1 + k),
+        lambda p, q, m, k: named(p + q + 1, m + q + 1, k),
+        lambda p, q, m, k: named(p + q + 1, p + m + 1, p + 1 + k),
         basepoint=bp)
 
 

@@ -498,13 +498,13 @@ def fundamental_groupoid(X):
     identities), one triangle relation per 2-simplex."""
     if X.bound < 2:
         raise CategoryError("fundamental groupoid needs bound >= 2")
-    generators = {e: (X.face(1, 1, e), X.face(1, 0, e)) for e in X.simplices[1]}
-    relations = []
-    for t in X.simplices[2]:
-        long_edge = X.face(2, 1, t)
-        first = X.face(2, 2, t)
-        second = X.face(2, 0, t)
-        relations.append((((first, 1), (second, 1)), ((long_edge, 1),)))
+    vertices, edges = X.simplices[0], X.simplices[1]
+    target, source = ([vertices[v] for v in X.positions(1, 0, i)] for i in range(2))
+    generators = dict(zip(edges, zip(source, target)))
+    second, long_edge, first = ([edges[e] for e in X.positions(2, 1, i)]
+                                for i in range(3))
+    relations = [(((f, 1), (s, 1)), ((e, 1),))
+                 for f, s, e in zip(first, second, long_edge)]
     nondegenerate = set(X.nondegenerate_positions(1))
     for p, e in enumerate(X.simplices[1]):
         if p not in nondegenerate:
