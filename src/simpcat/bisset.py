@@ -2,7 +2,9 @@
 
 Data lives over a downward-closed finite set of bidegrees.  Horizontal
 operators move the first index, vertical operators the second, and the
-two kinds commute (audited exhaustively).
+two kinds commute (audited exhaustively).  The rows and columns are
+simplicial sets on shared cells, and every construction here builds or
+reads their position lists.
 
 The left adjoint of the diagonal is computed by a confluent normal form
 on coend generators rather than a global union-find pass: every class
@@ -17,8 +19,8 @@ from __future__ import annotations
 import itertools
 
 from .sset import (MAX_VIOLATIONS, SimplicialError, SimplicialMap,
-                   TruncatedSimplicialSet, _monotone_maps, _tuple_degen,
-                   _tuple_face)
+                   TruncatedSimplicialSet, _monotone_maps, _operator_keys,
+                   _tuple_degen, _tuple_face)
 
 
 class BidegreeShape:
@@ -54,118 +56,96 @@ class BidegreeShape:
 
 
 class TruncatedBisimplicialSet:
-    """Cells per bidegree, with horizontal and vertical operator tables.
+    """`rows[q]` is the simplicial set p -> B_{p,q} with the horizontal
+    operators, `columns[p]` is q -> B_{p,q} with the vertical ones; both
+    hold the tuple `simplices[(p, q)]` of cells at (p, q).
 
     Invariant: each bidegree's cells are stored in strictly increasing
     canonical name order (:mod:`simpcat.names`).  Every constructor
     builds them from ordered simplicial sets by lexicographic extension
     or reindexing, which keeps that order."""
 
-    def __init__(self, shape, simplices, hfaces, hdegens, vfaces, vdegens,
-                 basepoint=None):
+    def __init__(self, shape, rows, columns, basepoint=None):
         self.shape = shape
-        self.simplices = {pq: tuple(simplices.get(pq, ())) for pq in shape.support}
-        self.hfaces = hfaces      # {(p, q, i): {x: y}} to (p-1, q)
-        self.hdegens = hdegens    # {(p, q, j): {x: y}} to (p+1, q)
-        self.vfaces = vfaces      # {(p, q, j): {x: y}} to (p, q-1)
-        self.vdegens = vdegens    # {(p, q, j): {x: y}} to (p, q+1)
+        self.rows = rows
+        self.columns = columns
+        self.simplices = {(p, q): rows[q].simplices[p] for (p, q) in shape.support}
         self.basepoint = basepoint
-        self._index = {pq: frozenset(self.simplices[pq]) for pq in self.simplices}
 
     @classmethod
-    def from_operators(cls, shape, simplices, htable, vtable, basepoint=None):
-        """Build from two callbacks: `htable(p, q, m, k)` returns the
-        table of the horizontal operator from (p, q) to (m, q), d_k when
-        m = p - 1 and s_k when m = p + 1; `vtable(p, q, m, k)` likewise
-        to (p, m).  A degeneracy table exists exactly where its target
-        bidegree is in the shape."""
-        hfaces, hdegens, vfaces, vdegens = {}, {}, {}, {}
-        for (p, q) in shape.support:
-            for i in range(p + 1) if p >= 1 else ():
-                hfaces[(p, q, i)] = htable(p, q, p - 1, i)
-            if (p + 1, q) in shape:
-                for j in range(p + 1):
-                    hdegens[(p, q, j)] = htable(p, q, p + 1, j)
-            for j in range(q + 1) if q >= 1 else ():
-                vfaces[(p, q, j)] = vtable(p, q, q - 1, j)
-            if (p, q + 1) in shape:
-                for j in range(q + 1):
-                    vdegens[(p, q, j)] = vtable(p, q, q + 1, j)
-        return cls(shape, simplices, hfaces, hdegens, vfaces, vdegens,
-                   basepoint)
+    def from_operators(cls, shape, simplices, horizontal, vertical, basepoint=None):
+        """Build from two callbacks that return position lists:
+        `horizontal(p, q, m, k)` the horizontal operator from (p, q) to
+        (m, q), d_k when m = p - 1 and s_k when m = p + 1;
+        `vertical(p, q, m, k)` likewise to (p, m).  A degeneracy table
+        exists exactly where its target bidegree is in the shape."""
+        rows = {q: TruncatedSimplicialSet.from_operators(
+                    top, {p: simplices[(p, q)] for p in range(top + 1)},
+                    lambda p, m, k, q=q: horizontal(p, q, m, k))
+                for q, top in shape.row_top.items()}
+        columns = {p: TruncatedSimplicialSet.from_operators(
+                       top, {q: rows[q].simplices[p] for q in range(top + 1)},
+                       lambda q, m, k, p=p: vertical(p, q, m, k))
+                   for p, top in shape.column_top.items()}
+        return cls(shape, rows, columns, basepoint)
 
-    def hface(self, p, q, i, x):
-        return self.hfaces[(p, q, i)][x]
-
-    def hdegen(self, p, q, j, x):
-        return self.hdegens[(p, q, j)][x]
-
-    def vface(self, p, q, j, x):
-        return self.vfaces[(p, q, j)][x]
-
-    def vdegen(self, p, q, j, x):
-        return self.vdegens[(p, q, j)][x]
-
-    def htable(self, p, q, m, k):
-        """Table of the horizontal d_k (m = p - 1) or s_k (m = p + 1), or
-        None when it is missing."""
-        return (self.hfaces if m < p else self.hdegens).get((p, q, k))
-
-    def vtable(self, p, q, m, k):
-        """Table of the vertical d_k (m = q - 1) or s_k (m = q + 1), or
-        None when it is missing."""
-        return (self.vfaces if m < q else self.vdegens).get((p, q, k))
-
-    def size(self, p, q):
-        return len(self.simplices[(p, q)])
+    # the names view {(p, q, k): {x: y}}, read off the rows' and columns' own
+    hfaces = property(lambda self: _joined(self.rows, "faces", True))
+    hdegens = property(lambda self: _joined(self.rows, "degens", True))
+    vfaces = property(lambda self: _joined(self.columns, "faces", False))
+    vdegens = property(lambda self: _joined(self.columns, "degens", False))
 
     def is_pointed(self):
         return self.basepoint is not None
 
     def row(self, q):
         """Horizontal simplicial set p -> B_{p,q}."""
-        if q not in self.shape.row_top:
+        if q not in self.rows:
             raise SimplicialError(f"no bidegrees with vertical index {q}")
-        bound = self.shape.row_top[q]
-        simplices = {p: self.simplices[(p, q)] for p in range(bound + 1)}
-        return TruncatedSimplicialSet.from_names(
-            bound, simplices, lambda p, m, k: self.htable(p, q, m, k))
+        return self.rows[q]
 
     def _row(self, q):
         """Cells and horizontal tables of row q, as checker callbacks."""
-        return (lambda p: self.simplices[(p, q)],
-                lambda p, m, k: self.htable(p, q, m, k))
+        return self.rows[q].simplices.__getitem__, self.rows[q].table
 
     def _column(self, p):
         """Cells and vertical tables of column p, as checker callbacks."""
-        return (lambda q: self.simplices[(p, q)],
-                lambda q, m, k: self.vtable(p, q, m, k))
+        return self.columns[p].simplices.__getitem__, self.columns[p].table
 
     def audit(self):
         """Rows and columns are simplicial sets, and each horizontal
         operator is a map of simplicial sets from column p to column m."""
-        rows, columns = self.shape.row_top, self.shape.column_top
         v = []
-        for q, top in sorted(rows.items()):
-            v += _prefixed(f"row {q}: ", TruncatedSimplicialSet.identity_failures(
-                top, *self._row(q)))
-        for p, top in sorted(columns.items()):
-            v += _prefixed(f"column {p}: ", TruncatedSimplicialSet.identity_failures(
-                top, *self._column(p)))
+        for q, row in sorted(self.rows.items()):
+            v += [f"row {q}: {msg}" for msg in row.audit()]
+        for p, column in sorted(self.columns.items()):
+            v += [f"column {p}: {msg}" for msg in column.audit()]
         if not v:
-            for p, top in sorted(columns.items()):
+            for p in sorted(self.columns):
                 for m in (p - 1, p + 1):
-                    for k in range(p + 1) if m in columns else ():
+                    for k in range(p + 1) if m in self.columns else ():
                         op = f"d_{k}" if m < p else f"s_{k}"
-                        v += _prefixed(
-                            f"horizontal {op} from column {p}: ",
-                            SimplicialMap.commutation_failures(
-                                min(top, columns[m]), *self._column(p),
-                                *self._column(m),
-                                lambda q: self.htable(p, q, m, k)))
-        if self.basepoint is not None and self.basepoint not in self._index[(0, 0)]:
+                        v += _prefixed(f"horizontal {op} from column {p}: ",
+                                       self._commutation_failures(p, m, k))
+        if self.basepoint is not None and not self.rows[0].has(0, self.basepoint):
             v.append("basepoint is not a (0,0)-simplex")
         return v[:MAX_VIOLATIONS]
+
+    def _commutation_failures(self, p, m, k):
+        """Each vertical operator, and each column-p cell, on which the
+        horizontal d_k (m = p - 1) or s_k (m = p + 1) from column p to
+        column m does not commute with it, compared as composed lists."""
+        source, target = self.columns[p], self.columns[m]
+        h = [self.rows[q].positions(p, m, k)
+             for q in range(min(source.bound, target.bound) + 1)]
+        for q, q2, j in _operator_keys(len(h) - 1):
+            left = list(map(h[q2].__getitem__, source.positions(q, q2, j)))
+            right = list(map(target.positions(q, q2, j).__getitem__, h[q]))
+            if left != right:
+                op = "d" if q2 < q else "s"
+                yield from (f"{op}_{j} not preserved on {x!r} at degree {q}"
+                            for x, a, b in zip(source.simplices[q], left, right)
+                            if a != b)
 
     def __repr__(self):
         return (f"TruncatedBisimplicialSet({len(self.shape.support)} bidegrees, "
@@ -199,6 +179,13 @@ class BisimplicialMap:
         return v[:MAX_VIOLATIONS]
 
 
+def _joined(lines, part, horizontal):
+    """The names view `part` ("faces" or "degens") of each row or column
+    in `lines`, keyed by (p, q, k)."""
+    return {(n, i, k) if horizontal else (i, n, k): t
+            for i, X in lines.items() for (n, k), t in getattr(X, part).items()}
+
+
 def _prefixed(prefix, failures):
     """The first `MAX_VIOLATIONS` failure messages, each after `prefix`."""
     return [prefix + msg for msg in itertools.islice(failures, MAX_VIOLATIONS)]
@@ -214,16 +201,17 @@ def box_product(X, Y):
     simplices = {(p, q): tuple((x, y) for x in X.simplices[p] for y in Y.simplices[q])
                  for (p, q) in shape.support}
 
-    def htable(p, q, m, k):
-        t = X.table(p, m, k)
-        return {(x, y): (t[x], y) for x, y in simplices[(p, q)]}
+    # (x, y) at (p, q) sits at position x * Y.size(q) + y
+    def horizontal(p, q, m, k):
+        width = Y.size(q)
+        return [a * width + b for a in X.positions(p, m, k) for b in range(width)]
 
-    def vtable(p, q, m, k):
-        t = Y.table(q, m, k)
-        return {(x, y): (x, t[y]) for x, y in simplices[(p, q)]}
+    def vertical(p, q, m, k):
+        t, width = Y.positions(q, m, k), Y.size(m)
+        return [a * width + b for a in range(X.size(p)) for b in t]
     bp = (X.basepoint, Y.basepoint) if X.is_pointed() and Y.is_pointed() else None
-    return TruncatedBisimplicialSet.from_operators(shape, simplices, htable,
-                                                   vtable, basepoint=bp)
+    return TruncatedBisimplicialSet.from_operators(shape, simplices, horizontal,
+                                                   vertical, basepoint=bp)
 
 
 def diag(B):
@@ -232,13 +220,13 @@ def diag(B):
     if not ns:
         raise SimplicialError("shape has empty diagonal")
     bound = max(ns)
-    simplices = {n: B.simplices[(n, n)] for n in range(bound + 1)}
 
     def table(n, m, k):
-        v, h = B.vtable(n, n, m, k), B.htable(n, m, m, k)
-        return {x: h[v[x]] for x in simplices[n]}
-    return TruncatedSimplicialSet.from_names(bound, simplices, table,
-                                                 basepoint=B.basepoint)
+        v, h = B.columns[n].positions(n, m, k), B.rows[m].positions(n, m, k)
+        return list(map(h.__getitem__, v))
+    return TruncatedSimplicialSet.from_operators(
+        bound, {n: B.simplices[(n, n)] for n in range(bound + 1)}, table,
+        basepoint=B.basepoint)
 
 
 def dec(Y):
@@ -248,17 +236,13 @@ def dec(Y):
         raise SimplicialError("decalage needs bound >= 1")
     shape = BidegreeShape.staircase(Y.bound - 1)
     simplices = {(p, q): Y.simplices[p + q + 1] for (p, q) in shape.support}
-
-    def named(n, m, k):
-        return dict(zip(Y.simplices[n],
-                        map(Y.simplices[m].__getitem__, Y.positions(n, m, k))))
     bp = None
     if Y.is_pointed():
         bp = Y.simplices[1][Y.positions(0, 1, 0)[Y.simplices[0].index(Y.basepoint)]]
     return TruncatedBisimplicialSet.from_operators(
         shape, simplices,
-        lambda p, q, m, k: named(p + q + 1, m + q + 1, k),
-        lambda p, q, m, k: named(p + q + 1, p + m + 1, p + 1 + k),
+        lambda p, q, m, k: Y.positions(p + q + 1, m + q + 1, k),
+        lambda p, q, m, k: Y.positions(p + q + 1, p + m + 1, p + 1 + k),
         basepoint=bp)
 
 
@@ -266,33 +250,41 @@ def dec(Y):
 # left adjoint of the diagonal
 # ---------------------------------------------------------------------
 
-def _codegen_compose(t, j):
-    """Postcompose a vertex tuple with the codegeneracy [n] -> [n-1]
-    collapsing j, j+1."""
-    return tuple(v if v <= j else v - 1 for v in t)
+def _last_degeneracies(X):
+    """{n: list}: for each degree-n position, the largest j whose s_j has
+    that cell in its image (the first letter of its Eilenberg-Zilber
+    word), or -1 for a nondegenerate cell."""
+    last = {n: [-1] * X.size(n) for n in X.degrees()}
+    for n in range(1, X.bound + 1):
+        for j in range(n):
+            for q in X.positions(n - 1, n, j):
+                last[n][q] = j
+    return last
 
 
-def dstar_normalize(X, n, x, alpha, beta):
-    """Canonical representative of the coend class of (x, alpha, beta):
-    shrink to the joint image, strip degeneracies of x, repeat."""
+def dstar_normalize(X, last, n, x, alpha, beta):
+    """Canonical representative of the coend class of (x, alpha, beta),
+    x a position in degree n of X and `last` its
+    `_last_degeneracies`: shrink to the joint image, strip degeneracies
+    of x, repeat."""
     while True:
-        img = sorted(set(alpha) | set(beta))
+        img = set(alpha) | set(beta)
         if len(img) != n + 1:
-            pos = {v: k for k, v in enumerate(img)}
-            missing = [i for i in range(n + 1) if i not in pos]
-            for i in reversed(missing):
-                x = X.face(n, i, x)
-                n -= 1
+            pos = {v: k for k, v in enumerate(sorted(img))}
+            for i in reversed(range(n + 1)):
+                if i not in img:
+                    x = X.positions(n, n - 1, i)[x]
+                    n -= 1
             alpha = tuple(pos[v] for v in alpha)
             beta = tuple(pos[v] for v in beta)
             continue
-        base, word = X.ez(n, x)
-        if word:
-            j = word[0]
-            x = X.face(n, j, x)
+        j = last[n][x]
+        if j >= 0:
+            x = X.positions(n, n - 1, j)[x]
             n -= 1
-            alpha = _codegen_compose(alpha, j)
-            beta = _codegen_compose(beta, j)
+            # postcompose with the codegeneracy [n] -> [n-1] collapsing j, j+1
+            alpha = tuple(v - (v > j) for v in alpha)
+            beta = tuple(v - (v > j) for v in beta)
             continue
         return (n, x, alpha, beta)
 
@@ -302,54 +294,63 @@ def d_star(X):
     determines it: cells at (p, q) are (n, x, alpha, beta) with x a
     nondegenerate n-simplex and alpha: [p] -> [n], beta: [q] -> [n]
     jointly surjective."""
+    return _d_star(X)[0]
+
+
+def _d_star(X):
+    """d_star(X), and per bidegree its cells with x given by its
+    position in X."""
     if X.bound < 0:
         raise SimplicialError("invalid bound")
     shape = BidegreeShape.staircase(X.bound - 1) if X.bound >= 1 \
         else BidegreeShape.rectangle(0, 0)
-    simplices = {}
+    cells = {}
     for (p, q) in shape.support:
-        cells = []
+        level = []
         for n in range(min(X.bound, p + q + 1) + 1):
-            for x in X.nondegenerate(n):
+            for x in X.nondegenerate_positions(n):
                 for alpha in _monotone_maps(p, n):
                     aset = set(alpha)
                     if len(aset) + q + 1 < n + 1:
                         continue
                     for beta in _monotone_maps(q, n):
                         if aset | set(beta) == set(range(n + 1)):
-                            cells.append((n, x, alpha, beta))
-        simplices[(p, q)] = tuple(cells)
+                            level.append((n, x, alpha, beta))
+        cells[(p, q)] = level
+    index = {pq: {c: i for i, c in enumerate(level)} for pq, level in cells.items()}
+    last = _last_degeneracies(X)
 
-    def htable(p, q, m, k):
-        cells = simplices[(p, q)]
+    def horizontal(p, q, m, k):
         if m < p:
-            return {c: dstar_normalize(X, c[0], c[1], _tuple_face(c[2], k), c[3])
-                    for c in cells}
-        return {c: (c[0], c[1], _tuple_degen(c[2], k), c[3]) for c in cells}
+            return [index[(m, q)][dstar_normalize(X, last, n, x, _tuple_face(a, k), b)]
+                    for n, x, a, b in cells[(p, q)]]
+        return [index[(m, q)][n, x, _tuple_degen(a, k), b] for n, x, a, b in cells[(p, q)]]
 
-    def vtable(p, q, m, k):
-        cells = simplices[(p, q)]
+    def vertical(p, q, m, k):
         if m < q:
-            return {c: dstar_normalize(X, c[0], c[1], c[2], _tuple_face(c[3], k))
-                    for c in cells}
-        return {c: (c[0], c[1], c[2], _tuple_degen(c[3], k)) for c in cells}
-    bp = None
-    if X.is_pointed():
-        bp = (0, X.basepoint, (0,), (0,))
-    return TruncatedBisimplicialSet.from_operators(shape, simplices, htable,
-                                                   vtable, basepoint=bp)
+            return [index[(p, m)][dstar_normalize(X, last, n, x, a, _tuple_face(b, k))]
+                    for n, x, a, b in cells[(p, q)]]
+        return [index[(p, m)][n, x, a, _tuple_degen(b, k)] for n, x, a, b in cells[(p, q)]]
+    simplices = {pq: tuple([(n, X.simplices[n][x], a, b) for n, x, a, b in level])
+                 for pq, level in cells.items()}
+    bp = (0, X.basepoint, (0,), (0,)) if X.is_pointed() else None
+    return TruncatedBisimplicialSet.from_operators(shape, simplices, horizontal,
+                                                   vertical, basepoint=bp), cells
 
 
 def d_star_map(f):
     """Functoriality of d_star on simplicial maps."""
-    B, C = d_star(f.source), d_star(f.target)
+    B, cells = _d_star(f.source)
+    C = d_star(f.target)
     Y = f.target
+    last = _last_degeneracies(Y)
     assign = {}
-    for (p, q) in B.shape.support:
-        level = {}
-        for (n, x, alpha, beta) in B.simplices[(p, q)]:
-            level[(n, x, alpha, beta)] = dstar_normalize(Y, n, f(n, x), alpha, beta)
-        assign[(p, q)] = level
+    for pq, level in cells.items():
+        images = []
+        for n, x, alpha, beta in level:
+            m, y, a, b = dstar_normalize(Y, last, n, f.positions(n)[x], alpha, beta)
+            images.append((m, Y.simplices[m][y], a, b))
+        assign[pq] = dict(zip(B.simplices[pq], images))
     return BisimplicialMap(B, C, assign)
 
 
@@ -366,47 +367,37 @@ def wbar(B):
         bound += 1
     if bound < 0:
         raise SimplicialError("shape does not contain the (0,0) antidiagonal")
+    rows, columns = B.rows, B.columns
 
-    simplices = {}
+    # each simplex as the tuple of the positions of its cells
+    tuples = {}
     for n in range(bound + 1):
-        tuples = [(x,) for x in B.simplices[(0, n)]]
+        level = [(x,) for x in range(len(B.simplices[(0, n)]))]
         for p in range(1, n + 1):
             by_hface = {}
-            for y in B.simplices[(p, n - p)]:
-                by_hface.setdefault(B.hface(p, n - p, p, y), []).append(y)
-            tuples = [t + (y,)
-                      for t in tuples
-                      for y in by_hface.get(B.vface(p - 1, n - p + 1, 0, t[-1]), [])]
-        simplices[n] = tuple(tuples)
-    index = {n: frozenset(simplices[n]) for n in simplices}
-
-    def face(n, i, t):
-        out = []
-        for p in range(n):
-            if p < i:
-                out.append(B.vface(p, n - p, i - p, t[p]))
-            else:
-                out.append(B.hface(p + 1, n - p - 1, i, t[p + 1]))
-        cell = tuple(out)
-        if cell not in index[n - 1]:
-            raise SimplicialError(f"codiagonal face left the matching set at degree {n}")
-        return cell
-
-    def degen(n, j, t):
-        out = []
-        for p in range(n + 2):
-            if p <= j:
-                out.append(B.vdegen(p, n - p, j - p, t[p]))
-            else:
-                out.append(B.hdegen(p - 1, n - p + 1, j, t[p - 1]))
-        cell = tuple(out)
-        if cell not in index[n + 1]:
-            raise SimplicialError(f"codiagonal degeneracy left the matching set at degree {n}")
-        return cell
+            for y, x in enumerate(rows[n - p].positions(p, p - 1, p)):
+                by_hface.setdefault(x, []).append(y)
+            dv0 = columns[p - 1].positions(n - p + 1, n - p, 0)
+            level = [t + (y,) for t in level for y in by_hface.get(dv0[t[-1]], ())]
+        tuples[n] = level
+    index = {n: {t: i for i, t in enumerate(level)} for n, level in tuples.items()}
 
     def table(n, m, k):
-        op = face if m < n else degen
-        return {t: op(n, k, t) for t in simplices[n]}
+        # entry p of the image of t is op[t[a]], for (op, a) = parts[p]:
+        # a vertical operator on t[p] up to index k, a horizontal one after
+        step = n - m
+        parts = [(columns[p].positions(n - p, m - p, k - p), p) if p < k + (step < 0)
+                 else (rows[m - p].positions(p + step, p, k), p + step)
+                 for p in range(m + 1)]
+        try:
+            return [index[m][tuple([op[t[a]] for op, a in parts])] for t in tuples[n]]
+        except KeyError:
+            kind = "face" if m < n else "degeneracy"
+            raise SimplicialError(
+                f"codiagonal {kind} left the matching set at degree {n}") from None
+    simplices = {n: tuple([tuple([B.simplices[(p, n - p)][x] for p, x in enumerate(t)])
+                           for t in level])
+                 for n, level in tuples.items()}
     bp = (B.basepoint,) if B.is_pointed() else None
-    return TruncatedSimplicialSet.from_names(bound, simplices, table,
+    return TruncatedSimplicialSet.from_operators(bound, simplices, table,
                                                  basepoint=bp)

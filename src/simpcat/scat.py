@@ -10,10 +10,11 @@ functors are enumerated by the hom search of :mod:`simpcat.sset`, on the
 position lists of each level's numbered nerve and of the structure
 functors' object and morphism images.
 
-The diagonal nerve is built on numbered chains: its tables and the
-images of `diag_nerve_iso_map` are position lists, taken straight from
-the chain operator and the structure functors, and its cells are named
-once, as they are listed.
+The levelwise and diagonal nerves are built on numbered chains: their
+tables and the images of `diag_nerve_iso_map` are position lists, taken
+straight from the chain operator and the structure functors, and their
+cells are named once, as they are listed.  The diagonal nerve is built
+directly: `diag` of the levelwise nerve would build every bidegree.
 """
 
 from __future__ import annotations
@@ -192,18 +193,20 @@ def pi_levelwise(B, closure_bound=20000):
             raise BoundExceeded(f"row {n}: {e}") from e
         levels[n] = records[n].category
 
+    def image(p, n, m, k):
+        """The vertical d_k or s_k from (p, n) to (p, m), as names."""
+        return dict(zip(B.simplices[(p, n)],
+                        map(B.simplices[(p, m)].__getitem__,
+                            B.columns[p].positions(n, m, k))))
+
     def table(n, m, k):
-        vertices, edges = B.vtable(0, n, m, k), B.vtable(1, n, m, k)
-        obj_map = {v: vertices[v] for v in B.simplices[(0, n)]}
-        gen_map = {e: records[m].genmap[edges[e]] for e in B.simplices[(1, n)]}
-        return records[n].induced_functor(levels[m], obj_map, gen_map)
+        gen_map = {e: records[m].genmap[y] for e, y in image(1, n, m, k).items()}
+        return records[n].induced_functor(levels[m], image(0, n, m, k), gen_map)
     basepoints = None
     if B.is_pointed():
         basepoints = {0: B.basepoint}
-        bp = B.basepoint
         for n in range(top):
-            bp = B.vdegen(0, n, 0, bp)
-            basepoints[n + 1] = bp
+            basepoints[n + 1] = image(0, n, n + 1, 0)[basepoints[n]]
     return SimplicialCategory.from_operators(top, levels, table, basepoints,
                                              records=records)
 
@@ -244,21 +247,19 @@ def nerve_iso_levelwise(S, depth=None):
         for p, cs in G.chains(range(depth + 1)).items():
             chains[(p, n)] = cs
             simplices[(p, n)] = G.chain_names(p, cs)
-    name = {pq: dict(zip(cs, simplices[pq])) for pq, cs in chains.items()}
+    index = {pq: {c: i for i, c in enumerate(cs)} for pq, cs in chains.items()}
 
-    def htable(p, n, m, k):
+    def horizontal(p, n, m, k):
         op = groupoids[n].chain_operator(p, m, k)
-        return dict(zip(simplices[(p, n)], map(name[(m, n)].__getitem__,
-                                               map(op, chains[(p, n)]))))
+        return list(map(index[(m, n)].__getitem__, map(op, chains[(p, n)])))
 
-    def vtable(p, n, m, k):
+    def vertical(p, n, m, k):
         F = _on_iso(S.table(n, m, k), groupoids[n], groupoids[m])
-        return dict(zip(simplices[(p, n)], map(name[(p, m)].__getitem__,
-                                               map(F.on_chain(p),
-                                                   chains[(p, n)]))))
+        return list(map(index[(p, m)].__getitem__,
+                        map(F.on_chain(p), chains[(p, n)])))
     bp = S.basepoints[0] if S.is_pointed() else None
-    return TruncatedBisimplicialSet.from_operators(shape, simplices, htable,
-                                                   vtable, basepoint=bp)
+    return TruncatedBisimplicialSet.from_operators(shape, simplices, horizontal,
+                                                   vertical, basepoint=bp)
 
 
 def diag_nerve_iso(S):

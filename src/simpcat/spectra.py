@@ -144,20 +144,18 @@ def mapping_space(X, C, n_max=None):
 # ---------------------------------------------------------------------
 
 def _loop_class_count(X, v, bound):
-    """Order of the edge-path group at v, or None when the bounded
-    closure does not finish; "infinite" when the abelianization has
-    positive free rank."""
+    """Order of the edge-path group at v: "infinite" when the
+    abelianization has positive free rank, else the size of the bounded
+    coset closure, or None when it does not finish."""
     P = edge_path_group(X, v)
+    if abelianization(P).free_rank > 0:
+        return "infinite"
     relators = []
     for w in P.relators:
         relators.append(tuple(2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1
                               for g in w))
     table = _coset_closure(len(P.generators), relators, bound)
-    if table is not None:
-        return len(table)
-    if abelianization(P).free_rank > 0:
-        return "infinite"
-    return None
+    return None if table is None else len(table)
 
 
 class OmegaProbeReport:

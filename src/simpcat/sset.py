@@ -16,6 +16,8 @@ are derived from the degeneracy lists on first use, by `ez`,
 always agree with the tables and a set that is never asked for them
 never computes them.
 
+A bisimplicial set stores its rows and columns as such sets.
+
 Homs are enumerated by one search on position lists,
 `SimplicialMap.commuting_maps`, which `enumerate_maps` runs on two
 simplicial sets and `cat` and `scat` on numbered nerves.

@@ -1,8 +1,12 @@
 from itertools import combinations_with_replacement
 
+from hypothesis import given, settings, strategies as st
+
 from simpcat.bisset import (BidegreeShape, box_product, d_star, dec, diag,
                             wbar)
+from simpcat.homology import homology_list
 from simpcat.sset import boundary, delta, product_sset, sphere
+from strategies import standard
 
 
 def monotone_maps(k, n):
@@ -110,3 +114,21 @@ def test_shapes():
     assert (2, 3) in r and (3, 3) not in r
     s = BidegreeShape.staircase(3)
     assert (1, 2) in s and (2, 2) not in s
+
+
+def _bisimplicial_sets(Y):
+    """dec Y (when its bound allows), d_star Y and Y box delta(1)."""
+    return (([dec(Y)] if Y.bound >= 1 else [])
+            + [d_star(Y), box_product(Y, delta(1, Y.bound))])
+
+
+@settings(max_examples=50, deadline=None)
+@given(standard(st.integers(min_value=0, max_value=5)))
+def test_diag_and_wbar_have_the_same_homology(Y):
+    """Cegarra & Remedios: diag B and wbar B are weakly equivalent, so
+    their homologies agree in every degree that both certify."""
+    for B in _bisimplicial_sets(Y):
+        assert B.audit() == []
+        D, W = diag(B), wbar(B)
+        t = min(D.bound, W.bound) - 1
+        assert homology_list(D, t) == homology_list(W, t)

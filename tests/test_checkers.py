@@ -11,26 +11,29 @@ from simpcat.scat import SimplicialFunctor, s0_scat
 from simpcat.sset import SimplicialMap, TruncatedSimplicialSet, delta
 
 
+def _position_lists(X):
+    """The stored position lists of X, each with the positions of its
+    target degree."""
+    return [(X.positions(n, m, k), range(X.size(m)))
+            for n in X.degrees() for m in (n - 1, n + 1)
+            if 0 <= m <= X.bound for k in range(n + 1)]
+
+
 def _sset():
-    """The stored position lists, each with the positions of its target
-    degree."""
     X = delta(1, 3)
-    tables = [(X.positions(n, m, k), range(X.size(m)))
-              for n in X.degrees() for m in (n - 1, n + 1)
-              if 0 <= m <= X.bound for k in range(n + 1)]
-    return X.audit, tables
-
-
-def _bisset_tables(B):
-    return ([(t, B.simplices[(p - 1, q)]) for (p, q, i), t in B.hfaces.items()]
-            + [(t, B.simplices[(p + 1, q)]) for (p, q, i), t in B.hdegens.items()]
-            + [(t, B.simplices[(p, q - 1)]) for (p, q, j), t in B.vfaces.items()]
-            + [(t, B.simplices[(p, q + 1)]) for (p, q, j), t in B.vdegens.items()])
+    return X.audit, _position_lists(X)
 
 
 def _bisset():
-    B = dec(delta(1, 3))
-    return B.audit, _bisset_tables(B)
+    """Every row's and every column's position lists.  `dec` shares its
+    lists with the set it shifts, so each table gets its own copy first."""
+    D = dec(delta(1, 3))
+    B = TruncatedBisimplicialSet.from_operators(
+        D.shape, D.simplices,
+        lambda p, q, m, k: list(D.rows[q].positions(p, m, k)),
+        lambda p, q, m, k: list(D.columns[p].positions(q, m, k)))
+    return B.audit, [table for X in (*B.rows.values(), *B.columns.values())
+                     for table in _position_lists(X)]
 
 
 def _functor_tables(functors):
@@ -90,28 +93,33 @@ def test_every_single_entry_corruption_is_reported(make):
 
 def test_row_whose_twin_cell_breaks_s1_s0_is_reported():
     B = box_product(delta(0, 2), delta(0, 0))      # one row, p = 0..2
-    v = B.simplices[(0, 0)][0]
-    s0v = B.hdegen(0, 0, 0, v)
+    R = B.row(0)
+    v = R.simplices[0][0]
+    s0v = R.degen(0, 0, v)
     twin = ("twin", 0)
-    simplices = dict(B.simplices)
-    simplices[(2, 0)] = simplices[(2, 0)] + (twin,)
-    hfaces = {key: dict(t) for key, t in B.hfaces.items()}
+    simplices = dict(R.simplices)
+    simplices[2] = simplices[2] + (twin,)
+    faces = {key: dict(t) for key, t in R.faces.items()}
     for i in range(3):
-        hfaces[(2, 0, i)][twin] = s0v               # same faces as s_0 s_0 v
-    hdegens = {key: dict(t) for key, t in B.hdegens.items()}
-    hdegens[(1, 0, 1)][s0v] = twin                  # s_1 s_0 v != s_0 s_0 v
-    C = TruncatedBisimplicialSet(B.shape, simplices, hfaces, hdegens,
-                                 B.vfaces, B.vdegens)
+        faces[(2, i)][twin] = s0v                   # same faces as s_0 s_0 v
+    degens = {key: dict(t) for key, t in R.degens.items()}
+    degens[(1, 1)][s0v] = twin                      # s_1 s_0 v != s_0 s_0 v
+    row = TruncatedSimplicialSet.from_names(
+        R.bound, simplices, lambda n, m, k: (faces if m < n else degens)[n, k])
+    column = TruncatedSimplicialSet(0, {0: simplices[2]}, {})
+    C = TruncatedBisimplicialSet(B.shape, {0: row}, {**B.columns, 2: column})
     assert any("s_1 s_0 != s_0 s_0" in msg for msg in C.audit())
 
 
 def test_missing_bisimplicial_degeneracy_entry_is_reported():
     B = dec(delta(1, 3))
-    hdegens = {key: dict(t) for key, t in B.hdegens.items()}
-    table = hdegens[(0, 1, 0)]
+    R = B.row(1)
+    degens = {key: dict(t) for key, t in R.degens.items()}
+    table = degens[(0, 0)]
     del table[next(iter(table))]
-    C = TruncatedBisimplicialSet(B.shape, B.simplices, B.hfaces, hdegens,
-                                 B.vfaces, B.vdegens)
+    row = TruncatedSimplicialSet.from_names(
+        R.bound, R.simplices, lambda n, m, k: (R.faces if m < n else degens)[n, k])
+    C = TruncatedBisimplicialSet(B.shape, {**B.rows, 1: row}, B.columns)
     assert any("undefined" in msg for msg in C.audit())
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from simpcat import spectra
 from simpcat.cat import CategoryError, cyclic_group
 from simpcat.homology import ProbeVerdict, homology_list
 from simpcat.scat import (add_basepoint, constant_scat, diag_nerve_iso,
@@ -65,6 +66,15 @@ def test_omega_probe_confirms_terminal_spectrum():
     rep = omega_spectrum_probe(terminal_spectrum(3))
     assert rep.overall == "confirmed"
     assert all(v.kind == "confirmed" for v in rep.verdicts)
+
+
+def test_circle_loop_count_is_infinite_without_a_coset_closure(monkeypatch):
+    """Positive free rank answers "infinite" before any closure runs."""
+    def closure(*args):
+        raise AssertionError("coset closure ran")
+    monkeypatch.setattr(spectra, "_coset_closure", closure)
+    X = sphere(1, 3)
+    assert spectra._loop_class_count(X, X.basepoint, 20000) == "infinite"
 
 
 def test_omega_report_overall_logic():
