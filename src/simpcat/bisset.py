@@ -17,10 +17,11 @@ independent oracle for this normalization.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .sset import (MAX_VIOLATIONS, SimplicialError, SimplicialMap,
                    TruncatedSimplicialSet, _monotone_maps, _operator_keys,
-                   _tuple_degen, _tuple_face)
+                   _tuple_degen)
 
 
 class BidegreeShape:
@@ -293,65 +294,74 @@ def d_star(X):
     """Left adjoint of diag, on the staircase where bound-D data
     determines it: cells at (p, q) are (n, x, alpha, beta) with x a
     nondegenerate n-simplex and alpha: [p] -> [n], beta: [q] -> [n]
-    jointly surjective."""
+    jointly surjective.  Built once per set."""
     return _d_star(X)[0]
 
 
+_D_STARS = weakref.WeakKeyDictionary()
+
+
 def _d_star(X):
-    """d_star(X), and per bidegree its cells with x given by its
-    position in X."""
+    """`_build_d_star(X)`, built on the first call for X and kept in
+    `_D_STARS` only as long as X lives."""
+    if X not in _D_STARS:
+        _D_STARS[X] = _build_d_star(X)
+    return _D_STARS[X]
+
+
+def _build_d_star(X):
+    """d_star(X), per bidegree its cells with x given by its position
+    in X, and `_last_degeneracies(X)`."""
     if X.bound < 0:
         raise SimplicialError("invalid bound")
     shape = BidegreeShape.staircase(X.bound - 1) if X.bound >= 1 \
         else BidegreeShape.rectangle(0, 0)
     cells = {}
+    degrees = [n for n in X.degrees() if X.nondegenerate_positions(n)]
     for (p, q) in shape.support:
-        level = []
-        for n in range(min(X.bound, p + q + 1) + 1):
-            for x in X.nondegenerate_positions(n):
-                for alpha in _monotone_maps(p, n):
-                    aset = set(alpha)
-                    if len(aset) + q + 1 < n + 1:
-                        continue
-                    for beta in _monotone_maps(q, n):
-                        if aset | set(beta) == set(range(n + 1)):
-                            level.append((n, x, alpha, beta))
-        cells[(p, q)] = level
+        level = cells[(p, q)] = []
+        for n in [n for n in degrees if n <= p + q + 1]:
+            onto = [(a, b) for a in _monotone_maps(p, n) if len(set(a)) + q >= n
+                    for b in _monotone_maps(q, n) if len(set(a) | set(b)) == n + 1]
+            level += [(n, x, a, b) for x in X.nondegenerate_positions(n) for a, b in onto]
     index = {pq: {c: i for i, c in enumerate(level)} for pq, level in cells.items()}
     last = _last_degeneracies(X)
 
+    def faces(at, triples):
+        # the positions in `at` of faces not yet normalized; a face that
+        # is still a representative is found there as it is
+        return [at[c if c in at else dstar_normalize(X, last, *c)] for c in triples]
+
     def horizontal(p, q, m, k):
         if m < p:
-            return [index[(m, q)][dstar_normalize(X, last, n, x, _tuple_face(a, k), b)]
-                    for n, x, a, b in cells[(p, q)]]
+            return faces(index[(m, q)], [(n, x, a[:k] + a[k + 1:], b)
+                                         for n, x, a, b in cells[(p, q)]])
         return [index[(m, q)][n, x, _tuple_degen(a, k), b] for n, x, a, b in cells[(p, q)]]
 
     def vertical(p, q, m, k):
         if m < q:
-            return [index[(p, m)][dstar_normalize(X, last, n, x, a, _tuple_face(b, k))]
-                    for n, x, a, b in cells[(p, q)]]
+            return faces(index[(p, m)], [(n, x, a, b[:k] + b[k + 1:])
+                                         for n, x, a, b in cells[(p, q)]])
         return [index[(p, m)][n, x, a, _tuple_degen(b, k)] for n, x, a, b in cells[(p, q)]]
     simplices = {pq: tuple([(n, X.simplices[n][x], a, b) for n, x, a, b in level])
                  for pq, level in cells.items()}
     bp = (0, X.basepoint, (0,), (0,)) if X.is_pointed() else None
     return TruncatedBisimplicialSet.from_operators(shape, simplices, horizontal,
-                                                   vertical, basepoint=bp), cells
+                                                   vertical, basepoint=bp), cells, last
 
 
 def d_star_map(f):
     """Functoriality of d_star on simplicial maps."""
-    B, cells = _d_star(f.source)
-    C = d_star(f.target)
+    B, cells, _ = _d_star(f.source)
+    C, _, last = _d_star(f.target)
     Y = f.target
-    last = _last_degeneracies(Y)
-    assign = {}
-    for pq, level in cells.items():
-        images = []
-        for n, x, alpha, beta in level:
-            m, y, a, b = dstar_normalize(Y, last, n, f.positions(n)[x], alpha, beta)
-            images.append((m, Y.simplices[m][y], a, b))
-        assign[pq] = dict(zip(B.simplices[pq], images))
-    return BisimplicialMap(B, C, assign)
+
+    def image(n, x, alpha, beta):
+        m, y, a, b = dstar_normalize(Y, last, n, f.positions(n)[x], alpha, beta)
+        return (m, Y.simplices[m][y], a, b)
+    return BisimplicialMap(B, C, {
+        pq: dict(zip(B.simplices[pq], itertools.starmap(image, level)))
+        for pq, level in cells.items()})
 
 
 # ---------------------------------------------------------------------

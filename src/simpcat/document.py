@@ -20,7 +20,8 @@ from .scat import (SimplicialCategory, add_basepoint, constant_pointed_scat,
                    constant_scat, pi_levelwise, s0_scat)
 from .spectra import sigma_infinity, terminal_spectrum
 from .sset import (SimplicialError, SimplicialMap, TruncatedSimplicialSet,
-                   boundary, c_sigma, delta, horn, point, sphere, two_point)
+                   _operator_keys, boundary, c_sigma, delta, horn, point,
+                   sphere, two_point)
 
 SCHEMA = "simpcat-document/1"
 
@@ -49,35 +50,24 @@ def decode_name(obj):
     raise DocumentError(f"bad name payload {obj!r}")
 
 
-def _keys(cells):
-    """{cell: its JSON-encoded table key}, so that each cell is encoded
-    once however many tables it keys."""
-    return {x: json.dumps(encode_name(x)) for x in cells}
-
-
-def _encode_table(keys, table, what):
-    """`table` with each source cell replaced by its key in `keys`; a
-    source that is not a cell of its degree raises a DocumentError."""
-    try:
-        return {keys[x]: encode_name(y) for x, y in table.items()}
-    except KeyError as stray:
-        raise DocumentError(f"{what}: key {stray.args[0]!r} is not a cell "
-                            f"of its degree") from None
-
-
 def _encode_sset(X):
-    keys = [_keys(X.simplices[n]) for n in X.degrees()]
-    data = {
-        "bound": X.bound,
-        "simplices": {str(n): [encode_name(x) for x in X.simplices[n]]
-                      for n in X.degrees()},
-        "faces": {f"{n},{i}": _encode_table(keys[n], X.faces[(n, i)],
-                                            f"d_{i} out of degree {n}")
-                  for (n, i) in sorted(X.faces)},
-        "degens": {f"{n},{j}": _encode_table(keys[n], X.degens[(n, j)],
-                                             f"s_{j} out of degree {n}")
-                   for (n, j) in sorted(X.degens)},
-    }
+    """Each degree's cells are encoded once, and each table is written
+    by indexing them with its position list."""
+    names = [[encode_name(x) for x in X.simplices[n]] for n in X.degrees()]
+    keys = [list(map(json.dumps, level)) for level in names]
+    data = {"bound": X.bound,
+            "simplices": {str(n): level for n, level in enumerate(names)},
+            "faces": {}, "degens": {}}
+    for n, m, k in _operator_keys(X.bound):
+        part, op = ("faces", f"d_{k}") if m < n else ("degens", f"s_{k}")
+        if (n, m, k) in X._failed:
+            # a table of names that did not convert wholly
+            stray = [x for x in X.table(n, m, k) or () if not X.has(n, x)]
+            raise DocumentError(f"{op} out of degree {n}: " + (
+                f"key {stray[0]!r} is not a cell of its degree" if stray
+                else X._failed[n, m, k][0]))
+        t = X.positions(n, m, k)
+        data[part][f"{n},{k}"] = dict(zip(keys[n], map(names[m].__getitem__, t)))
     if X.is_pointed():
         data["basepoint"] = encode_name(X.basepoint)
     return data
@@ -207,7 +197,7 @@ def _tables(data, part, simplices):
 
 
 def _encode_category(C):
-    keys = _keys(C.morphisms)
+    keys = {m: json.dumps(encode_name(m)) for m in C.morphisms}
     return {
         "objects": [encode_name(o) for o in C.objects],
         "morphisms": [encode_name(m) for m in C.morphisms],

@@ -1,11 +1,16 @@
+import gc
+import weakref
 from itertools import combinations_with_replacement
 
 from hypothesis import given, settings, strategies as st
 
-from simpcat.bisset import (BidegreeShape, box_product, d_star, dec, diag,
-                            wbar)
+from simpcat import bisset
+from simpcat.bisset import (BidegreeShape, box_product, d_star, d_star_map,
+                            dec, diag, wbar)
 from simpcat.homology import homology_list
-from simpcat.sset import boundary, delta, product_sset, sphere
+from simpcat.scat import pi_functor, pi_levelwise
+from simpcat.sset import (SimplicialMap, _operator_keys, boundary, delta, horn,
+                          product_sset, sphere)
 from strategies import standard
 
 
@@ -14,10 +19,11 @@ def monotone_maps(k, n):
     return [tuple(v) for v in combinations_with_replacement(range(n + 1), k + 1)]
 
 
-def brute_d_star_size(X, p, q):
-    """Independent count of the coend cells at bidegree (p, q): triples
-    (simplex, map to [p]-direction, map to [q]-direction) modulo the
-    relation that slides structure maps across the simplex."""
+def brute_d_star_classes(X, p, q):
+    """Independent coend at bidegree (p, q): triples (simplex, map to
+    [p]-direction, map to [q]-direction) modulo the relation that slides
+    structure maps across the simplex.  Returns {triple: the least
+    triple of its class}, over every triple with x a name of X."""
     parent = {}
 
     def find(c):
@@ -55,7 +61,7 @@ def brute_d_star_size(X, p, q):
                             drop = lambda t: tuple(v if v <= j else v - 1 for v in t)
                             union((n + 1, X.degen(n, j, x), a, b),
                                   (n, x, drop(a), drop(b)))
-    return len({find(c) for c in cells})
+    return {c: find(c) for c in cells}
 
 
 def test_dec_shape_and_sizes():
@@ -75,7 +81,63 @@ def test_d_star_matches_brute_coend():
     for X in (delta(1, 3), sphere(1, 3)):
         B = d_star(X)
         for (p, q) in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]:
-            assert len(B.simplices[(p, q)]) == brute_d_star_size(X, p, q)
+            classes = brute_d_star_classes(X, p, q)
+            assert len(B.simplices[(p, q)]) == len(set(classes.values()))
+
+
+def _moved(t, m, k):
+    """The monotone map t: [r] -> [n] composed with the coface or
+    codegeneracy of d_k or s_k into [m]: entry k dropped (m < r) or
+    repeated (m > r)."""
+    return t[:k] + t[k + 1:] if m < len(t) - 1 else t[:k + 1] + t[k:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(standard())
+def test_d_star_tables_match_brute_coend(X):
+    """Each cell of d_star X is one whole coend class, and each face and
+    degeneracy table sends a cell to the class of the operator applied
+    to it as a triple."""
+    B = d_star(X)
+    classes = {pq: brute_d_star_classes(X, *pq) for pq in B.shape.support}
+    for pq, cells in B.simplices.items():
+        assert len({classes[pq][c] for c in cells}) == len(cells) \
+            == len(set(classes[pq].values()))
+    for lines, horizontal in ((B.rows, True), (B.columns, False)):
+        for i, line in lines.items():
+            for r, m, k in _operator_keys(line.bound):
+                at = (m, i) if horizontal else (i, m)
+                for (n, x, alpha, beta), j in zip(line.simplices[r],
+                                                  line.positions(r, m, k)):
+                    moved = ((n, x, _moved(alpha, m, k), beta) if horizontal
+                             else (n, x, alpha, _moved(beta, m, k)))
+                    assert classes[at][moved] == classes[at][line.simplices[m][j]]
+
+
+def test_d_star_is_built_once_per_set(monkeypatch):
+    """A horn probe builds d_star of the simplex once: `d_star_map`
+    reuses the d_star that the caller built for its target."""
+    built, build = [], bisset._build_d_star
+    monkeypatch.setattr(bisset, "_build_d_star",
+                        lambda X: built.append(X) or build(X))
+    D, H = delta(2, 4), horn(2, 1, 4)
+    incl = SimplicialMap(H, D, {k: {x: x for x in H.simplices[k]}
+                                for k in H.degrees()})
+    assert d_star(D) is d_star(D)
+    target = pi_levelwise(d_star(D))
+    f = d_star_map(incl)
+    pi_functor(f, target_pi=target)
+    assert f.source is d_star(H) and f.target is d_star(D)
+    assert [X is D for X in built] == [True, False]
+
+
+def test_d_star_memo_dies_with_its_set():
+    X = delta(1, 3)
+    d_star(X)
+    alive = weakref.ref(X)
+    del X
+    gc.collect()
+    assert alive() is None
 
 
 def test_d_star_of_interval_is_a_square():
