@@ -24,6 +24,7 @@ from .sset import (SimplicialError, SimplicialMap, TruncatedSimplicialSet,
                    sphere, two_point)
 
 SCHEMA = "simpcat-document/1"
+_SCALARS = {int, str}
 
 
 class DocumentError(Exception):
@@ -42,8 +43,12 @@ def encode_name(name):
 
 
 def decode_name(obj):
+    """The name that the JSON value `obj` encodes; a list of ints and
+    strings is decoded without a call per member."""
     kind = type(obj)
     if kind is list:
+        if _SCALARS.issuperset(map(type, obj)):
+            return tuple(obj)
         return tuple(map(decode_name, obj))
     if kind is int or kind is str:
         return obj
@@ -106,24 +111,33 @@ def _put(out, key, value, what):
     out[key] = value
 
 
-def _table(table, what, memo):
-    """{cell: cell} from an object whose keys are JSON-encoded cells.
-    `memo` maps each key string already decoded to its cell; tables that
+def _cell(key, what, memo):
+    """The cell that the table key `key` spells, a JSON-encoded cell.
+    `memo` maps each spelling already decoded to its cell; tables that
     share a memo parse and decode each spelling of a key once."""
+    cell = memo.get(key)
+    if cell is None:
+        try:
+            cell = json.loads(key)
+        except ValueError as e:
+            raise DocumentError(f"{what}: bad cell key {key!r}") from e
+        cell = memo[key] = decode_name(cell)
+    return cell
+
+
+def _table(table, what, memo):
+    """{cell: cell} from an object whose keys are JSON-encoded cells,
+    decoded through `memo` as in `_cell`."""
     out = {}
     for key, value in _need(table, dict, what).items():
-        cell = memo.get(key)
-        if cell is None:
-            try:
-                cell = json.loads(key)
-            except ValueError as e:
-                raise DocumentError(f"{what}: bad cell key {key!r}") from e
-            cell = memo[key] = decode_name(cell)
-        _put(out, cell, decode_name(value), what)
+        _put(out, _cell(key, what, memo), decode_name(value), what)
     return out
 
 
 def _decode_sset(data):
+    """The simplicial set of explicit `data`, its tables written straight
+    into position lists; a table that leaves a cell out or has an image
+    that is not a cell sends all of them through `from_names`."""
     _need(data, dict, "'data'")
     bound = _need(_field(data, "bound"), int, "'bound'")
     if bound < 0:
@@ -144,18 +158,31 @@ def _decode_sset(data):
         if n not in simplices:
             raise DocumentError(f"'simplices': missing degree {n}")
     bp = decode_name(data["basepoint"]) if "basepoint" in data else None
-    faces = _tables(data, "faces", simplices)
-    degens = _tables(data, "degens", simplices)
+    index = [{x: p for p, x in enumerate(simplices[n])}
+             for n in range(bound + 1)]
+    memo = {}
+    faces = _tables(data, "faces", index, memo)
+    degens = _tables(data, "degens", index, memo)
+    found = {(n, m, k): (faces if m < n else degens)[n, k]
+             for n, m, k in _operator_keys(bound)}
+    lists = {key: t for key, (t, _, _) in found.items() if t is not None}
+    if len(lists) == len(found):
+        return TruncatedSimplicialSet(bound, simplices, lists, bp)
     return TruncatedSimplicialSet.from_names(
-        bound, simplices, lambda n, m, k: (faces if m < n else degens)[n, k],
+        bound, simplices, lambda *key: _table(*found[key][1:], memo),
         basepoint=bp)
 
 
-def _field(data, key):
-    """`data[key]`, or a DocumentError naming the missing field."""
-    if key not in data:
-        raise DocumentError(f"'data' has no {key!r}")
-    return data[key]
+def _field(holder, key, what="'data'"):
+    """`holder[key]`, or a DocumentError naming `what` and the field."""
+    if key not in holder:
+        raise DocumentError(f"{what} has no {key!r}")
+    return holder[key]
+
+
+def _param(builder, key):
+    """The required builder parameter `key`."""
+    return _field(builder, key, "builder")
 
 
 def _distinct(names, what, twice):
@@ -167,27 +194,39 @@ def _distinct(names, what, twice):
     return out
 
 
-def _tables(data, part, simplices):
+def _tables(data, part, index, memo):
     """The operator tables `data[part]`, keyed by (degree n, index k):
     every face d_k with 1 <= n <= bound and every degeneracy s_k with
-    0 <= n < bound, 0 <= k <= n, and nothing else, where `simplices`
-    holds the cells of degrees 0..bound.  A table is keyed by cells of
-    degree n."""
-    bound = len(simplices) - 1
-    op, low, high = ("d", 1, bound) if part == "faces" else ("s", 0, bound - 1)
-    out, memo = {}, {}
+    0 <= n < bound, 0 <= k <= n, and nothing else, each as (position
+    list, table, what), where `index[n]` is {cell: position} in degree n;
+    the list is None when a cell has no image or an image is no cell."""
+    bound = len(index) - 1
+    op, low, high, step = (("d", 1, bound, -1) if part == "faces"
+                           else ("s", 0, bound - 1, 1))
+    out = {}
     for key, table in _need(_field(data, part), dict, repr(part)).items():
         n, k = _ints(key, 2, repr(part))
         if not (low <= n <= high and 0 <= k <= n):
             raise DocumentError(
                 f"{part!r}: no {op}_{k} out of degree {n} at bound {bound} "
                 f"(key {key!r})")
-        table = _table(table, f"{part} {key!r}", memo)
-        stray = ordered(table.keys() - simplices[n])
+        what = f"{part} {key!r}"
+        cells, row, stray = index[n], [None] * len(index[n]), {}
+        for spelling, value in _need(table, dict, what).items():
+            cell, image = _cell(spelling, what, memo), decode_name(value)
+            p = cells.get(cell)
+            if p is None:
+                _put(stray, cell, image, what)
+            elif row[p] is None:
+                row[p] = image
+            else:
+                raise DocumentError(f"{what}: {cell!r} is listed twice")
         if stray:
-            raise DocumentError(f"{part} {key!r}: {stray[0]!r} is not a cell "
-                                f"of degree {n}")
-        _put(out, (n, k), table, repr(part))
+            raise DocumentError(f"{what}: {ordered(stray)[0]!r} is not a "
+                                f"cell of degree {n}")
+        row = list(map(index[n + step].get, row))
+        _put(out, (n, k), (None if None in row else row, table, what),
+             repr(part))
     for n in range(low, high + 1):
         for k in range(n + 1):
             if (n, k) not in out:
@@ -213,7 +252,7 @@ def _encode_category(C):
 def _decode_category(data):
     _need(data, dict, "'data'")
     comp = {}
-    for triple in _need(data["comp"], list, "'comp'"):
+    for triple in _need(_field(data, "comp"), list, "'comp'"):
         if not (isinstance(triple, list) and len(triple) == 3):
             raise DocumentError(f"each composite must be [g, f, g after f], "
                                 f"got {triple!r}")
@@ -221,37 +260,40 @@ def _decode_category(data):
         _put(comp, (g, f), h, "'comp'")
     memo = {}
     return FinCategory(
-        _distinct(data["objects"], "'objects'", "an object is listed twice"),
-        _distinct(data["morphisms"], "'morphisms'",
+        _distinct(_field(data, "objects"), "'objects'",
+                  "an object is listed twice"),
+        _distinct(_field(data, "morphisms"), "'morphisms'",
                   "a morphism is listed twice"),
-        _table(data["src"], "'src'", memo), _table(data["tgt"], "'tgt'", memo),
-        _table(data["ident"], "'ident'", memo), comp)
+        *(_table(_field(data, part), repr(part), memo)
+          for part in ("src", "tgt", "ident")), comp)
 
 
 _SSET_BUILDERS = {
-    "delta": lambda b: delta(b["n"], b["bound"]),
-    "boundary": lambda b: boundary(b["n"], b["bound"]),
-    "horn": lambda b: horn(b["n"], b["index"], b["bound"]),
-    "sphere": lambda b: sphere(b["n"], b["bound"]),
-    "point": lambda b: point(b["bound"]),
-    "two_point": lambda b: two_point(b["bound"]),
+    "delta": lambda b: delta(_param(b, "n"), _param(b, "bound")),
+    "boundary": lambda b: boundary(_param(b, "n"), _param(b, "bound")),
+    "horn": lambda b: horn(_param(b, "n"), _param(b, "index"),
+                           _param(b, "bound")),
+    "sphere": lambda b: sphere(_param(b, "n"), _param(b, "bound")),
+    "point": lambda b: point(_param(b, "bound")),
+    "two_point": lambda b: two_point(_param(b, "bound")),
     "c_sigma": lambda b: c_sigma(
-        b["n"], decode_name(_need(b["sigma"], list, "builder 'sigma'")),
+        _param(b, "n"),
+        decode_name(_need(_param(b, "sigma"), list, "builder 'sigma'")),
         b.get("bound")),
 }
 
 _CATEGORY_BUILDERS = {
-    "discrete": lambda b, env: discrete(range(b["size"])),
-    "chaotic": lambda b, env: chaotic(range(b["size"])),
+    "discrete": lambda b, env: discrete(range(_param(b, "size"))),
+    "chaotic": lambda b, env: chaotic(range(_param(b, "size"))),
     "terminal": lambda b, env: terminal_cat(),
-    "cyclic_group": lambda b, env: cyclic_group(b["order"]),
+    "cyclic_group": lambda b, env: cyclic_group(_param(b, "order")),
     "arrow": lambda b, env: arrow_cat(),
 }
 
 
-def _ref(holder, key, env, cls):
-    """The entity named by `holder[key]`, which must be a `cls`."""
-    ref = _need(holder[key], str, repr(key))
+def _ref(holder, key, env, cls, what="builder"):
+    """The entity named by the field `key` of `what`, a `cls`."""
+    ref = _need(_field(holder, key, what), str, repr(key))
     if ref not in env:
         raise DocumentError(f"unknown entity {ref!r}")
     if not isinstance(env[ref], cls):
@@ -277,13 +319,13 @@ def _build_scat(builder, env, config):
     closure = config.get("closure_bound", 20000)
     if kind == "constant":
         return constant_scat(_ref(builder, "category", env, FinCategory),
-                             builder["bound"])
+                             _param(builder, "bound"))
     if kind == "constant_pointed":
         return constant_pointed_scat(_ref(builder, "category", env, FinCategory),
-                                     decode_name(builder["basepoint"]),
-                                     builder["bound"])
+                                     decode_name(_param(builder, "basepoint")),
+                                     _param(builder, "bound"))
     if kind == "s0_scat":
-        return s0_scat(builder["bound"])
+        return s0_scat(_param(builder, "bound"))
     if kind == "add_basepoint":
         return add_basepoint(_ref(builder, "inner", env, SimplicialCategory))
     if kind == "pi_dec":
@@ -299,10 +341,11 @@ def _build_spectrum(builder, env, config):
     kind = builder["type"]
     if kind == "sigma_infinity":
         return sigma_infinity(_ref(builder, "category", env, SimplicialCategory),
-                              builder["length"],
+                              _param(builder, "length"),
                               closure_bound=config.get("closure_bound", 20000))
     if kind == "terminal":
-        return terminal_spectrum(builder["length"], builder.get("bound", 3))
+        return terminal_spectrum(_param(builder, "length"),
+                                 builder.get("bound", 3))
     raise DocumentError(f"unknown spectrum builder {kind!r}")
 
 
@@ -311,7 +354,7 @@ _INT_PARAMETERS = ("n", "bound", "index", "size", "order", "length")
 
 def _check_builder(builder):
     _need(builder, dict, "builder")
-    _need(builder["type"], str, "builder 'type'")
+    _need(_param(builder, "type"), str, "builder 'type'")
     for key in _INT_PARAMETERS:
         if key in builder:
             _need(builder[key], int, f"builder parameter {key!r}")
@@ -378,12 +421,15 @@ def parse_document(text):
         raise DocumentError(f"suites must be a list of strings, got {suites!r}")
     entities = {}
     for entry in entries:
-        name, kind = entry["name"], entry["kind"]
+        name = _field(entry, "name", "entity")
+        kind = _field(entry, "kind", f"entity {name!r}")
         if not (isinstance(name, str) and isinstance(kind, str)):
             raise DocumentError(f"entity name and kind must be strings, "
                                 f"got {name!r} and {kind!r}")
         if name in entities:
             raise DocumentError(f"duplicate entity name {name!r}")
+        def field(key):
+            return _field(entry, key, "the entity")
         try:
             if "builder" in entry:
                 _check_builder(entry["builder"])
@@ -395,9 +441,9 @@ def parse_document(text):
                             f"unknown simplicial builder {b['type']!r}")
                     obj = _SSET_BUILDERS[b["type"]](b)
                 else:
-                    obj = _decode_sset(entry["data"])
+                    obj = _decode_sset(field("data"))
             elif kind == "bisimplicial_set":
-                obj = _build_bisset(entry["builder"], entities)
+                obj = _build_bisset(field("builder"), entities)
             elif kind == "category":
                 if "builder" in entry:
                     b = entry["builder"]
@@ -406,17 +452,17 @@ def parse_document(text):
                             f"unknown category builder {b['type']!r}")
                     obj = _CATEGORY_BUILDERS[b["type"]](b, entities)
                 else:
-                    obj = _decode_category(entry["data"])
+                    obj = _decode_category(field("data"))
             elif kind == "simplicial_category":
-                obj = _build_scat(entry["builder"], entities, config)
+                obj = _build_scat(field("builder"), entities, config)
             elif kind == "spectrum":
-                obj = _build_spectrum(entry["builder"], entities, config)
+                obj = _build_spectrum(field("builder"), entities, config)
             elif kind == "simplicial_map":
-                src = _ref(entry, "source", entities, TruncatedSimplicialSet)
-                tgt = _ref(entry, "target", entities, TruncatedSimplicialSet)
+                src, tgt = (_ref(entry, key, entities, TruncatedSimplicialSet,
+                                 "the entity") for key in ("source", "target"))
                 assign, memo = {}, {}
-                for degree, table in _need(entry["assign"], dict,
-                                           "'assign'").items():
+                for degree, table in _need(field("assign"), dict,
+                                   "'assign'").items():
                     _put(assign, _ints(degree, 1, "'assign'")[0],
                          _table(table, f"assign {degree!r}", memo), "'assign'")
                 obj = SimplicialMap(src, tgt, assign)

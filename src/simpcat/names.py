@@ -17,9 +17,10 @@ and `TruncatedBisimplicialSet` stores each degree's cells in strictly
 increasing `sort_key` order.  It is set only where cells come from an
 unordered source: `sset._from_tuples`, `FinCategory.__init__` and
 `PresentedGroupoid.__init__` (objects and morphisms), the new names that
-`spectra.mapping_space` makes, and `document._decode_sset`.  Every other
-construction extends, tags or filters cells that are already ordered,
-which keeps the order, so consumers never sort stored cells again.
+`spectra.mapping_space` makes, and `document._decode_sset`, which
+writes a document's tables as positions in that order, not through
+`from_names`.  Every other construction extends, tags or filters cells
+that are already ordered, so consumers never sort stored cells again.
 Results do not depend on the order; only the order of the output does.
 """
 

@@ -85,10 +85,10 @@ def shift(S):
 
 def _degenerate_basepoint(Y, m):
     """The unique m-simplex degenerate over the basepoint vertex."""
-    y = Y.basepoint
+    p = Y.simplices[0].index(Y.basepoint)
     for k in range(m):
-        y = Y.degen(k, 0, y)
-    return y
+        p = Y.positions(k, k + 1, 0)[p]
+    return Y.simplices[m][p]
 
 
 def mapping_space(X, C, n_max=None):

@@ -5,9 +5,10 @@ together with total face and degeneracy tables, each a position list:
 the position of each image in its degree's stored order, indexed by the
 position of the cell.  `positions` reads them, and `faces`, `degens`,
 `table`, `face` and `degen` read a names view built from them on first
-read.  Dicts of names enter only through
-`TruncatedSimplicialSet.from_names`, which converts each table once and
-keeps what did not convert for the audit.  A `SimplicialMap` holds its
+read.  Documents decode their tables straight into position lists, and
+dicts of names enter only through `from_names` (mapping spaces, and
+documents whose tables do not convert), which converts each table once
+and keeps what did not convert for the audit.  A `SimplicialMap` holds its
 images as dicts of names or as position lists.  Eilenberg-Zilber data
 (each simplex as an iterated degeneracy of a unique nondegenerate base)
 and the nondegenerate cells (those outside every degeneracy's image)
@@ -75,7 +76,7 @@ class TruncatedSimplicialSet:
     keeps the order of its ordered inputs.
 
     `tables` holds each operator's position list, keyed by (n, m, k) as
-    in `positions`."""
+    in `positions`; the document loader writes them directly."""
 
     def __init__(self, bound, simplices, tables, basepoint=None):
         self.bound = bound

@@ -441,6 +441,61 @@ def test_bad_key_first_met_in_a_later_table_names_that_table(tmp_path,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("member", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize("where", ["table-key", "table-value", "cell",
+                                   "basepoint"])
+def test_member_equal_to_an_int_is_refused(tmp_path, capsys, where, member):
+    """As dict keys True and 1.0 equal 1, so a lookup by tuple alone would
+    take [0, true] for the cell (0, 1); every place a name appears still
+    refuses the member."""
+    data = sset_to_entry("X", delta(1, 1))["data"]
+    if where == "table-key":
+        table = data["faces"]["1,0"]
+        table[json.dumps([0, member])] = table.pop("[0, 1]")
+    elif where == "table-value":
+        data["faces"]["1,0"]["[0, 1]"] = [member]
+    elif where == "cell":
+        data["simplices"]["0"][1] = [member]
+    else:
+        data["basepoint"] = [member]
+    assert main(["build", _write_sset(tmp_path, "bad.json", data)]) == 2
+    assert f"bad name payload {member!r}" in capsys.readouterr().err
+
+
+_NO_COMP = category_to_entry("G", cyclic_group(2))
+del _NO_COMP["data"]["comp"]
+
+
+@pytest.mark.parametrize("entity, message", [
+    ({"name": "X"}, "entity 'X' has no 'kind'"),
+    ({"kind": "category"}, "entity has no 'name'"),
+    (_NO_COMP, "entity 'G': 'data' has no 'comp'"),
+    ({"name": "X", "kind": "simplicial_set",
+      "builder": {"type": "delta", "bound": 2}},
+     "entity 'X': builder has no 'n'"),
+    ({"name": "X", "kind": "simplicial_set", "builder": {"n": 2}},
+     "entity 'X': builder has no 'type'"),
+    ({"name": "X", "kind": "simplicial_set"},
+     "entity 'X': the entity has no 'data'"),
+    ({"name": "B", "kind": "bisimplicial_set", "builder": {"type": "dec"}},
+     "entity 'B': builder has no 'space'"),
+    ({"name": "P", "kind": "simplicial_category",
+      "builder": {"type": "s0_scat"}}, "entity 'P': builder has no 'bound'"),
+    ({"name": "S", "kind": "spectrum", "builder": {"type": "terminal"}},
+     "entity 'S': builder has no 'length'"),
+    ({"name": "f", "kind": "simplicial_map", "source": "Y"},
+     "entity 'f': the entity has no 'target'"),
+], ids=["kind", "name", "comp", "n", "type", "data", "space", "bound",
+        "length", "target"])
+def test_missing_field_is_named(tmp_path, capsys, entity, message):
+    """A missing field exits 2 with a message naming it and what lacks
+    it, not a bare key."""
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(_point_and(entity)))
+    assert main(["build", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def stdlib_canonical(text):
     """The stdlib's sorted, 2-space-indented form of the JSON `text`."""
     return json.dumps(json.loads(text), sort_keys=True, indent=2,
