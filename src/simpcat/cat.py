@@ -3,17 +3,25 @@
 Categories are explicit composition tables, so every law is checked
 exhaustively.  Presented groupoids are materialized by a spanning-forest
 reduction followed by bounded coset closure of each vertex group; a
-closure that does not finish within the bound raises BoundExceeded
+group whose generators single-letter relators kill needs no closure, and
+a closure that does not finish within the bound raises BoundExceeded
 instead of guessing.  Functors are enumerated as the maps of 2-truncated
 nerves, by the hom search of :mod:`simpcat.sset`.
 
 A category numbers its objects and morphisms by their positions in
-stored order.  Nerve chains are numbered (an object position, or a tuple
-of morphism positions), the one nerve operator `chain_operator` and a
-functor's `on_chain` work on them, and names are decoded only where a
-nerve lists its cells (`chain_names`).  `numbered_nerve` gives the
-truncated nerve as chains, their positions and the operators' position
-lists; the nerve stores those lists, and the functor search reads them.
+stored order.  One built from names converts to positions on first
+positional read; a materialized groupoid, its maximal subgroupoid and
+the functors induced out of it are built on positions (source, target,
+identity and inverse lists, composition as `_after[g] = {f: g f}`), and
+their names view (`src`, `tgt`, `ident`, `comp`, `obj_map`, `mor_map`)
+is built when first read.  A presentation's relations are direction
+words over its numbered generators.  Nerve chains are numbered (an
+object position, or a tuple of morphism positions), the one nerve
+operator `chain_operator` and a functor's `on_chain` work on them, and
+names are decoded only where a nerve lists its cells (`chain_names`).
+`numbered_nerve` gives the truncated nerve as chains, their positions
+and the operators' position lists; the nerve stores those lists, and
+the functor search reads them.
 """
 
 from __future__ import annotations
@@ -39,6 +47,9 @@ class CapExceeded(BoundExceeded):
 
 
 class FinCategory:
+    """A category given by names (the constructor) or by positions
+    (`_from_positions`); the other form is derived on first read."""
+
     def __init__(self, objects, morphisms, src, tgt, ident, comp):
         self.objects = tuple(ordered(objects))
         self.morphisms = tuple(ordered(morphisms))
@@ -46,11 +57,48 @@ class FinCategory:
         self.tgt = dict(tgt)
         self.ident = dict(ident)
         self.comp = dict(comp)
-        self._mset = frozenset(self.morphisms)
 
-    def compose(self, g, f):
-        """g after f."""
-        return self.comp[(g, f)]
+    @classmethod
+    def _from_positions(cls, objects, morphisms, src, tgt, ident, after,
+                        inverses=None):
+        """The category on `objects` and `morphisms`, names already in
+        canonical order, with its tables given as positions: source,
+        target and identity lists, `after[g] = {f: g f}`, and optionally
+        the inverse of each morphism."""
+        C = cls.__new__(cls)
+        C.objects, C.morphisms = tuple(objects), tuple(morphisms)
+        C._numbered = (src, tgt, ident)
+        C._after = after
+        if inverses is not None:
+            C._inverses = inverses
+        return C
+
+    # -- the names view of a category built on positions ----------------
+
+    @functools.cached_property
+    def src(self):
+        return dict(zip(self.morphisms,
+                        map(self.objects.__getitem__, self._numbered[0])))
+
+    @functools.cached_property
+    def tgt(self):
+        return dict(zip(self.morphisms,
+                        map(self.objects.__getitem__, self._numbered[1])))
+
+    @functools.cached_property
+    def ident(self):
+        return dict(zip(self.objects,
+                        map(self.morphisms.__getitem__, self._numbered[2])))
+
+    @functools.cached_property
+    def comp(self):
+        name = self.morphisms
+        return {(name[g], name[f]): name[h]
+                for g, row in enumerate(self._after) for f, h in row.items()}
+
+    @functools.cached_property
+    def _mset(self):
+        return frozenset(self.morphisms)
 
     @functools.cached_property
     def _homs(self):
@@ -68,28 +116,28 @@ class FinCategory:
         return self.ident.get(self.src[m]) == m and self.src[m] == self.tgt[m]
 
     def inverse(self, m):
-        """Two-sided inverse found by table search, or None."""
-        a, b = self.src[m], self.tgt[m]
-        for g in self.hom(b, a):
-            if (self.comp[(g, m)] == self.ident[a]
-                    and self.comp[(m, g)] == self.ident[b]):
-                return g
-        return None
+        """Two-sided inverse, or None."""
+        g = self._inverses[self._index[1][m]]
+        return None if g is None else self.morphisms[g]
 
     def is_groupoid(self):
-        return all(self.inverse(m) is not None for m in self.morphisms)
+        return None not in self._inverses
 
     # -- numbered tables and nerve chains ------------------------------
 
     @functools.cached_property
+    def _index(self):
+        """({object: position}, {morphism: position}) in stored order,
+        built on first use."""
+        return ({o: a for a, o in enumerate(self.objects)},
+                {m: f for f, m in enumerate(self.morphisms)})
+
+    @functools.cached_property
     def _numbered(self):
-        """The category on positions in stored order, built on first
-        use: (object positions {object: a}, morphism positions
-        {morphism: f}, source and target of each morphism, identity of
-        each object), all read and written as positions."""
-        obj = {o: a for a, o in enumerate(self.objects)}
-        mor = {m: f for f, m in enumerate(self.morphisms)}
-        return (obj, mor, [obj[self.src[m]] for m in self.morphisms],
+        """The source and target of each morphism and the identity of
+        each object, as positions; built on first use."""
+        obj, mor = self._index
+        return ([obj[self.src[m]] for m in self.morphisms],
                 [obj[self.tgt[m]] for m in self.morphisms],
                 [mor[self.ident[o]] for o in self.objects])
 
@@ -97,11 +145,25 @@ class FinCategory:
     def _after(self):
         """Composition on positions: _after[g] = {f: the composite g f},
         built on first use."""
-        mor = self._numbered[1]
+        mor = self._index[1]
         after = [{} for _ in self.morphisms]
         for (g, f), h in self.comp.items():
             after[mor[g]][mor[f]] = mor[h]
         return after
+
+    @functools.cached_property
+    def _inverses(self):
+        """The position of each morphism's two-sided inverse, or None;
+        built on first use."""
+        src, tgt, ident = self._numbered
+        after = self._after
+        homs = {}
+        for f, ends in enumerate(zip(src, tgt)):
+            homs.setdefault(ends, []).append(f)
+        return [next((g for g in homs.get((b, a), ())
+                      if after[g].get(f) == ident[a]
+                      and after[f].get(g) == ident[b]), None)
+                for f, (a, b) in enumerate(zip(src, tgt))]
 
     def chains(self, degrees):
         """{k: composable k-chains, in order} for each k in `degrees`,
@@ -110,7 +172,7 @@ class FinCategory:
         per degree, taken in order from the morphisms out of the last
         target; extending ordered chains by ordered morphisms keeps them
         in lexicographic order, which is the order of their names."""
-        _, _, src, tgt, _ = self._numbered
+        src, tgt, _ = self._numbered
         out_of = [[] for _ in self.objects]
         for f, a in enumerate(src):
             out_of[a].append(f)
@@ -135,7 +197,7 @@ class FinCategory:
     def chain_operator(self, k, m, i):
         """The nerve operator d_i (m = k - 1) or s_i (m = k + 1) as a
         function on numbered k-chains."""
-        _, _, src, tgt, ident = self._numbered
+        src, tgt, ident = self._numbered
         if m > k:
             if k == 0:
                 return lambda a: (ident[a],)
@@ -302,11 +364,34 @@ def coproduct_cat(cats):
 
 
 class Functor:
+    """A functor given by names (the constructor) or by positions
+    (`from_numbered`); the other form is derived on first read."""
+
     def __init__(self, source, target, obj_map, mor_map):
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
+
+    @classmethod
+    def from_numbered(cls, C, D, objects, arrows):
+        """The functor C -> D given on positions: `objects` lists the
+        image of each object and `arrows` of each morphism, which are
+        the numbered 1-chains."""
+        F = cls.__new__(cls)
+        F.source, F.target = C, D
+        F._numbered = (objects, arrows)
+        return F
+
+    @functools.cached_property
+    def obj_map(self):
+        return dict(zip(self.source.objects,
+                        map(self.target.objects.__getitem__, self._numbered[0])))
+
+    @functools.cached_property
+    def mor_map(self):
+        return dict(zip(self.source.morphisms,
+                        map(self.target.morphisms.__getitem__, self._numbered[1])))
 
     def __call__(self, m):
         return self.mor_map[m]
@@ -315,7 +400,7 @@ class Functor:
     def _numbered(self):
         """(object images, morphism images) as target positions, indexed
         by source position; built on first use."""
-        obj, mor = self.target._numbered[:2]
+        obj, mor = self.target._index
         return ([obj[self.obj_map[o]] for o in self.source.objects],
                 [mor[self.mor_map[m]] for m in self.source.morphisms])
 
@@ -330,15 +415,8 @@ class Functor:
 
     @classmethod
     def identity(cls, C):
-        return cls(C, C, {o: o for o in C.objects}, {m: m for m in C.morphisms})
-
-    @classmethod
-    def from_numbered(cls, C, D, objects, arrows):
-        """The functor C -> D given on positions: `objects` lists the
-        image of each object and `arrows` of each morphism, which are
-        the numbered 1-chains."""
-        return cls(C, D, dict(zip(C.objects, map(D.objects.__getitem__, objects))),
-                   dict(zip(C.morphisms, map(D.morphisms.__getitem__, arrows))))
+        return cls.from_numbered(C, C, list(range(len(C.objects))),
+                                 list(range(len(C.morphisms))))
 
     def validate(self):
         v = []
@@ -411,16 +489,19 @@ class NaturalTransformation:
 def iso_subgroupoid(C):
     """Wide subcategory of all invertible morphisms; `C` itself when
     it is a groupoid."""
-    invertible = tuple(m for m in C.morphisms if C.inverse(m) is not None)
-    if len(invertible) == len(C.morphisms):
+    inverses = C._inverses
+    if None not in inverses:
         return C
-    inv_set = frozenset(invertible)
-    comp = {k: h for k, h in C.comp.items()
-            if k[0] in inv_set and k[1] in inv_set}
-    return FinCategory(C.objects, invertible,
-                       {m: C.src[m] for m in invertible},
-                       {m: C.tgt[m] for m in invertible},
-                       dict(C.ident), comp)
+    kept = [f for f, g in enumerate(inverses) if g is not None]
+    new = {f: k for k, f in enumerate(kept)}
+    src, tgt, ident = C._numbered
+    after = C._after
+    return FinCategory._from_positions(
+        C.objects, [C.morphisms[f] for f in kept], [src[f] for f in kept],
+        [tgt[f] for f in kept], [new[i] for i in ident],
+        [{new[f]: new[h] for f, h in after[g].items() if f in new}
+         for g in kept],
+        [new[inverses[f]] for f in kept])
 
 
 def nerve(C, bound):
@@ -452,8 +533,11 @@ def nerve_functor(F, bound):
 # ---------------------------------------------------------------------
 
 class PresentedGroupoid:
-    """Words are tuples of (generator, sign) in application order: the
-    first letter applies first.  Relations equate two parallel words."""
+    """Objects and generators are names; `generators` maps each to its
+    (source, target) and numbers them in the order given.  Words are
+    tuples of directions in application order, the first applying first:
+    direction 2g runs along generator g and 2g + 1 against it.  Relations
+    equate two parallel words."""
 
     def __init__(self, objects, generators, relations):
         # The one sort left on `sort_key` itself: perfbench's tracer test
@@ -464,33 +548,62 @@ class PresentedGroupoid:
         self.generators = dict(generators)      # name -> (src, tgt)
         self.relations = tuple(relations)       # (word, word)
 
-    def word_endpoints(self, word):
-        if not word:
-            return None
+    @functools.cached_property
+    def _ends(self):
+        """(start, end) of each direction as object positions, None
+        where an endpoint is not an object."""
+        index = {o: a for a, o in enumerate(self.objects)}
         ends = []
-        for g, s in word:
-            a, b = self.generators[g]
-            ends.append((a, b) if s > 0 else (b, a))
-        for k in range(len(ends) - 1):
-            if ends[k][1] != ends[k + 1][0]:
-                raise CategoryError("word not composable")
-        return (ends[0][0], ends[-1][1])
+        for a, b in self.generators.values():
+            a, b = index.get(a), index.get(b)
+            ends += [(a, b), (b, a)]
+        return ends
+
+    def spell(self, word):
+        """A direction word as (generator, sign) letters."""
+        names = tuple(self.generators)
+        return tuple((names[d >> 1], -1 if d & 1 else 1) for d in word)
 
     def validate(self):
-        v = []
-        for g, (a, b) in self.generators.items():
-            if a not in self.objects or b not in self.objects:
-                v.append(f"generator {g!r} has unknown endpoints")
+        ends = self._ends
+        v = [f"generator {g!r} has unknown endpoints"
+             for g, e in zip(self.generators, ends[::2]) if None in e]
+        if v:
+            return v
+        letters = list(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(self.relations)))
+        if letters and not 0 <= min(letters) <= max(letters) < len(ends):
+            return [f"relation {u!r} = {w!r} names an unknown generator"
+                    for u, w in self.relations
+                    if not all(0 <= d < len(ends) for d in u + w)]
         for u, w in self.relations:
-            try:
-                eu = self.word_endpoints(u)
-                ew = self.word_endpoints(w)
-            except CategoryError:
-                v.append(f"relation {u!r} = {w!r} not composable")
-                continue
-            if eu is not None and ew is not None and eu != ew:
-                v.append(f"relation {u!r} = {w!r} endpoints differ")
+            su, sw = _span(ends, u), _span(ends, w)
+            if su is False or sw is False:
+                problem = "not composable"
+            elif su is not None and sw is not None:
+                problem = "endpoints differ" if su != sw else None
+            else:
+                span = su or sw
+                problem = ("equates a non-loop with the empty word"
+                           if span and span[0] != span[1] else None)
+            if problem:
+                v.append(f"relation {self.spell(u)!r} = {self.spell(w)!r} "
+                         f"{problem}")
         return v
+
+
+def _span(ends, word):
+    """(start, end) of a direction word, None when it is empty, False
+    when its letters do not compose."""
+    if not word:
+        return None
+    a, b = ends[word[0]]
+    for d in word[1:]:
+        s, t = ends[d]
+        if s != b:
+            return False
+        b = t
+    return a, b
 
 
 def fundamental_groupoid(X):
@@ -501,15 +614,13 @@ def fundamental_groupoid(X):
     vertices, edges = X.simplices[0], X.simplices[1]
     target, source = ([vertices[v] for v in X.positions(1, 0, i)] for i in range(2))
     generators = dict(zip(edges, zip(source, target)))
-    second, long_edge, first = ([edges[e] for e in X.positions(2, 1, i)]
-                                for i in range(3))
-    relations = [(((f, 1), (s, 1)), ((e, 1),))
+    second, long_edge, first = (X.positions(2, 1, i) for i in range(3))
+    relations = [((2 * f, 2 * s), (2 * e,))
                  for f, s, e in zip(first, second, long_edge)]
     nondegenerate = set(X.nondegenerate_positions(1))
-    for p, e in enumerate(X.simplices[1]):
-        if p not in nondegenerate:
-            relations.append((((e, 1),), ()))
-    return PresentedGroupoid(X.simplices[0], generators, relations)
+    relations += [((2 * p,), ()) for p in range(len(edges))
+                  if p not in nondegenerate]
+    return PresentedGroupoid(vertices, generators, relations)
 
 
 # coset closure: directions 2g (generator) and 2g+1 (inverse)
@@ -577,215 +688,221 @@ def _coset_closure(ngens, relators, max_cosets):
     return [[index[find(neighbors[c][d])] for d in range(2 * ngens)] for c in live]
 
 
+def _vertex_group(ngens, relators, bound):
+    """The multiplication table of a vertex group, as `_coset_closure`
+    returns it.  A relator that is one letter once the letters of
+    trivial generators are deleted makes its generator trivial; when
+    every generator is, the group is trivial and needs no closure."""
+    rels, dead = relators, set()
+    kills = {r[0] >> 1 for r in rels if len(r) == 1}
+    while kills:
+        dead |= kills
+        rels = [r for r in ([d for d in r if d >> 1 not in dead] for r in rels)
+                if r]
+        kills = {r[0] >> 1 for r in rels if len(r) == 1}
+    if len(dead) < ngens:
+        return _coset_closure(ngens, relators, bound)
+    return [[0] * (2 * ngens)] if bound >= 1 else None
+
+
 class MaterializedGroup:
     """Finite group carried as its right-multiplication table on
-    elements 0..n-1, with 0 the identity."""
+    elements 0..n-1, with 0 the identity.  `steps` is the breadth-first
+    tree from 0: (element, parent, direction), each element being its
+    parent followed by one generator direction."""
 
     def __init__(self, table, ngens):
         self.table = table
-        self.ngens = ngens
         self.order = len(table)
-        self.words = self._rep_words()
-
-    def _rep_words(self):
-        words = {0: ()}
-        frontier = [0]
-        while frontier:
-            c = frontier.pop(0)
-            for d in range(2 * self.ngens):
-                n = self.table[c][d]
-                if n not in words:
-                    words[n] = words[c] + (d,)
+        self.steps, frontier, seen = [], [0], {0}
+        for c in frontier:
+            for d in range(2 * ngens):
+                n = table[c][d]
+                if n not in seen:
+                    seen.add(n)
                     frontier.append(n)
-        if len(words) != self.order:
+                    self.steps.append((n, c, d))
+        if len(frontier) != self.order:
             raise CategoryError("generator action not transitive")
-        return words
 
-    def follow(self, c, word):
-        for d in word:
-            c = self.table[c][d]
-        return c
-
-    def after(self, b, a):
-        """The element 'b applied after a': follow b's word from a."""
-        return self.follow(a, self.words[b])
-
-    def inv(self, a):
-        return self.follow(0, tuple(d ^ 1 for d in reversed(self.words[a])))
+    def products(self):
+        """products[a][b]: the element b applied after a."""
+        out = [[a] * self.order for a in range(self.order)]
+        table = self.table
+        for row in out:
+            for n, c, d in self.steps:
+                row[n] = table[row[c]][d]
+        return out
 
 
 class Materialization:
-    """A materialized presented groupoid together with enough of the
-    spanning-forest data to express every morphism as a generator word,
-    which is what induced functors out of the groupoid need."""
+    """A materialized presented groupoid with the spanning-forest data
+    that induced functors out of it need, all on positions: the
+    component root of each object, each component's members in order,
+    the forest as {object: (parent, direction)} in breadth-first order,
+    and per root its vertex group and the generators of that group.
+    `genmap` lists the morphism each generator materializes as; a
+    colimit record also carries `origins`, the (diagram index, position)
+    of each object and generator."""
 
-    def __init__(self, presentation, category, genmap, groups, glist,
-                 vgens, comp_of, paths):
+    def __init__(self, presentation, category, genmap, comp_of, members,
+                 forest, groups, vgens, origins=None):
         self.presentation = presentation
         self.category = category
-        self.genmap = genmap          # generator -> morphism
-        self.groups = groups          # root -> MaterializedGroup
-        self.glist = glist
-        self.vgens = vgens            # root -> ordered non-tree generators
+        self.genmap = genmap
         self.comp_of = comp_of
-        self.paths = paths            # object -> direction word from root
+        self.members = members
+        self.forest = forest
+        self.groups = groups
+        self.vgens = vgens
+        self.origins = origins
 
-    def letters(self, m):
-        """(generator, sign) letters of morphism m in application order
-        (first letter applies first)."""
-        a, e, b = m
-        root = self.comp_of[a]
-        G = self.groups[root]
-        out = []
-        for d in reversed(self.paths[a]):
-            out.append((self.glist[d // 2], -1 if d % 2 == 0 else 1))
-        for d in G.words[e]:
-            out.append((self.vgens[root][d // 2], 1 if d % 2 == 0 else -1))
-        for d in self.paths[b]:
-            out.append((self.glist[d // 2], 1 if d % 2 == 0 else -1))
-        return out
+    def induced_functor(self, target, objects, generators):
+        """The functor out of the materialized groupoid that sends
+        presented object a to target object objects[a] and generator g
+        to target morphism generators[g], both positions.  The image of
+        morphism (a, e, b) is the image of a's root path inverted, then
+        of the element e, then of b's root path."""
+        ident, after, inverse = target._numbered[2], target._after, target._inverses
+        ends = self.presentation._ends
 
-    def induced_functor(self, target, obj_map, gen_map):
-        """Functor out of the materialized groupoid determined by images
-        of the presented objects and generators."""
-        T = target
-        inv_cache = {}
-        mor_map = {}
-        for m in self.category.morphisms:
-            cur = T.ident[obj_map[self.category.src[m]]]
-            for g, s in self.letters(m):
-                img = gen_map[g]
-                if s < 0:
-                    if img not in inv_cache:
-                        inv_cache[img] = T.inverse(img)
-                    img = inv_cache[img]
-                cur = T.comp[(img, cur)]
-            mor_map[m] = cur
-        return Functor(self.category, T, dict(obj_map), mor_map)
+        def letter(d):
+            g = generators[d >> 1]
+            return inverse[g] if d & 1 else g
+        path = {root: ident[objects[root]] for root in self.members}
+        for b, (a, d) in self.forest.items():
+            path[b] = after[letter(d)][path[a]]
+        back = {a: inverse[p] for a, p in path.items()}
+        elements = {}
+        for root, G in self.groups.items():
+            image = [ident[objects[root]]] * G.order
+            for n, c, d in G.steps:
+                # the vertex-group generator is the loop along the root
+                # paths of its generator's ends
+                d = 2 * self.vgens[root][d >> 1] | d & 1
+                a, b = ends[d]
+                loop = after[back[b]][after[letter(d)][path[a]]]
+                image[n] = after[loop][image[c]]
+            elements[root] = image
+        arrows = []
+        for a, root in enumerate(self.comp_of):
+            for e in elements[root]:
+                x = after[e][back[a]]
+                arrows += [after[path[b]][x] for b in self.members[root]]
+        return Functor.from_numbered(self.category, target, objects, arrows)
 
 
-def _spanning_forest(objects, generators):
-    """Components, roots, and a root path word per object, for
-    `objects` in canonical order.  Paths are direction words over the
-    0-based generator list order; each component's members keep the
-    order of `objects`."""
-    glist = ordered(generators)
-    gindex = {g: k for k, g in enumerate(glist)}
-    # Each adjacency list is built in generator order, the order the
-    # search reads it in.  Only a loop g at a puts two entries (g, +1)
-    # and (g, -1) into one list; both lead back to a, which the search
-    # has already reached, so their relative order is never read.
-    adj = {o: [] for o in objects}
-    for g in glist:
-        a, b = generators[g]
-        adj[a].append((b, g, +1))
-        adj[b].append((a, g, -1))
-    comp_of, paths, roots = {}, {}, []
-    tree = set()
-    for o in objects:
-        if o in comp_of:
+def _spanning_forest(nobjects, ends):
+    """Breadth-first spanning forest of the objects 0..nobjects-1 under
+    the directions whose (start, end) `ends` lists: the component root
+    of each object, each root's members in order, and {object: (parent,
+    direction)} in the order the search reaches them."""
+    adj = [[] for _ in range(nobjects)]
+    for d, (a, b) in enumerate(ends):
+        adj[a].append((b, d))
+    comp_of, members, forest = [None] * nobjects, {}, {}
+    for o in range(nobjects):
+        if comp_of[o] is not None:
             continue
-        roots.append(o)
-        comp_of[o] = o
-        paths[o] = ()       # word: root -> o
+        comp_of[o], members[o] = o, [o]
         frontier = [o]
-        while frontier:
-            a = frontier.pop(0)
-            for b, g, sign in adj[a]:
-                if b not in comp_of:
+        for a in frontier:
+            for b, d in adj[a]:
+                if comp_of[b] is None:
                     comp_of[b] = o
-                    d = 2 * gindex[g] + (0 if sign > 0 else 1)
-                    paths[b] = paths[a] + (d,)
-                    tree.add(g)
+                    members[o].append(b)
+                    forest[b] = (a, d)
                     frontier.append(b)
-    members = {root: [] for root in roots}
-    for o in objects:
-        members[comp_of[o]].append(o)
-    return glist, gindex, comp_of, roots, members, paths, tree
+        members[o].sort()
+    return comp_of, members, forest
 
 
 def _materialize(P, bound):
-    """Returns a Materialization of the presented groupoid."""
+    """Returns a Materialization of the presented groupoid.  Morphism
+    (a, e, b) is a's root path inverted, then vertex-group element e,
+    then b's root path; it sits at the position of its name in canonical
+    order, base[a] + e * |component| + (b's place among the members)."""
     bad = P.validate()
     if bad:
         raise CategoryError("; ".join(bad))
-    glist, gindex, comp_of, roots, members, paths, tree = \
-        _spanning_forest(P.objects, P.generators)
+    ends = P._ends
+    comp_of, members, forest = _spanning_forest(len(P.objects), ends)
+    tree = {d >> 1 for _, d in forest.values()}
 
-    # per component: vertex-group generators are the non-tree arrows
-    vgens = {root: [] for root in roots}
-    for g in glist:
-        if g not in tree:
-            vgens[comp_of[P.generators[g][0]]].append(g)
-    vindex = {root: {g: k for k, g in enumerate(vgens[root])} for root in roots}
-
-    def chi(word, root):
-        """Rewrite a groupoid word into a vertex-group direction word at
-        the component root (tree letters vanish)."""
-        out = []
-        for g, s in word:
-            if g in tree:
-                continue
-            k = vindex[root][g]
-            out.append(2 * k + (0 if s > 0 else 1))
-        return tuple(out)
-
-    relators = {root: [] for root in roots}
+    # per component: vertex-group generators are the non-tree generators;
+    # vdir[d] is the vertex-group direction of direction d, None on the tree
+    vgens = {root: [] for root in members}
+    vdir = []
+    for g in range(len(ends) // 2):
+        if g in tree:
+            vdir += [None, None]
+        else:
+            gens = vgens[comp_of[ends[2 * g][0]]]
+            vdir += [2 * len(gens), 2 * len(gens) + 1]
+            gens.append(g)
+    relators = {root: [] for root in members}
     for u, w in P.relations:
-        ends = P.word_endpoints(u) if u else P.word_endpoints(w)
-        if ends is None:
-            continue
-        root = comp_of[ends[0]]
-        rel = chi(u, root) + tuple(d ^ 1 for d in reversed(chi(w, root)))
-        if rel:
-            relators[root].append(rel)
+        if u or w:
+            rel = tuple([x for x in map(vdir.__getitem__, u) if x is not None]
+                        + [x ^ 1 for x in map(vdir.__getitem__, reversed(w))
+                           if x is not None])
+            if rel:
+                relators[comp_of[ends[(u or w)[0]][0]]].append(rel)
 
     groups = {}
     total = 0
-    for root in roots:
+    for root, M in members.items():
         n = len(vgens[root])
-        table = _coset_closure(n, relators[root], bound) if n else [[]]
+        table = _vertex_group(n, relators[root], bound) if n else [[]]
         if table is None:
-            raise BoundExceeded(
-                f"vertex group at {root!r} did not close within {bound}")
+            raise BoundExceeded(f"vertex group at {P.objects[root]!r} "
+                                f"did not close within {bound}")
         groups[root] = MaterializedGroup(table, n)
-        total += groups[root].order * len(members[root]) ** 2
+        total += groups[root].order * len(M) ** 2
         if total > bound:
             raise BoundExceeded(f"materialized groupoid exceeds {bound} morphisms")
 
     objects = P.objects
-    morphisms, src, tgt, ident, comp = [], {}, {}, {}, {}
-    for root in roots:
+    base, start = [], 0
+    for root in comp_of:
+        base.append(start)
+        start += groups[root].order * len(members[root])
+    # per component: its members and their first positions, and for each
+    # element e2 the positions of (a, e1 e2, first member) over (a, e1)
+    blocks = {}
+    for root, M in members.items():
         G = groups[root]
-        for a in members[root]:
-            for b in members[root]:
-                for e in range(G.order):
-                    m = (a, e, b)
-                    morphisms.append(m)
-                    src[m], tgt[m] = a, b
-        for a in members[root]:
-            ident[a] = (a, 0, a)
-        for a in members[root]:
-            for b in members[root]:
-                for c in members[root]:
-                    for e1 in range(G.order):
-                        for e2 in range(G.order):
-                            comp[((b, e2, c), (a, e1, b))] = (a, G.after(e2, e1), c)
-    C = FinCategory(objects, morphisms, src, tgt, ident, comp)
+        products = G.products()
+        blocks[root] = (M, [base[c] for c in M], [row.index(0) for row in products],
+                        [[base[a] + products[e1][e2] * len(M)
+                          for a in M for e1 in range(G.order)]
+                         for e2 in range(G.order)])
+    place = {b: i for M in members.values() for i, b in enumerate(M)}
+    morphisms, src, tgt, after, inverses = [], [], [], [], []
+    for b, root in enumerate(comp_of):
+        M, bases, inv, rows = blocks[root]
+        k, i = len(M), place[b]
+        into = [r + i for r in rows[0]]
+        morphisms += [(objects[b], e, objects[c]) for e in range(len(rows)) for c in M]
+        src += [b] * (len(rows) * k)
+        tgt += M * len(rows)
+        after += [dict(zip(into, [r + j for r in row]))
+                  for row in rows for j in range(k)]
+        inverses += [c + e * k + i for e in inv for c in bases]
+    C = FinCategory._from_positions(
+        objects, morphisms, src, tgt,
+        [base[a] + place[a] for a in range(len(objects))], after, inverses)
 
-    # generator g: a -> b materializes as path(b) . e . path(a)^{-1}
-    genmap = {}
-    for g in glist:
-        a, b = P.generators[g]
+    # generator g: a -> b materializes as (a, e, b), e the element of its
+    # vertex-group generator, or the identity for a tree arrow
+    genmap = []
+    for d in range(0, len(ends), 2):
+        a, b = ends[d]
         root = comp_of[a]
-        G = groups[root]
-        loop = () if g in tree else (2 * gindex[g],)
-        body = paths[a] + loop + tuple(d ^ 1 for d in reversed(paths[b]))
-        word = tuple(2 * vindex[root][glist[d // 2]] + (d % 2)
-                     for d in body if glist[d // 2] not in tree)
-        genmap[g] = (a, G.follow(0, word), b)
-    return Materialization(P, C, genmap, groups, glist,
-                           {root: vgens[root] for root in roots}, comp_of, paths)
+        e = 0 if vdir[d] is None else groups[root].table[0][vdir[d]]
+        genmap.append(base[a] + e * len(members[root]) + place[b])
+    return Materialization(P, C, genmap, comp_of, members, forest, groups,
+                           vgens)
 
 
 def materialize_groupoid(P, bound):
@@ -812,15 +929,18 @@ def colimit_cat(cats, edges, bound=10000):
 
 def colimit_record(cats, edges, bound=10000):
     """Like colimit_cat but returns the Materialization record, which
-    downstream levelwise constructions use to induce functors."""
+    downstream levelwise constructions use to induce functors.  Objects
+    are numbered across the diagram, category by category; each class of
+    identified objects is named by its first member, which is also its
+    least name."""
     if not edges:
         raise CategoryError("colimit_record needs at least one edge")
     for C in cats:
         if not C.is_groupoid():
             raise CategoryError(
                 "colimits with identifications are only computed for groupoids")
-
-    parent = {}
+    first = list(itertools.accumulate((len(C.objects) for C in cats), initial=0))
+    parent = list(range(first[-1]))
 
     def find(x):
         while parent[x] != x:
@@ -828,52 +948,46 @@ def colimit_record(cats, edges, bound=10000):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            lo, hi = ordered((rx, ry))
-            parent[hi] = lo
-
-    for i, C in enumerate(cats):
-        for o in C.objects:
-            parent[(i, o)] = (i, o)
     for (i, j, F) in edges:
-        for o in cats[i].objects:
-            union((i, o), (j, F.obj_map[o]))
+        for a, b in enumerate(F._numbered[0]):
+            x, y = find(first[i] + a), find(first[j] + b)
+            parent[max(x, y)] = min(x, y)
 
-    objects = {find(x) for x in parent}
-    generators = {}
+    origin = [(i, a) for i, C in enumerate(cats) for a in range(len(C.objects))]
+    reps = [x for x in range(first[-1]) if find(x) == x]
+    position = {x: p for p, x in enumerate(reps)}
+    names = [(i, cats[i].objects[a]) for i, a in map(origin.__getitem__, reps)]
+    objects = [[position[find(first[i] + a)] for a in range(len(C.objects))]
+               for i, C in enumerate(cats)]
+
+    generators, gen_origins, words = {}, [], []
     for i, C in enumerate(cats):
-        for m in C.morphisms:
-            if C.is_identity(m):
-                continue
-            generators[(i, m)] = (find((i, C.src[m])), find((i, C.tgt[m])))
+        src, tgt, ident = C._numbered
+        word = []
+        for m, (a, b) in enumerate(zip(src, tgt)):
+            if ident[a] == m:
+                word.append(())
+            else:
+                word.append((2 * len(gen_origins),))
+                generators[(i, C.morphisms[m])] = (names[objects[i][a]],
+                                                   names[objects[i][b]])
+                gen_origins.append((i, m))
+        words.append(word)
 
-    def word_of(i, m):
-        C = cats[i]
-        return () if C.is_identity(m) else (((i, m), 1),)
+    relations = [(w[f] + w[g], w[h]) for w, C in zip(words, cats)
+                 for g, row in enumerate(C._after) for f, h in row.items()]
+    relations += [(words[i][m], words[j][y]) for (i, j, F) in edges
+                  for m, y in enumerate(F._numbered[1])]
 
-    relations = []
-    for i, C in enumerate(cats):
-        for (g, f), h in C.comp.items():
-            relations.append((word_of(i, f) + word_of(i, g), word_of(i, h)))
-    for (i, j, F) in edges:
-        for m in cats[i].morphisms:
-            relations.append((word_of(i, m), word_of(j, F.mor_map[m])))
-
-    P = PresentedGroupoid(objects, generators, relations)
-    record = _materialize(P, bound)
-    colim, genmap = record.category, record.genmap
+    record = _materialize(PresentedGroupoid(names, generators, relations), bound)
+    record.origins = ([origin[x] for x in reps], gen_origins)
+    ident, genmap = record.category._numbered[2], record.genmap
     cocones = []
     for i, C in enumerate(cats):
-        obj_map = {o: find((i, o)) for o in C.objects}
-        mor_map = {}
-        for m in C.morphisms:
-            if C.is_identity(m):
-                mor_map[m] = colim.ident[obj_map[C.src[m]]]
-            else:
-                mor_map[m] = genmap[(i, m)]
-        cocones.append(Functor(C, colim, obj_map, mor_map))
+        src, _, _ = C._numbered
+        arrows = [genmap[w[0] >> 1] if w else ident[objects[i][src[m]]]
+                  for m, w in enumerate(words[i])]
+        cocones.append(Functor.from_numbered(C, record.category, objects[i], arrows))
     return record, cocones
 
 

@@ -15,12 +15,17 @@ purpose (`cat.PresentedGroupoid`, which says why).
 Canonical order is a constructor invariant: every `TruncatedSimplicialSet`
 and `TruncatedBisimplicialSet` stores each degree's cells in strictly
 increasing `sort_key` order.  It is set only where cells come from an
-unordered source: `sset._from_tuples`, `FinCategory.__init__` and
-`PresentedGroupoid.__init__` (objects and morphisms), the new names that
-`spectra.mapping_space` makes, and `document._decode_sset`, which
+unordered source: `sset._from_tuples`, `FinCategory.__init__` (objects
+and morphisms), `PresentedGroupoid.__init__` (objects), the new names
+that `spectra.mapping_space` makes, and `document._decode_sset`, which
 writes a document's tables as positions in that order, not through
 `from_names`.  Every other construction extends, tags or filters cells
 that are already ordered, so consumers never sort stored cells again.
+`cat._materialize` writes each morphism (a, e, b) straight to its
+position in that order, computed from the ordered objects, and
+`cat.colimit_record` numbers the classes of identified objects by their
+least members, which is the order of their names; the presentations'
+builders number generators in the order of their names too.
 Results do not depend on the order; only the order of the output does.
 """
 

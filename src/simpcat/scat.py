@@ -193,20 +193,18 @@ def pi_levelwise(B, closure_bound=20000):
             raise BoundExceeded(f"row {n}: {e}") from e
         levels[n] = records[n].category
 
-    def image(p, n, m, k):
-        """The vertical d_k or s_k from (p, n) to (p, m), as names."""
-        return dict(zip(B.simplices[(p, n)],
-                        map(B.simplices[(p, m)].__getitem__,
-                            B.columns[p].positions(n, m, k))))
-
     def table(n, m, k):
-        gen_map = {e: records[m].genmap[y] for e, y in image(1, n, m, k).items()}
-        return records[n].induced_functor(levels[m], image(0, n, m, k), gen_map)
+        genmap = records[m].genmap
+        return records[n].induced_functor(
+            levels[m], B.columns[0].positions(n, m, k),
+            [genmap[y] for y in B.columns[1].positions(n, m, k)])
     basepoints = None
     if B.is_pointed():
+        bp = B.simplices[(0, 0)].index(B.basepoint)
         basepoints = {0: B.basepoint}
         for n in range(top):
-            basepoints[n + 1] = image(0, n, n + 1, 0)[basepoints[n]]
+            bp = B.columns[0].positions(n, n + 1, 0)[bp]
+            basepoints[n + 1] = B.simplices[(0, n + 1)][bp]
     return SimplicialCategory.from_operators(top, levels, table, basepoints,
                                              records=records)
 
@@ -218,10 +216,12 @@ def pi_functor(f, target_pi=None, closure_bound=20000):
     bound = min(S.bound, T.bound)
     levels = {}
     for n in range(bound + 1):
-        obj_map = {v: f(0, n, v) for v in f.source.simplices[(0, n)]}
-        gen_map = {e: T.records[n].genmap[f(1, n, e)]
-                   for e in f.source.simplices[(1, n)]}
-        levels[n] = S.records[n].induced_functor(T.levels[n], obj_map, gen_map)
+        obj = T.levels[n]._index[0]
+        gens = {g: k for k, g in enumerate(T.records[n].presentation.generators)}
+        genmap = T.records[n].genmap
+        levels[n] = S.records[n].induced_functor(
+            T.levels[n], [obj[f(0, n, v)] for v in f.source.simplices[(0, n)]],
+            [genmap[gens[f(1, n, e)]] for e in f.source.simplices[(1, n)]])
     return SimplicialFunctor(S, T, levels)
 
 
@@ -314,14 +314,14 @@ def wbar_nerve_iso(S):
 # ---------------------------------------------------------------------
 
 def _induced_colimit_functor(rec, target_cat, target_cocones, leg_functors):
-    obj_map = {}
-    for rep in rec.presentation.objects:
-        k, orig = rep
-        obj_map[rep] = target_cocones[k].obj_map[leg_functors[k].obj_map[orig]]
-    gen_map = {}
-    for (k, m) in rec.presentation.generators:
-        gen_map[(k, m)] = target_cocones[k].mor_map[leg_functors[k].mor_map[m]]
-    return rec.induced_functor(target_cat, obj_map, gen_map)
+    """The functor out of a levelwise colimit that `leg_functors` induce
+    into the colimit whose cocones are `target_cocones`."""
+    cocones = [c._numbered for c in target_cocones]
+    legs = [F._numbered for F in leg_functors]
+    objects, generators = rec.origins
+    return rec.induced_functor(
+        target_cat, [cocones[k][0][legs[k][0][a]] for k, a in objects],
+        [cocones[k][1][legs[k][1][m]] for k, m in generators])
 
 
 def _coproduct_functor(src, tgt, legs):
@@ -429,14 +429,14 @@ def smash(S, X, closure_bound=20000):
             [(0, 1, _point_functor(pt, C, bpC)),
              (0, 2, _point_functor(pt, K, bpK))], closure_bound)
         A = wedge_recs[n].category
-        obj_map = {}
-        for rep in wedge_recs[n].presentation.objects:
-            k, orig = rep
-            obj_map[rep] = {0: (bpC, bpK), 1: (orig, bpK), 2: (bpC, orig)}[k]
-        gen_map = {}
-        for (k, m) in wedge_recs[n].presentation.generators:
-            gen_map[(k, m)] = (m, K.ident[bpK]) if k == 1 else (C.ident[bpC], m)
-        j = wedge_recs[n].induced_functor(P.levels[n], obj_map, gen_map)
+        obj, mor = P.levels[n]._index
+        wedge = wedge_recs[n].presentation
+        j = wedge_recs[n].induced_functor(
+            P.levels[n],
+            [obj[{0: (bpC, bpK), 1: (o, bpK), 2: (bpC, o)}[k]]
+             for k, o in wedge.objects],
+            [mor[(m, K.ident[bpK]) if k == 1 else (C.ident[bpC], m)]
+             for k, m in wedge.generators])
         recs[n], cocones[n] = colimit_record(
             [A, P.levels[n], pt],
             [(0, 1, j), (0, 2, _collapse_functor(A, pt))], closure_bound)

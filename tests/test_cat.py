@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simpcat import cat
 from simpcat.cat import (BoundExceeded, CategoryError, FinCategory, Functor,
                          PresentedGroupoid, _spanning_forest,
                          arrow_cat, chaotic, colimit_cat, coproduct_cat,
@@ -203,7 +204,7 @@ def test_hom_equals_filtered_morphisms(C):
 def _sorted_forest(objects, generators):
     """The spanning forest with every list sorted by `sort_key`: each
     adjacency list by (generator, sign) before it is read, and each
-    component's members at the end."""
+    component's members at the end; read back as positions."""
     glist = sorted(generators, key=sort_key)
     gindex = {g: k for k, g in enumerate(glist)}
     adj = {o: [] for o in objects}
@@ -211,12 +212,11 @@ def _sorted_forest(objects, generators):
         a, b = generators[g]
         adj[a].append((b, g, +1))
         adj[b].append((a, g, -1))
-    comp_of, paths, roots, members, tree = {}, {}, [], {}, set()
+    comp_of, members, forest = {}, {}, {}
     for o in objects:
         if o in comp_of:
             continue
-        roots.append(o)
-        comp_of[o], members[o], paths[o] = o, [o], ()
+        comp_of[o], members[o] = o, [o]
         frontier = [o]
         while frontier:
             a = frontier.pop(0)
@@ -225,12 +225,13 @@ def _sorted_forest(objects, generators):
                 if b not in comp_of:
                     comp_of[b] = o
                     members[o].append(b)
-                    d = 2 * gindex[g] + (0 if sign > 0 else 1)
-                    paths[b] = paths[a] + (d,)
-                    tree.add(g)
+                    forest[b] = (a, 2 * gindex[g] + (0 if sign > 0 else 1))
                     frontier.append(b)
         members[o].sort(key=sort_key)
-    return glist, gindex, comp_of, roots, members, paths, tree
+    index = {o: a for a, o in enumerate(objects)}
+    return ([index[comp_of[o]] for o in objects],
+            {index[r]: [index[o] for o in M] for r, M in members.items()},
+            {index[b]: (index[a], d) for b, (a, d) in forest.items()})
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,8 +248,99 @@ def _sorted_forest(objects, generators):
 def test_spanning_forest_reads_its_lists_in_sorted_order(case):
     """Adjacency lists built in generator order, loops and parallel
     arrows included, and members listed in object order give the forest
-    that sorting every list gives."""
+    that sorting every list gives.  The generators are numbered in
+    canonical order, as the presentations' builders give them."""
     objects, generators = case
-    objects = PresentedGroupoid(objects, generators, ()).objects
-    assert _spanning_forest(objects, generators) == \
-        _sorted_forest(objects, generators)
+    generators = dict(sorted(generators.items(), key=lambda gs: sort_key(gs[0])))
+    P = PresentedGroupoid(objects, generators, ())
+    assert _spanning_forest(len(P.objects), P._ends) == \
+        _sorted_forest(P.objects, generators)
+
+
+def test_relation_equating_a_non_loop_with_the_empty_word_is_reported():
+    P = PresentedGroupoid((0, 1), {"g": (0, 1)}, [((0,), ())])
+    assert P.validate() == [
+        "relation (('g', 1),) = () equates a non-loop with the empty word"]
+    with pytest.raises(CategoryError, match="non-loop"):
+        materialize_groupoid(P, 100)
+
+
+def test_relation_validation_on_directions():
+    P = PresentedGroupoid((0, 1), {"f": (0, 1), "g": (1, 0)},
+                          [((0, 2), ()), ((0, 0), (0,)), ((1,), (2,)),
+                           ((0, 3), (4,))])
+    assert P.validate() == [
+        "relation (0, 3) = (4,) names an unknown generator"]
+    P = PresentedGroupoid((0, 1), {"f": (0, 1), "g": (1, 0)},
+                          [((0, 2), ()), ((0, 0), (0,)), ((1,), (2,)),
+                           ((3, 1), ())])
+    assert P.validate() == [
+        "relation (('f', 1), ('f', 1)) = (('f', 1),) not composable"]
+    assert PresentedGroupoid((0,), {"g": (0, 2)}, ()).validate() == [
+        "generator 'g' has unknown endpoints"]
+
+
+def _loops(*relations):
+    """One object with generators a, b, c looping at it."""
+    return PresentedGroupoid(("*",), {g: ("*", "*") for g in "abc"}, relations)
+
+
+def test_trivial_vertex_group_needs_no_coset_closure(monkeypatch):
+    def closure(*args):
+        raise AssertionError("coset closure run for a trivial group")
+    monkeypatch.setattr(cat, "_coset_closure", closure)
+    # a dies alone; then b, whose relator is a b; then c, in c b a b
+    P = _loops(((4, 2, 0, 2), ()), ((0, 2), ()), ((0,), ()))
+    M = materialize_groupoid(P, 10)
+    assert M.morphisms == (("*", 0, "*"),)
+    rec = cat._materialize(P, 10)
+    assert rec.genmap == [0, 0, 0]
+    # the triangle: its one non-tree edge dies with the tree letters gone
+    V = delta(2, 3).simplices[0]
+    assert materialize_groupoid(fundamental_groupoid(delta(2, 3)), 100) \
+        .morphisms == tuple((a, 0, b) for a in V for b in V)
+
+
+def test_surviving_generator_reaches_the_coset_closure(monkeypatch):
+    calls = []
+
+    def closure(ngens, relators, bound):
+        calls.append(relators)
+        return original(ngens, relators, bound)
+    original = cat._coset_closure
+    monkeypatch.setattr(cat, "_coset_closure", closure)
+    # a and c die; b survives with b b = 1, and the closure is handed the
+    # relators unchanged
+    P = _loops(((0,), ()), ((2, 2), ()), ((4, 0), ()))
+    assert len(materialize_groupoid(P, 10).morphisms) == 2
+    assert calls == [[(0,), (2, 2), (4, 0)]]
+
+
+def test_bound_below_one_raises_the_closure_message():
+    for P in (_loops(((0,), ()), ((2,), ()), ((4,), ())), _loops()):
+        with pytest.raises(BoundExceeded) as e:
+            materialize_groupoid(P, 0)
+        assert str(e.value) == "vertex group at '*' did not close within 0"
+
+
+def test_trivial_group_past_the_closure_budget_materializes():
+    """The closure explores at most 8 * bound + 8 cosets: a long relator
+    read before the one that kills its generator used to exceed it at
+    bound 1, though the group is trivial."""
+    P = PresentedGroupoid(("*",), {"g": ("*", "*")},
+                          [((0,) * 20, ()), ((0,), ())])
+    assert cat._coset_closure(1, [(0,) * 20, (0,)], 1) is None
+    assert materialize_groupoid(P, 1).morphisms == (("*", 0, "*"),)
+
+
+def test_off_root_vertex_generator_induces_the_identity():
+    """The vertex group Z/2 is generated by g, a loop at 1, away from the
+    root 0; the functor that sends each generator to its own image is
+    the identity.  Walking g itself at the root raised KeyError."""
+    P = PresentedGroupoid((0, 1), {"t": (0, 1), "g": (1, 1)}, [((2, 2), ())])
+    rec = cat._materialize(P, 100)
+    C = rec.category
+    assert len(C.morphisms) == 8 and C.validate() == []
+    F = rec.induced_functor(C, [0, 1], rec.genmap)
+    assert F._numbered == ([0, 1], list(range(8)))
+    assert F.validate() == []
