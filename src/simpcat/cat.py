@@ -15,13 +15,11 @@ the functors induced out of it are built on positions (source, target,
 identity and inverse lists, composition as `_after[g] = {f: g f}`), and
 their names view (`src`, `tgt`, `ident`, `comp`, `obj_map`, `mor_map`)
 is built when first read.  A presentation's relations are direction
-words over its numbered generators.  Nerve chains are numbered (an
-object position, or a tuple of morphism positions), the one nerve
-operator `chain_operator` and a functor's `on_chain` work on them, and
-names are decoded only where a nerve lists its cells (`chain_names`).
-`numbered_nerve` gives the truncated nerve as chains, their positions
-and the operators' position lists; the nerve stores those lists, and
-the functor search reads them.
+words over its numbered generators.  The nerve is numbered by prefix
+recurrence (`NumberedNerve`, built once per category): a k-chain is its
+prefix and its last morphism, so its position, each operator's position
+list and each functor's image follow from the prefix's, and chains are
+named only where a nerve lists its cells.
 """
 
 from __future__ import annotations
@@ -31,7 +29,8 @@ import itertools
 import operator
 
 from .names import ordered, sort_key
-from .sset import MAX_VIOLATIONS, SimplicialMap, TruncatedSimplicialSet
+from .sset import (MAX_VIOLATIONS, SimplicialMap, TruncatedSimplicialSet,
+                   _operator_keys)
 
 
 class CategoryError(Exception):
@@ -165,66 +164,15 @@ class FinCategory:
                       and after[f].get(g) == ident[b]), None)
                 for f, (a, b) in enumerate(zip(src, tgt))]
 
-    def chains(self, degrees):
-        """{k: composable k-chains, in order} for each k in `degrees`,
-        numbered: degree 0 holds the object positions, degree k the
-        k-tuples of morphism positions.  The chains grow by one morphism
-        per degree, taken in order from the morphisms out of the last
-        target; extending ordered chains by ordered morphisms keeps them
-        in lexicographic order, which is the order of their names."""
-        src, tgt, _ = self._numbered
-        out_of = [[] for _ in self.objects]
-        for f, a in enumerate(src):
-            out_of[a].append(f)
-        out = {0: tuple(range(len(self.objects)))} if 0 in degrees else {}
-        chains = [()]
-        for k in range(1, max(degrees) + 1):
-            chains = [c + (f,) for c in chains
-                      for f in (out_of[tgt[c[-1]]] if c
-                                else range(len(self.morphisms)))]
-            if k in degrees:
-                out[k] = tuple(chains)
-        return out
-
-    def chain_names(self, k, chains):
-        """The names of numbered k-chains: the object at k = 0, else the
-        tuple of morphisms."""
-        if k == 0:
-            return tuple(map(self.objects.__getitem__, chains))
-        name = self.morphisms.__getitem__
-        return tuple([tuple(map(name, c)) for c in chains])
-
-    def chain_operator(self, k, m, i):
-        """The nerve operator d_i (m = k - 1) or s_i (m = k + 1) as a
-        function on numbered k-chains."""
-        src, tgt, ident = self._numbered
-        if m > k:
-            if k == 0:
-                return lambda a: (ident[a],)
-            if i == k:
-                return lambda c: c + (ident[tgt[c[-1]]],)
-            return lambda c: c[:i] + (ident[src[c[i]]],) + c[i:]
-        if k == 1:
-            return (lambda c: tgt[c[0]]) if i == 0 else (lambda c: src[c[0]])
-        if i == 0:
-            return operator.itemgetter(slice(1, None))
-        if i == k:
-            return operator.itemgetter(slice(None, -1))
-        after = self._after
-        return lambda c: c[:i - 1] + (after[c[i]][c[i - 1]],) + c[i + 1:]
+    @functools.cached_property
+    def _nerve(self):
+        return NumberedNerve(self)
 
     def numbered_nerve(self, top):
-        """The nerve truncated at `top` on numbered chains: its chains
-        {k: chains, in order}, their positions {k: {chain: position}},
-        and its operator tables {(k, m, i): position list} in
-        `TruncatedSimplicialSet.positions` order."""
-        chains = self.chains(range(top + 1))
-        index = {k: {c: p for p, c in enumerate(cs)} for k, cs in chains.items()}
-        tables = {(k, m, i): list(map(index[m].__getitem__,
-                                      map(self.chain_operator(k, m, i), chains[k])))
-                  for k in range(top + 1) for m in (k - 1, k + 1)
-                  if 0 <= m <= top for i in range(k + 1)}
-        return chains, index, tables
+        """The nerve on positions, built through degree `top` at least;
+        built once per category and grown as later calls need."""
+        self._nerve.grow(top)
+        return self._nerve
 
     def validate(self):
         v = []
@@ -269,6 +217,103 @@ class FinCategory:
 
     def __repr__(self):
         return f"FinCategory({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
+
+
+class NumberedNerve:
+    """The nerve of a category on positions, grown degree by degree.
+
+    Degree 0 lists the objects and degree 1 the morphisms, in stored
+    order.  For k >= 2 each (k-1)-chain c is extended in order by the
+    morphisms f out of its last target, in order, which is the order of
+    the names: c.f sits at `start[k-1][c] + rank[f]`, f's place among
+    the morphisms out of its source.  Each degree keeps the `parent` c
+    and the `last` f of its chains (a morphism's parent is its source),
+    and the operators follow from the parent's: d_k(c.f) = c,
+    d_{k-1}(c.f) composes the last two, d_i(c.f) = d_i(c).f for
+    i < k - 1, s_k(x) = x.id, s_i(c.f) = s_i(c).f for i < k, and for a
+    functor F(c.f) = F(c).F(f).  `tables` holds the operators' position
+    lists keyed (k, m, i) as in `TruncatedSimplicialSet.positions`."""
+
+    def __init__(self, C):
+        src, tgt, ident = C._numbered
+        self._after, self._morphisms = C._after, C.morphisms
+        self._out_of, self.rank = [[] for _ in C.objects], []
+        for f, a in enumerate(src):
+            self.rank.append(len(self._out_of[a]))
+            self._out_of[a].append(f)
+        # per degree: each chain's parent, last morphism, its rank and its
+        # target, and where the extensions of each chain start
+        self.parent, self.last = [None, src], [None, list(range(len(src)))]
+        self.last_rank, self.ends = [None, self.rank], [range(len(C.objects)), tgt]
+        self.start = [None]
+        self.tables = {(1, 0, 0): tgt, (1, 0, 1): src, (0, 1, 0): ident}
+        self._names = {0: C.objects}
+
+    def size(self, k):
+        return len(self.ends[k])
+
+    def _at(self, k, parents, ranks):
+        """The positions of the k-chains (k >= 2) with these parents and
+        these ranks of their last morphisms."""
+        return list(map(operator.add, map(self.start[k - 1].__getitem__, parents),
+                        ranks))
+
+    def grow(self, top):
+        """Build each degree through `top` not built yet: its chains, the
+        faces out of it and the degeneracies into it."""
+        tables, rank = self.tables, self.rank
+        for k in range(len(self.ends), top + 1):
+            ends = self.ends[k - 1]
+            counts = [len(self._out_of[b]) for b in ends]
+            self.start.append(list(itertools.accumulate(counts, initial=0)))
+            parent = list(itertools.chain.from_iterable(
+                map(itertools.repeat, range(len(ends)), counts)))
+            last = list(itertools.chain.from_iterable(
+                map(self._out_of.__getitem__, ends)))
+            self.parent.append(parent)
+            self.last.append(last)
+            self.last_rank.append(list(map(rank.__getitem__, last)))
+            self.ends.append(list(map(tables[1, 0, 0].__getitem__, last)))
+            composite = list(map(dict.__getitem__, map(self._after.__getitem__, last),
+                                 map(self.last[k - 1].__getitem__, parent)))
+            faces = [last, composite] if k == 2 else [
+                self._at(k - 1, map(tables[k - 1, k - 2, i].__getitem__, parent),
+                         self.last_rank[k] if i < k - 1
+                         else map(rank.__getitem__, composite))
+                for i in range(k)]
+            degens = [self._at(k, map(tables[k - 2, k - 1, i].__getitem__,
+                                      self.parent[k - 1]), self.last_rank[k - 1])
+                      for i in range(k - 1)]
+            degens.append(self._at(k, range(len(ends)), map(
+                rank.__getitem__, map(tables[0, 1, 0].__getitem__, ends))))
+            tables.update(((k, k - 1, i), t) for i, t in enumerate(faces + [parent]))
+            tables.update(((k - 1, k, i), t) for i, t in enumerate(degens))
+
+    def operators(self, top):
+        """The operator tables of the nerve truncated at `top`, in
+        `TruncatedSimplicialSet.positions` order."""
+        return {key: self.tables[key] for key in _operator_keys(top)}
+
+    def names(self, k):
+        """The k-chains' names, built on first read: the objects at
+        k = 0, else the tuples of morphism names."""
+        if k not in self._names:
+            prefixes = (map(self.names(k - 1).__getitem__, self.parent[k])
+                        if k > 1 else itertools.repeat(()))
+            self._names[k] = tuple([p + (m,) for p, m in zip(
+                prefixes, map(self._morphisms.__getitem__, self.last[k]))])
+        return self._names[k]
+
+    def images(self, objects, arrows, target, top):
+        """The images of the chains of degrees 0..top under the functor
+        with object images `objects` and morphism images `arrows`, as
+        positions in the nerve `target`."""
+        out = [objects, arrows]
+        ranks = list(map(target.rank.__getitem__, arrows))
+        for k in range(2, top + 1):
+            out.append(target._at(k, map(out[k - 1].__getitem__, self.parent[k]),
+                                  map(ranks.__getitem__, self.last[k])))
+        return out[:top + 1]
 
 
 # ---------------------------------------------------------------------
@@ -404,15 +449,6 @@ class Functor:
         return ([obj[self.obj_map[o]] for o in self.source.objects],
                 [mor[self.mor_map[m]] for m in self.source.morphisms])
 
-    def on_chain(self, k):
-        """The image of numbered k-chains of the source's nerve, numbered
-        in the target's, as a function."""
-        objects, morphisms = self._numbered
-        if k == 0:
-            return objects.__getitem__
-        image = morphisms.__getitem__
-        return lambda c: tuple(map(image, c))
-
     @classmethod
     def identity(cls, C):
         return cls.from_numbered(C, C, list(range(len(C.objects))),
@@ -506,26 +542,19 @@ def iso_subgroupoid(C):
 
 def nerve(C, bound):
     """Composable chains: degree k simplices are k-tuples of morphisms."""
-    return _nerve(C, bound)[0]
-
-
-def _nerve(C, bound):
-    """The nerve of C, its numbered chains, and their positions."""
     if bound < 0:
         raise CategoryError(f"nerve needs a bound >= 0, got {bound}")
-    chains, index, tables = C.numbered_nerve(bound)
-    X = TruncatedSimplicialSet(
-        bound, {k: C.chain_names(k, cs) for k, cs in chains.items()}, tables)
-    return X, chains, index
+    N = C.numbered_nerve(bound)
+    return TruncatedSimplicialSet(
+        bound, {k: N.names(k) for k in range(bound + 1)}, N.operators(bound))
 
 
 def nerve_functor(F, bound):
     """Induced simplicial map between nerves."""
-    X, chains, _ = _nerve(F.source, bound)
-    Y, _, index = _nerve(F.target, bound)
-    return SimplicialMap(X, Y, {
-        k: list(map(index[k].__getitem__, map(F.on_chain(k), chains[k])))
-        for k in X.degrees()})
+    images = F.source.numbered_nerve(bound).images(
+        *F._numbered, F.target.numbered_nerve(bound), bound)
+    return SimplicialMap(nerve(F.source, bound), nerve(F.target, bound),
+                         dict(enumerate(images)))
 
 
 # ---------------------------------------------------------------------
@@ -1019,8 +1048,9 @@ def enumerate_functors(C, D, cap=10 ** 6):
     morphisms and composable pairs, whose faces carry the endpoints and
     the composite.  More than `cap` functors raise CapExceeded."""
     def side(E):
-        chains, _, tables = E.numbered_nerve(2)
-        return (lambda k: len(chains[k]),
+        N = E.numbered_nerve(2)
+        tables = N.operators(2)
+        return (N.size,
                 lambda k: [(m, t) for (j, m, _), t in tables.items() if j == k])
     maps = list(itertools.islice(SimplicialMap.commuting_maps(
         (2, 1, 0), side(C), side(D)), cap + 1))

@@ -10,16 +10,18 @@ functors are enumerated by the hom search of :mod:`simpcat.sset`, on the
 position lists of each level's numbered nerve and of the structure
 functors' object and morphism images.
 
-The levelwise and diagonal nerves are built on numbered chains: their
-tables and the images of `diag_nerve_iso_map` are position lists, taken
-straight from the chain operator and the structure functors, and their
-cells are named once, as they are listed.  The diagonal nerve is built
-directly: `diag` of the levelwise nerve would build every bidegree.
+The levelwise and diagonal nerves, and the images of
+`diag_nerve_iso_map`, are the position lists of each level's numbered
+nerve (`simpcat.cat.NumberedNerve`, by prefix recurrence), under the
+structure functors restricted to the maximal subgroupoids.  The
+diagonal nerve is built directly, once per simplicial category: `diag`
+of the levelwise nerve would build every bidegree.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .bisset import BidegreeShape, TruncatedBisimplicialSet, dec, wbar
 from .cat import (BoundExceeded, CapExceeded, CategoryError, Functor,
@@ -27,7 +29,7 @@ from .cat import (BoundExceeded, CapExceeded, CategoryError, Functor,
                   fundamental_groupoid, iso_subgroupoid, product_cat,
                   terminal_cat)
 from .sset import (MAX_VIOLATIONS, SimplicialMap, TruncatedSimplicialSet,
-                   sphere, truncate)
+                   _operator_keys, sphere, truncate)
 
 
 # The two simplicial sets of a simplicial category: the attribute of
@@ -229,76 +231,82 @@ def pi_functor(f, target_pi=None, closure_bound=20000):
 # nerves of the maximal subgroupoid
 # ---------------------------------------------------------------------
 
-def _on_iso(F, G, H):
-    """The functor F restricted to the maximal subgroupoids G of its
-    source and H of its target."""
-    if F.source is G and F.target is H:
-        return F
-    return Functor(G, H, F.obj_map, {m: F.mor_map[m] for m in G.morphisms})
+def _on_iso(F, G, H, top):
+    """The images of the chains of degrees 0..top of the nerve of G, the
+    maximal subgroupoid of F's source, under F restricted to G and to
+    the maximal subgroupoid H of its target."""
+    objects, arrows = F._numbered
+    if F.source is not G:
+        arrows = [a for a, g in zip(arrows, F.source._inverses) if g is not None]
+    if F.target is not H:
+        # an invertible morphism's place in H counts the invertible ones before it
+        place = list(itertools.accumulate(
+            (g is not None for g in F.target._inverses), initial=0))
+        arrows = list(map(place.__getitem__, arrows))
+    return G.numbered_nerve(top).images(objects, arrows, H.numbered_nerve(top), top)
 
 
 def nerve_iso_levelwise(S, depth=None):
     """Bidegree (p, n): p-chains of invertible morphisms of level n."""
     depth = S.bound if depth is None else depth
     shape = BidegreeShape.rectangle(depth, S.bound)
-    groupoids = {n: iso_subgroupoid(S.levels[n]) for n in range(S.bound + 1)}
-    chains, simplices = {}, {}
-    for n, G in groupoids.items():
-        for p, cs in G.chains(range(depth + 1)).items():
-            chains[(p, n)] = cs
-            simplices[(p, n)] = G.chain_names(p, cs)
-    index = {pq: {c: i for i, c in enumerate(cs)} for pq, cs in chains.items()}
-
-    def horizontal(p, n, m, k):
-        op = groupoids[n].chain_operator(p, m, k)
-        return list(map(index[(m, n)].__getitem__, map(op, chains[(p, n)])))
-
-    def vertical(p, n, m, k):
-        F = _on_iso(S.table(n, m, k), groupoids[n], groupoids[m])
-        return list(map(index[(p, m)].__getitem__,
-                        map(F.on_chain(p), chains[(p, n)])))
+    groupoids = {n: iso_subgroupoid(C) for n, C in S.levels.items()}
+    nerves = {n: G.numbered_nerve(depth) for n, G in groupoids.items()}
+    images = {(n, m, k): _on_iso(S.table(n, m, k), groupoids[n], groupoids[m], depth)
+              for n, m, k in _operator_keys(S.bound)}
     bp = S.basepoints[0] if S.is_pointed() else None
-    return TruncatedBisimplicialSet.from_operators(shape, simplices, horizontal,
-                                                   vertical, basepoint=bp)
+    return TruncatedBisimplicialSet.from_operators(
+        shape, {(p, n): N.names(p) for n, N in nerves.items()
+                for p in range(depth + 1)},
+        lambda p, n, m, k: nerves[n].tables[p, m, k],
+        lambda p, n, m, k: images[n, m, k][p], basepoint=bp)
 
 
 def diag_nerve_iso(S):
     """Diagonal of the levelwise nerve, built directly: degree n is the
-    n-chains of invertible morphisms of level n."""
+    n-chains of invertible morphisms of level n.  Built once per
+    simplicial category."""
     return _diag_nerve_iso(S)[0]
 
 
+_DIAG_NERVES = weakref.WeakKeyDictionary()
+
+
 def _diag_nerve_iso(S):
-    """The diagonal nerve, built on numbered chains with positional
-    tables, and per level n the maximal subgroupoid, its numbered
-    n-chains and their positions."""
-    groupoids = {n: iso_subgroupoid(S.levels[n]) for n in range(S.bound + 1)}
-    chains = {n: G.chains((n,))[n] for n, G in groupoids.items()}
-    index = {n: {c: p for p, c in enumerate(cs)} for n, cs in chains.items()}
+    """`_build_diag_nerve_iso(S)`, built on the first call for S and kept
+    in `_DIAG_NERVES` only as long as S lives."""
+    if S not in _DIAG_NERVES:
+        _DIAG_NERVES[S] = _build_diag_nerve_iso(S)
+    return _DIAG_NERVES[S]
+
+
+def _build_diag_nerve_iso(S):
+    """The diagonal nerve and the maximal subgroupoid of each level, its
+    nerve numbered through degree n at level n.  A structure functor
+    commutes with the nerve operators, so a face is taken in level n and
+    then mapped, and a degeneracy is taken in level m after the map."""
+    groupoids = {n: iso_subgroupoid(C) for n, C in S.levels.items()}
+    nerves = {n: G.numbered_nerve(n) for n, G in groupoids.items()}
 
     def table(n, m, k):
-        op = groupoids[m].chain_operator(n, m, k)
-        F = _on_iso(S.table(n, m, k), groupoids[n], groupoids[m])
-        return list(map(index[m].__getitem__,
-                        map(op, map(F.on_chain(n), chains[n]))))
+        image = _on_iso(S.table(n, m, k), groupoids[n], groupoids[m], min(n, m))[-1]
+        if m < n:
+            return list(map(image.__getitem__, nerves[n].tables[n, m, k]))
+        return list(map(nerves[m].tables[n, m, k].__getitem__, image))
     bp = S.basepoints[0] if S.is_pointed() else None
     X = TruncatedSimplicialSet.from_operators(
-        S.bound, {n: G.chain_names(n, chains[n]) for n, G in groupoids.items()},
-        table, basepoint=bp)
-    return X, groupoids, chains, index
+        S.bound, {n: N.names(n) for n, N in nerves.items()}, table, basepoint=bp)
+    return X, groupoids
 
 
 def diag_nerve_iso_map(SF):
     """Simplicial map induced on the diagonal nerves by a simplicial
     functor between levelwise groupoids."""
-    X, source, chains, _ = _diag_nerve_iso(SF.source)
-    Y, target, _, index = _diag_nerve_iso(SF.target)
+    X, source = _diag_nerve_iso(SF.source)
+    Y, target = _diag_nerve_iso(SF.target)
     bound = min(X.bound, Y.bound)
-    assign = {}
-    for n in range(bound + 1):
-        F = _on_iso(SF.levels[n], source[n], target[n])
-        assign[n] = list(map(index[n].__getitem__,
-                             map(F.on_chain(n), chains[n])))
+    assign = {n: _on_iso(SF.levels[n], source[n], target[n], n)[n]
+              for n in range(bound + 1)}
     if bound < X.bound:
         X = truncate(X, bound)
         Y = truncate(Y, bound)
@@ -477,17 +485,18 @@ def enumerate_simplicial_functors(S, T, cap=10 ** 6):
     bound = min(S.bound, T.bound)
 
     def side(R):
-        nerves = [R.levels[n].numbered_nerve(2 if n == bound else 1)
-                  for n in range(bound + 1)]
+        tops = [2 if n == bound else 1 for n in range(bound + 1)]
+        nerves = [R.levels[n].numbered_nerve(top) for n, top in enumerate(tops)]
+        tables = [N.operators(top) for N, top in zip(nerves, tops)]
 
         def operators(key):
             p, n = key
-            return [((q, n), t) for (k, q, _), t in nerves[n][2].items()
+            return [((q, n), t) for (k, q, _), t in tables[n].items()
                     if k == p] + [
                 ((p, m), R.table(n, m, k)._numbered[p])    # p-chain images
                 for m in (n - 1, n + 1) if p < 2 and 0 <= m <= bound
                 for k in range(n + 1)]
-        return (lambda key: len(nerves[key[1]][0][key[0]])), operators
+        return (lambda key: nerves[key[1]].size(key[0])), operators
     keys = [(2, bound)] + [(p, n) for n in reversed(range(bound + 1))
                            for p in (1, 0)]
     maps = list(itertools.islice(SimplicialMap.commuting_maps(

@@ -74,8 +74,9 @@ def test_c_sigma_is_canonical(data):
 def test_nerves_and_chains_are_canonical(C, b):
     assert_canonical(C.objects)
     assert_canonical(C.morphisms)
-    for k, cells in C.chains(range(b + 1)).items():
-        assert_canonical(C.chain_names(k, cells))
+    N = C.numbered_nerve(b)
+    for k in range(b + 1):
+        assert_canonical(N.names(k))
     assert_sset_canonical(nerve(C, b))
     assert_sset_canonical(diag_nerve_iso(constant_scat(C, b)))
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from simpcat import cat
 from simpcat.cat import (BoundExceeded, CategoryError, FinCategory, Functor,
-                         PresentedGroupoid, _spanning_forest,
+                         NumberedNerve, PresentedGroupoid, _spanning_forest,
                          arrow_cat, chaotic, colimit_cat, coproduct_cat,
                          cyclic_group, discrete, enumerate_functors,
                          equalizer_cat, fundamental_groupoid,
@@ -177,12 +177,13 @@ def test_chains_equal_filtered_product(C):
                   if not c or C.tgt[c[-1]] == C.src[m]]
         expected[k] = tuple(chains)
 
-    def names(chains):
-        return {k: C.chain_names(k, cs) for k, cs in chains.items()}
     for top in range(5):
-        assert names(C.chains(range(top + 1))) == {k: expected[k]
-                                                   for k in range(top + 1)}
-    assert names(C.chains((4,))) == {4: expected[4]}
+        N = C.numbered_nerve(top)
+        assert {k: N.names(k) for k in range(top + 1)} == {
+            k: expected[k] for k in range(top + 1)}
+    fresh = NumberedNerve(C)     # grown in one step, not degree by degree
+    fresh.grow(4)
+    assert fresh.names(4) == expected[4]
 
 
 @pytest.mark.parametrize("C", [

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import pytest
 
-from simpcat.bisset import box_product, d_star, dec
+from simpcat import scat
+from simpcat.bisset import box_product, d_star, d_star_map, dec
 from simpcat.cat import CategoryError, cyclic_group, terminal_cat
 from simpcat.homology import homology_list
 from simpcat.scat import (add_basepoint, colimit_scat, constant_pointed_scat,
@@ -10,7 +14,7 @@ from simpcat.scat import (add_basepoint, colimit_scat, constant_pointed_scat,
                           s0_scat, smash, suspend, terminal_scat,
                           wbar_nerve_iso)
 from simpcat.sset import (SimplicialMap, boundary, delta, enumerate_maps,
-                          point, sphere, two_point)
+                          horn, point, sphere, two_point)
 from simpcat.bisset import diag
 
 
@@ -239,6 +243,35 @@ def test_diag_nerve_iso_map_of_identity():
                                      for n in range(3)})
     f = diag_nerve_iso_map(ident)
     assert f.validate() == []
+
+
+def test_diag_nerve_iso_is_built_once_per_scat(monkeypatch):
+    """Maps into one target reuse its diagonal nerve, as the probes of
+    the acyclic-cofibrations suite do."""
+    built, build = [], scat._build_diag_nerve_iso
+    monkeypatch.setattr(scat, "_build_diag_nerve_iso",
+                        lambda S: built.append(S) or build(S))
+    D = delta(2, 4)
+    T = pi_levelwise(d_star(D))
+    maps = []
+    for i in (0, 1):
+        H = horn(2, i, 4)
+        incl = SimplicialMap(H, D, {k: {x: x for x in H.simplices[k]}
+                                    for k in H.degrees()})
+        maps.append(diag_nerve_iso_map(
+            pi_functor(d_star_map(incl), target_pi=T)))
+    assert diag_nerve_iso(T) is diag_nerve_iso(T)
+    assert [f.target for f in maps] == [diag_nerve_iso(T)] * 2
+    assert [S is T for S in built] == [False, True, False]
+
+
+def test_diag_nerve_iso_memo_dies_with_its_scat():
+    S = constant_scat(cyclic_group(2), 3)
+    diag_nerve_iso(S)
+    alive = weakref.ref(S)
+    del S
+    gc.collect()
+    assert alive() is None
 
 
 def test_product_scat_audit():
