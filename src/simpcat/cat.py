@@ -16,10 +16,10 @@ identity and inverse lists, composition as `_after[g] = {f: g f}`), and
 their names view (`src`, `tgt`, `ident`, `comp`, `obj_map`, `mor_map`)
 is built when first read.  A presentation's relations are direction
 words over its numbered generators.  The nerve is numbered by prefix
-recurrence (`NumberedNerve`, built once per category): a k-chain is its
-prefix and its last morphism, so its position, each operator's position
-list and each functor's image follow from the prefix's, and chains are
-named only where a nerve lists its cells.
+recurrence (`NumberedNerve`): a k-chain is its prefix and its last
+morphism, so its position, each operator's position list and each
+functor's image follow from the prefix's, and chains are named only
+where a nerve lists its cells.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import itertools
 import operator
 
 from .names import ordered, sort_key
-from .sset import (MAX_VIOLATIONS, SimplicialMap, TruncatedSimplicialSet,
-                   _operator_keys)
+from .sset import MAX_VIOLATIONS, SimplicialMap, TruncatedSimplicialSet
 
 
 class CategoryError(Exception):
@@ -164,16 +163,6 @@ class FinCategory:
                       and after[f].get(g) == ident[b]), None)
                 for f, (a, b) in enumerate(zip(src, tgt))]
 
-    @functools.cached_property
-    def _nerve(self):
-        return NumberedNerve(self)
-
-    def numbered_nerve(self, top):
-        """The nerve on positions, built through degree `top` at least;
-        built once per category and grown as later calls need."""
-        self._nerve.grow(top)
-        return self._nerve
-
     def validate(self):
         v = []
         for o in self.objects:
@@ -220,37 +209,39 @@ class FinCategory:
 
 
 class NumberedNerve:
-    """The nerve of a category on positions, grown degree by degree.
+    """The nerve of a category C through degree `top`, on positions.
 
     Degree 0 lists the objects and degree 1 the morphisms, in stored
     order.  For k >= 2 each (k-1)-chain c is extended in order by the
     morphisms f out of its last target, in order, which is the order of
     the names: c.f sits at `start[k-1][c] + rank[f]`, f's place among
-    the morphisms out of its source.  Each degree keeps the `parent` c
-    and the `last` f of its chains (a morphism's parent is its source),
-    and the operators follow from the parent's: d_k(c.f) = c,
-    d_{k-1}(c.f) composes the last two, d_i(c.f) = d_i(c).f for
-    i < k - 1, s_k(x) = x.id, s_i(c.f) = s_i(c).f for i < k, and for a
-    functor F(c.f) = F(c).F(f).  `tables` holds the operators' position
-    lists keyed (k, m, i) as in `TruncatedSimplicialSet.positions`."""
+    the morphisms out of its source.  Each degree keeps only the
+    `parent` c and the `last` f of its chains (a morphism's parent is
+    its source; `last[0]` counts the objects), and the operators follow
+    from the parent's: d_k(c.f) = c, d_{k-1}(c.f) composes the last
+    two, d_i(c.f) = d_i(c).f for i < k - 1, s_k(x) = x.id, s_i(c.f) =
+    s_i(c).f for i < k, and for a functor F(c.f) = F(c).F(f).  The
+    operator tables and the names are built on each call, not kept."""
 
-    def __init__(self, C):
-        src, tgt, ident = C._numbered
-        self._after, self._morphisms = C._after, C.morphisms
-        self._out_of, self.rank = [[] for _ in C.objects], []
+    def __init__(self, C, top):
+        if top < 0:
+            raise CategoryError(f"nerve needs a bound >= 0, got {top}")
+        src, tgt, _ = C._numbered
+        self.category, self.top = C, top
+        out_of, self.rank = [[] for _ in C.objects], []
         for f, a in enumerate(src):
-            self.rank.append(len(self._out_of[a]))
-            self._out_of[a].append(f)
-        # per degree: each chain's parent, last morphism, its rank and its
-        # target, and where the extensions of each chain start
-        self.parent, self.last = [None, src], [None, list(range(len(src)))]
-        self.last_rank, self.ends = [None, self.rank], [range(len(C.objects)), tgt]
-        self.start = [None]
-        self.tables = {(1, 0, 0): tgt, (1, 0, 1): src, (0, 1, 0): ident}
-        self._names = {0: C.objects}
-
-    def size(self, k):
-        return len(self.ends[k])
+            self.rank.append(len(out_of[a]))
+            out_of[a].append(f)
+        self.parent, self.start = [None, src], [None]
+        self.last = [range(len(C.objects)), range(len(src))]
+        for k in range(2, top + 1):
+            ends = list(map(tgt.__getitem__, self.last[k - 1]))
+            counts = list(map(len, map(out_of.__getitem__, ends)))
+            self.start.append(list(itertools.accumulate(counts, initial=0)))
+            self.parent.append(list(itertools.chain.from_iterable(
+                map(itertools.repeat, range(len(ends)), counts))))
+            self.last.append(list(itertools.chain.from_iterable(
+                map(out_of.__getitem__, ends))))
 
     def _at(self, k, parents, ranks):
         """The positions of the k-chains (k >= 2) with these parents and
@@ -258,62 +249,56 @@ class NumberedNerve:
         return list(map(operator.add, map(self.start[k - 1].__getitem__, parents),
                         ranks))
 
-    def grow(self, top):
-        """Build each degree through `top` not built yet: its chains, the
-        faces out of it and the degeneracies into it."""
-        tables, rank = self.tables, self.rank
-        for k in range(len(self.ends), top + 1):
-            ends = self.ends[k - 1]
-            counts = [len(self._out_of[b]) for b in ends]
-            self.start.append(list(itertools.accumulate(counts, initial=0)))
-            parent = list(itertools.chain.from_iterable(
-                map(itertools.repeat, range(len(ends)), counts)))
-            last = list(itertools.chain.from_iterable(
-                map(self._out_of.__getitem__, ends)))
-            self.parent.append(parent)
-            self.last.append(last)
-            self.last_rank.append(list(map(rank.__getitem__, last)))
-            self.ends.append(list(map(tables[1, 0, 0].__getitem__, last)))
-            composite = list(map(dict.__getitem__, map(self._after.__getitem__, last),
-                                 map(self.last[k - 1].__getitem__, parent)))
+    def operators(self):
+        """The operator tables {(k, m, i): position list}, in
+        `TruncatedSimplicialSet.positions` order: per degree k, the
+        degeneracies into it from the degree below, then its faces."""
+        src, tgt, ident = self.category._numbered
+        after, rank = self.category._after, self.rank
+        tables = {(0, 1, 0): ident, (1, 0, 0): tgt, (1, 0, 1): src} if self.top else {}
+        below = rank        # the ranks of the last morphisms of the (k-1)-chains
+        for k in range(2, self.top + 1):
+            parent, last, before = self.parent[k], self.last[k], self.last[k - 1]
+            ranks = list(map(rank.__getitem__, last))
+            composite = list(map(dict.__getitem__, map(after.__getitem__, last),
+                                 map(before.__getitem__, parent)))
             faces = [last, composite] if k == 2 else [
                 self._at(k - 1, map(tables[k - 1, k - 2, i].__getitem__, parent),
-                         self.last_rank[k] if i < k - 1
-                         else map(rank.__getitem__, composite))
+                         ranks if i < k - 1 else map(rank.__getitem__, composite))
                 for i in range(k)]
             degens = [self._at(k, map(tables[k - 2, k - 1, i].__getitem__,
-                                      self.parent[k - 1]), self.last_rank[k - 1])
+                                      self.parent[k - 1]), below)
                       for i in range(k - 1)]
-            degens.append(self._at(k, range(len(ends)), map(
-                rank.__getitem__, map(tables[0, 1, 0].__getitem__, ends))))
-            tables.update(((k, k - 1, i), t) for i, t in enumerate(faces + [parent]))
+            degens.append(self._at(k, range(len(before)), map(rank.__getitem__, map(
+                ident.__getitem__, map(tgt.__getitem__, before)))))
             tables.update(((k - 1, k, i), t) for i, t in enumerate(degens))
-
-    def operators(self, top):
-        """The operator tables of the nerve truncated at `top`, in
-        `TruncatedSimplicialSet.positions` order."""
-        return {key: self.tables[key] for key in _operator_keys(top)}
+            tables.update(((k, k - 1, i), t) for i, t in enumerate(faces + [parent]))
+            below = ranks
+        return tables
 
     def names(self, k):
-        """The k-chains' names, built on first read: the objects at
-        k = 0, else the tuples of morphism names."""
-        if k not in self._names:
-            prefixes = (map(self.names(k - 1).__getitem__, self.parent[k])
-                        if k > 1 else itertools.repeat(()))
-            self._names[k] = tuple([p + (m,) for p, m in zip(
-                prefixes, map(self._morphisms.__getitem__, self.last[k]))])
-        return self._names[k]
+        """The k-chains' names: the objects at k = 0, else the tuples of
+        morphism names, each its parent's name extended by its last
+        morphism's."""
+        if k == 0:
+            return self.category.objects
+        names, name = [()] * len(self.last[0]), self.category.morphisms.__getitem__
+        for j in range(1, k + 1):
+            names = tuple([p + (m,) for p, m in zip(map(names.__getitem__, self.parent[j]),
+                                                    map(name, self.last[j]))])
+        return names
 
-    def images(self, objects, arrows, target, top):
-        """The images of the chains of degrees 0..top under the functor
-        with object images `objects` and morphism images `arrows`, as
-        positions in the nerve `target`."""
-        out = [objects, arrows]
+    def image(self, objects, arrows, target, k):
+        """The image of the k-chains under the functor with object images
+        `objects` and morphism images `arrows`, as positions in the nerve
+        `target`."""
+        if k == 0:
+            return objects
         ranks = list(map(target.rank.__getitem__, arrows))
-        for k in range(2, top + 1):
-            out.append(target._at(k, map(out[k - 1].__getitem__, self.parent[k]),
-                                  map(ranks.__getitem__, self.last[k])))
-        return out[:top + 1]
+        for j in range(2, k + 1):
+            arrows = target._at(j, map(arrows.__getitem__, self.parent[j]),
+                                map(ranks.__getitem__, self.last[j]))
+        return arrows
 
 
 # ---------------------------------------------------------------------
@@ -542,19 +527,19 @@ def iso_subgroupoid(C):
 
 def nerve(C, bound):
     """Composable chains: degree k simplices are k-tuples of morphisms."""
-    if bound < 0:
-        raise CategoryError(f"nerve needs a bound >= 0, got {bound}")
-    N = C.numbered_nerve(bound)
-    return TruncatedSimplicialSet(
-        bound, {k: N.names(k) for k in range(bound + 1)}, N.operators(bound))
+    return _simplicial_set(NumberedNerve(C, bound))
+
+
+def _simplicial_set(N):
+    return TruncatedSimplicialSet(N.top, {k: N.names(k) for k in range(N.top + 1)},
+                                  N.operators())
 
 
 def nerve_functor(F, bound):
     """Induced simplicial map between nerves."""
-    images = F.source.numbered_nerve(bound).images(
-        *F._numbered, F.target.numbered_nerve(bound), bound)
-    return SimplicialMap(nerve(F.source, bound), nerve(F.target, bound),
-                         dict(enumerate(images)))
+    N, M = NumberedNerve(F.source, bound), NumberedNerve(F.target, bound)
+    return SimplicialMap(_simplicial_set(N), _simplicial_set(M), {
+        k: N.image(*F._numbered, M, k) for k in range(bound + 1)})
 
 
 # ---------------------------------------------------------------------
@@ -1048,9 +1033,9 @@ def enumerate_functors(C, D, cap=10 ** 6):
     morphisms and composable pairs, whose faces carry the endpoints and
     the composite.  More than `cap` functors raise CapExceeded."""
     def side(E):
-        N = E.numbered_nerve(2)
-        tables = N.operators(2)
-        return (N.size,
+        N = NumberedNerve(E, 2)
+        tables = N.operators()
+        return (lambda k: len(N.last[k]),
                 lambda k: [(m, t) for (j, m, _), t in tables.items() if j == k])
     maps = list(itertools.islice(SimplicialMap.commuting_maps(
         (2, 1, 0), side(C), side(D)), cap + 1))

@@ -25,11 +25,11 @@ import weakref
 
 from .bisset import BidegreeShape, TruncatedBisimplicialSet, dec, wbar
 from .cat import (BoundExceeded, CapExceeded, CategoryError, Functor,
-                  _materialize, colimit_record, coproduct_cat,
+                  NumberedNerve, _materialize, colimit_record, coproduct_cat,
                   fundamental_groupoid, iso_subgroupoid, product_cat,
                   terminal_cat)
 from .sset import (MAX_VIOLATIONS, SimplicialMap, TruncatedSimplicialSet,
-                   _operator_keys, sphere, truncate)
+                   sphere, truncate)
 
 
 # The two simplicial sets of a simplicial category: the attribute of
@@ -231,81 +231,103 @@ def pi_functor(f, target_pi=None, closure_bound=20000):
 # nerves of the maximal subgroupoid
 # ---------------------------------------------------------------------
 
-def _on_iso(F, G, H, top):
-    """The images of the chains of degrees 0..top of the nerve of G, the
-    maximal subgroupoid of F's source, under F restricted to G and to
-    the maximal subgroupoid H of its target."""
+def _iso_level(C, top):
+    """The nerve of the maximal subgroupoid of C through degree `top`,
+    the positions in C of its morphisms, and the position in it of each
+    invertible morphism of C; both None when C is a groupoid."""
+    G = iso_subgroupoid(C)
+    if G is C:
+        return NumberedNerve(C, top), None, None
+    invertible = [g is not None for g in C._inverses]
+    return (NumberedNerve(G, top),
+            list(itertools.compress(range(len(invertible)), invertible)),
+            list(itertools.accumulate(invertible, initial=0)))
+
+
+def _on_iso(F, source, target, k):
+    """The image of the k-chains of the nerve of the maximal subgroupoid
+    of F's source, under F restricted to it and to that of F's target;
+    `source` and `target` are their `_iso_level`s."""
+    (N, kept, _), (M, _, place) = source, target
     objects, arrows = F._numbered
-    if F.source is not G:
-        arrows = [a for a, g in zip(arrows, F.source._inverses) if g is not None]
-    if F.target is not H:
-        # an invertible morphism's place in H counts the invertible ones before it
-        place = list(itertools.accumulate(
-            (g is not None for g in F.target._inverses), initial=0))
+    if kept is not None:
+        arrows = list(map(arrows.__getitem__, kept))
+    if place is not None:
         arrows = list(map(place.__getitem__, arrows))
-    return G.numbered_nerve(top).images(objects, arrows, H.numbered_nerve(top), top)
+    return N.image(objects, arrows, M, k)
 
 
 def nerve_iso_levelwise(S, depth=None):
     """Bidegree (p, n): p-chains of invertible morphisms of level n."""
     depth = S.bound if depth is None else depth
     shape = BidegreeShape.rectangle(depth, S.bound)
-    groupoids = {n: iso_subgroupoid(C) for n, C in S.levels.items()}
-    nerves = {n: G.numbered_nerve(depth) for n, G in groupoids.items()}
-    images = {(n, m, k): _on_iso(S.table(n, m, k), groupoids[n], groupoids[m], depth)
-              for n, m, k in _operator_keys(S.bound)}
+    levels = {n: _iso_level(C, depth) for n, C in S.levels.items()}
+    tables = {n: N.operators() for n, (N, _, _) in levels.items()}
     bp = S.basepoints[0] if S.is_pointed() else None
     return TruncatedBisimplicialSet.from_operators(
-        shape, {(p, n): N.names(p) for n, N in nerves.items()
+        shape, {(p, n): N.names(p) for n, (N, _, _) in levels.items()
                 for p in range(depth + 1)},
-        lambda p, n, m, k: nerves[n].tables[p, m, k],
-        lambda p, n, m, k: images[n, m, k][p], basepoint=bp)
+        lambda p, n, m, k: tables[n][p, m, k],
+        lambda p, n, m, k: _on_iso(S.table(n, m, k), levels[n], levels[m], p),
+        basepoint=bp)
 
 
 def diag_nerve_iso(S):
     """Diagonal of the levelwise nerve, built directly: degree n is the
     n-chains of invertible morphisms of level n.  Built once per
     simplicial category."""
-    return _diag_nerve_iso(S)[0]
+    return _diag_nerve_iso(S)
 
 
 _DIAG_NERVES = weakref.WeakKeyDictionary()
 
 
-def _diag_nerve_iso(S):
-    """`_build_diag_nerve_iso(S)`, built on the first call for S and kept
-    in `_DIAG_NERVES` only as long as S lives."""
+def _diag_nerve_iso(S, levels=None):
+    """`_build_diag_nerve_iso`, from S's `_iso_levels` (`levels` when
+    the caller has them), on the first call for S; kept in
+    `_DIAG_NERVES` only as long as S lives."""
     if S not in _DIAG_NERVES:
-        _DIAG_NERVES[S] = _build_diag_nerve_iso(S)
+        _DIAG_NERVES[S] = _build_diag_nerve_iso(S, levels or _iso_levels(S))
     return _DIAG_NERVES[S]
 
 
-def _build_diag_nerve_iso(S):
-    """The diagonal nerve and the maximal subgroupoid of each level, its
-    nerve numbered through degree n at level n.  A structure functor
+def _iso_levels(S):
+    """The `_iso_level` of each level n of S, its nerve through degree n."""
+    return {n: _iso_level(C, n) for n, C in S.levels.items()}
+
+
+def _build_diag_nerve_iso(S, levels):
+    """The diagonal nerve from S's `_iso_levels`.  A structure functor
     commutes with the nerve operators, so a face is taken in level n and
-    then mapped, and a degeneracy is taken in level m after the map."""
-    groupoids = {n: iso_subgroupoid(C) for n, C in S.levels.items()}
-    nerves = {n: G.numbered_nerve(n) for n, G in groupoids.items()}
+    then mapped, and a degeneracy is taken in level m after the map.
+    The keys come level by level, so one level's operator tables are
+    held at a time, each dropped once read."""
+    held = {}
 
     def table(n, m, k):
-        image = _on_iso(S.table(n, m, k), groupoids[n], groupoids[m], min(n, m))[-1]
+        top = max(n, m)
+        if top not in held:
+            held.clear()
+            held[top] = levels[top][0].operators()
+        op = held[top].pop((n, m, k))
+        image = _on_iso(S.table(n, m, k), levels[n], levels[m], min(n, m))
         if m < n:
-            return list(map(image.__getitem__, nerves[n].tables[n, m, k]))
-        return list(map(nerves[m].tables[n, m, k].__getitem__, image))
+            return list(map(image.__getitem__, op))
+        return list(map(op.__getitem__, image))
     bp = S.basepoints[0] if S.is_pointed() else None
-    X = TruncatedSimplicialSet.from_operators(
-        S.bound, {n: N.names(n) for n, N in nerves.items()}, table, basepoint=bp)
-    return X, groupoids
+    return TruncatedSimplicialSet.from_operators(
+        S.bound, {n: N.names(n) for n, (N, _, _) in levels.items()}, table,
+        basepoint=bp)
 
 
 def diag_nerve_iso_map(SF):
     """Simplicial map induced on the diagonal nerves by a simplicial
     functor between levelwise groupoids."""
-    X, source = _diag_nerve_iso(SF.source)
-    Y, target = _diag_nerve_iso(SF.target)
+    source, target = _iso_levels(SF.source), _iso_levels(SF.target)
+    X = _diag_nerve_iso(SF.source, source)
+    Y = _diag_nerve_iso(SF.target, target)
     bound = min(X.bound, Y.bound)
-    assign = {n: _on_iso(SF.levels[n], source[n], target[n], n)[n]
+    assign = {n: _on_iso(SF.levels[n], source[n], target[n], n)
               for n in range(bound + 1)}
     if bound < X.bound:
         X = truncate(X, bound)
@@ -486,8 +508,8 @@ def enumerate_simplicial_functors(S, T, cap=10 ** 6):
 
     def side(R):
         tops = [2 if n == bound else 1 for n in range(bound + 1)]
-        nerves = [R.levels[n].numbered_nerve(top) for n, top in enumerate(tops)]
-        tables = [N.operators(top) for N, top in zip(nerves, tops)]
+        nerves = [NumberedNerve(R.levels[n], top) for n, top in enumerate(tops)]
+        tables = [N.operators() for N in nerves]
 
         def operators(key):
             p, n = key
@@ -496,7 +518,7 @@ def enumerate_simplicial_functors(S, T, cap=10 ** 6):
                 ((p, m), R.table(n, m, k)._numbered[p])    # p-chain images
                 for m in (n - 1, n + 1) if p < 2 and 0 <= m <= bound
                 for k in range(n + 1)]
-        return (lambda key: nerves[key[1]].size(key[0])), operators
+        return (lambda key: len(nerves[key[1]].last[key[0]])), operators
     keys = [(2, bound)] + [(p, n) for n in reversed(range(bound + 1))
                            for p in (1, 0)]
     maps = list(itertools.islice(SimplicialMap.commuting_maps(

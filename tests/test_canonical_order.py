@@ -12,7 +12,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from simpcat.bisset import box_product, d_star, dec, diag, wbar
-from simpcat.cat import nerve
+from simpcat.cat import NumberedNerve, nerve
 from simpcat.cli import main
 from simpcat.document import parse_document, sset_to_entry
 from simpcat.names import sort_key
@@ -74,7 +74,7 @@ def test_c_sigma_is_canonical(data):
 def test_nerves_and_chains_are_canonical(C, b):
     assert_canonical(C.objects)
     assert_canonical(C.morphisms)
-    N = C.numbered_nerve(b)
+    N = NumberedNerve(C, b)
     for k in range(b + 1):
         assert_canonical(N.names(k))
     assert_sset_canonical(nerve(C, b))

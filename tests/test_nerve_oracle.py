@@ -12,9 +12,10 @@ import operator
 import pytest
 
 from simpcat.bisset import d_star, d_star_map, dec
-from simpcat.cat import (Functor, arrow_cat, chaotic, cyclic_group,
-                         enumerate_functors, iso_subgroupoid, product_cat)
-from simpcat.scat import (_on_iso, constant_scat, diag_nerve_iso,
+from simpcat.cat import (Functor, NumberedNerve, arrow_cat, chaotic,
+                         cyclic_group, enumerate_functors, iso_subgroupoid,
+                         product_cat)
+from simpcat.scat import (_iso_level, _on_iso, constant_scat, diag_nerve_iso,
                           diag_nerve_iso_map, pi_functor, pi_levelwise,
                           s0_scat, suspend)
 from simpcat.sset import SimplicialMap, delta, horn, sphere
@@ -159,15 +160,14 @@ CATEGORIES = {
 def test_names_and_tables_equal_the_tuple_construction(name, top):
     C = CATEGORIES[name]()
     chains, _ = reference_index(C, top)
+    N = NumberedNerve(C, top)
+    assert [N.names(k) for k in range(top + 1)] == [
+        reference_names(C, k, chains[k]) for k in range(top + 1)]
     tables = reference_tables(C, top)
-    C.numbered_nerve(top - 1)
-    for grown in (top, 4):      # grown by one degree, then read past `top`
-        N = C.numbered_nerve(grown)
-        assert [N.names(k) for k in range(top + 1)] == [
-            reference_names(C, k, chains[k]) for k in range(top + 1)]
-        assert N.operators(top) == tables
-        assert [N.size(k) for k in range(top + 1)] == [
-            len(chains[k]) for k in range(top + 1)]
+    assert N.operators() == tables
+    assert list(N.operators()) == list(tables)      # the audit order
+    assert [len(N.last[k]) for k in range(top + 1)] == [
+        len(chains[k]) for k in range(top + 1)]
 
 
 @pytest.mark.parametrize("top", [3, 4])
@@ -179,8 +179,8 @@ def test_functor_images_equal_the_tuple_construction(name, top):
         functors += enumerate_functors(C, C)[:12]
     known = {id(E): reference_index(E, top) for E in (C, D)}
     for F in functors:
-        images = F.source.numbered_nerve(top).images(
-            *F._numbered, F.target.numbered_nerve(top), top)
+        N, M = NumberedNerve(F.source, top), NumberedNerve(F.target, top)
+        images = [N.image(*F._numbered, M, k) for k in range(top + 1)]
         assert images == reference_images(F, top, known[id(F.source)],
                                           known[id(F.target)])
 
@@ -193,11 +193,13 @@ def test_restriction_to_maximal_subgroupoids(top):
     C = product_cat(arrow_cat(), cyclic_group(2))
     D = product_cat(cyclic_group(2), arrow_cat())
     G, H = iso_subgroupoid(C), iso_subgroupoid(D)
+    source, target = _iso_level(C, top), _iso_level(D, top)
     functors = enumerate_functors(C, D)
     assert functors and not C.is_groupoid()
     for F in functors:
         R = Functor(G, H, F.obj_map, {f: F.mor_map[f] for f in G.morphisms})
-        assert _on_iso(F, G, H, top) == reference_images(R, top)
+        assert [_on_iso(F, source, target, k) for k in range(top + 1)] == \
+            reference_images(R, top)
 
 
 def _horn_probe_map():

@@ -250,7 +250,7 @@ def test_diag_nerve_iso_is_built_once_per_scat(monkeypatch):
     the acyclic-cofibrations suite do."""
     built, build = [], scat._build_diag_nerve_iso
     monkeypatch.setattr(scat, "_build_diag_nerve_iso",
-                        lambda S: built.append(S) or build(S))
+                        lambda S, levels: built.append(S) or build(S, levels))
     D = delta(2, 4)
     T = pi_levelwise(d_star(D))
     maps = []
