@@ -6,22 +6,27 @@ two kinds commute (audited exhaustively).  The rows and columns are
 simplicial sets on shared cells, and every construction here builds or
 reads their position lists.
 
-The left adjoint of the diagonal is computed by a confluent normal form
-on coend generators rather than a global union-find pass: every class
-of (simplex, pair of operators) has a unique representative whose
-simplex is nondegenerate and whose operator pair is jointly surjective.
-The small-scale union-find quotient is kept in the test suite as an
-independent oracle for this normalization.
+The left adjoint of the diagonal is computed from the normal form of
+coend generators rather than a global union-find pass: every class of
+(simplex, pair of operators) has a unique representative whose simplex
+is nondegenerate and whose operator pair is jointly surjective.  Its
+cells sit in blocks, one per nondegenerate simplex, each listing the
+jointly surjective pairs.  Where each operator sends a pair, and how an
+Eilenberg-Zilber word collapses it, depends only on small integers and
+is computed once per process (the skeleton); every table is block
+arithmetic on it.  The small-scale union-find quotient and a
+construction that normalizes every face are kept in the test suite as
+independent oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 
 from .sset import (MAX_VIOLATIONS, SimplicialError, SimplicialMap,
-                   TruncatedSimplicialSet, _monotone_maps, _operator_keys,
-                   _tuple_degen)
+                   TruncatedSimplicialSet, _monotone_maps, _operator_keys)
 
 
 class BidegreeShape:
@@ -251,43 +256,71 @@ def dec(Y):
 # left adjoint of the diagonal
 # ---------------------------------------------------------------------
 
-def _last_degeneracies(X):
-    """{n: list}: for each degree-n position, the largest j whose s_j has
-    that cell in its image (the first letter of its Eilenberg-Zilber
-    word), or -1 for a nondegenerate cell."""
-    last = {n: [-1] * X.size(n) for n in X.degrees()}
-    for n in range(1, X.bound + 1):
-        for j in range(n):
-            for q in X.positions(n - 1, n, j):
-                last[n][q] = j
-    return last
+@functools.lru_cache(maxsize=None)
+def _pairs(p, q, n):
+    """The jointly surjective pairs (alpha: [p] -> [n], beta: [q] -> [n])
+    of monotone maps, in cell order."""
+    return tuple((a, b) for a in _monotone_maps(p, n) if len(set(a)) + q >= n
+                 for missing in [set(range(n + 1)).difference(a)]
+                 for b in _monotone_maps(q, n) if missing.issubset(b))
 
 
-def dstar_normalize(X, last, n, x, alpha, beta):
-    """Canonical representative of the coend class of (x, alpha, beta),
-    x a position in degree n of X and `last` its
-    `_last_degeneracies`: shrink to the joint image, strip degeneracies
-    of x, repeat."""
-    while True:
-        img = set(alpha) | set(beta)
-        if len(img) != n + 1:
-            pos = {v: k for k, v in enumerate(sorted(img))}
-            for i in reversed(range(n + 1)):
-                if i not in img:
-                    x = X.positions(n, n - 1, i)[x]
-                    n -= 1
-            alpha = tuple(pos[v] for v in alpha)
-            beta = tuple(pos[v] for v in beta)
-            continue
-        j = last[n][x]
-        if j >= 0:
-            x = X.positions(n, n - 1, j)[x]
-            n -= 1
-            # postcompose with the codegeneracy [n] -> [n-1] collapsing j, j+1
-            alpha = tuple(v - (v > j) for v in alpha)
-            beta = tuple(v - (v > j) for v in beta)
-            continue
-        return (n, x, alpha, beta)
+@functools.lru_cache(maxsize=None)
+def _places(p, q, n):
+    """{pair: its index in `_pairs(p, q, n)`}."""
+    return {pair: i for i, pair in enumerate(_pairs(p, q, n))}
+
+
+def _step(pq, horizontal, step):
+    """The bidegree `step` away from pq in the given direction."""
+    return (pq[0] + step, pq[1]) if horizontal else (pq[0], pq[1] + step)
+
+
+@functools.lru_cache(maxsize=None)
+def _skeletons(p, q, n, horizontal, step):
+    """Where d_k (step -1) or s_k (step 1) from (p, q), horizontal or
+    vertical, sends the pairs of `_pairs(p, q, n)`: per k, the pairs'
+    images, their vertices, and the vertices other than -1 among them.
+    A pair whose joint image stays onto [n] has vertex -1 and image its
+    index among the target's pairs into [n].  Under a face, the value v
+    of entry k of the moved map drops out when neither a monotone
+    neighbour of that entry nor the other map has it; then the pair has
+    vertex v, and image the index, among the target's pairs into
+    [n - 1], of the pair with the values above v lowered."""
+    target = _step((p, q), horizontal, step)
+    stay, drop = _places(*target, n), _places(*target, n - 1)
+    lowered = [tuple(u - (u > v) for u in range(n + 1)).__getitem__
+               for v in range(n + 1)]
+    moves, skeletons = {}, [([], []) for _ in range((p if horizontal else q) + 1)]
+    for a, b in _pairs(p, q, n):
+        t, other = (a, b) if horizontal else (b, a)
+        if t not in moves:
+            moves[t] = [(v, t[:k + 1] + t[k:], True) if step > 0 else
+                        (v, t[:k] + t[k + 1:], v in t[k - 1:k] + t[k + 1:k + 2])
+                        for k, v in enumerate(t)]
+        for (images, vertices), (v, moved, covered) in zip(skeletons, moves[t]):
+            if covered or v in other:
+                vertices.append(-1)
+                images.append(stay[(moved, other) if horizontal else (other, moved)])
+            else:
+                vertices.append(v)
+                low = tuple(map(lowered[v], moved)), tuple(map(lowered[v], other))
+                images.append(drop[low if horizontal else low[::-1]])
+    return tuple((tuple(images), tuple(vertices), tuple(sorted(set(vertices) - {-1})))
+                 for images, vertices in skeletons)
+
+
+@functools.lru_cache(maxsize=None)
+def _collapse(p, q, n, word):
+    """The index, among `_pairs(p, q, n - len(word))`, of each pair of
+    `_pairs(p, q, n)` after the codegeneracies of the Eilenberg-Zilber
+    word `word`, its first letter first."""
+    down = list(range(n + 1))
+    for j in word:
+        down = [v - (v > j) for v in down]
+    places, down = _places(p, q, n - len(word)), down.__getitem__
+    return tuple(places[tuple(map(down, a)), tuple(map(down, b))]
+                 for a, b in _pairs(p, q, n))
 
 
 def d_star(X):
@@ -309,59 +342,92 @@ def _d_star(X):
     return _D_STARS[X]
 
 
+class _Blocks:
+    """Where the cells of d_star(X) sit: (n, x, alpha, beta) at pq is at
+    `start(pq, n, x)` plus the index of (alpha, beta) in
+    `_pairs(*pq, n)`.  It holds no reference to X, beside which
+    `_D_STARS` keeps it."""
+
+    def __init__(self, X, shape):
+        # cells[n]: X's nondegenerate positions; place[n][x]: x's index
+        # among them; base[pq][n]: the position of the first n-cell
+        self.cells = {n: X.nondegenerate_positions(n) for n in X.degrees()}
+        self.place = {n: [-1] * X.size(n) for n in X.degrees()}
+        for n, cells in self.cells.items():
+            for i, x in enumerate(cells):
+                self.place[n][x] = i
+        self.base = {}
+        for pq in shape.support:
+            self.base[pq] = offsets = {}
+            total = 0
+            for n in range(min(X.bound, sum(pq) + 1) + 1):
+                if self.cells[n]:
+                    offsets[n] = total
+                    total += len(self.cells[n]) * len(_pairs(*pq, n))
+
+    def start(self, pq, n, x):
+        return self.base[pq][n] + self.place[n][x] * len(_pairs(*pq, n))
+
+    def table(self, X, pq, horizontal, step, k):
+        """The position list of d_k (step -1) or s_k (step 1) from pq."""
+        target, out = _step(pq, horizontal, step), []
+        for n in self.base[pq]:
+            images, vertices, dropped = _skeletons(*pq, n, horizontal, step)[k]
+            # no pair stays onto [n] when [n] is past the target's reach
+            width, start = len(_pairs(*target, n)), self.base[target].get(n, 0)
+            if not dropped:
+                for i in range(len(self.cells[n])):
+                    out += map((start + i * width).__add__, images)
+                continue
+            # slot -1 holds the pairs that stay onto [n]
+            starts, indices = [0] * (n + 2), [range(width)] * (n + 2)
+            faces = [X.positions(n, n - 1, v) for v in range(n + 1)]
+            for i, x in enumerate(self.cells[n]):
+                starts[-1] = start + i * width
+                for v in dropped:
+                    y, word = X.ez_positions[n - 1][faces[v][x]]
+                    starts[v] = self.start(target, n - 1 - len(word), y)
+                    indices[v] = _collapse(*target, n - 1, word)
+                out += [starts[v] + indices[v][j] for v, j in zip(vertices, images)]
+        return out
+
+
 def _build_d_star(X):
-    """d_star(X), per bidegree its cells with x given by its position
-    in X, and `_last_degeneracies(X)`."""
+    """d_star(X) and the `_Blocks` of its cells."""
     if X.bound < 0:
         raise SimplicialError("invalid bound")
     shape = BidegreeShape.staircase(X.bound - 1) if X.bound >= 1 \
         else BidegreeShape.rectangle(0, 0)
-    cells = {}
-    degrees = [n for n in X.degrees() if X.nondegenerate_positions(n)]
-    for (p, q) in shape.support:
-        level = cells[(p, q)] = []
-        for n in [n for n in degrees if n <= p + q + 1]:
-            onto = [(a, b) for a in _monotone_maps(p, n) if len(set(a)) + q >= n
-                    for b in _monotone_maps(q, n) if len(set(a) | set(b)) == n + 1]
-            level += [(n, x, a, b) for x in X.nondegenerate_positions(n) for a, b in onto]
-    index = {pq: {c: i for i, c in enumerate(level)} for pq, level in cells.items()}
-    last = _last_degeneracies(X)
-
-    def faces(at, triples):
-        # the positions in `at` of faces not yet normalized; a face that
-        # is still a representative is found there as it is
-        return [at[c if c in at else dstar_normalize(X, last, *c)] for c in triples]
-
-    def horizontal(p, q, m, k):
-        if m < p:
-            return faces(index[(m, q)], [(n, x, a[:k] + a[k + 1:], b)
-                                         for n, x, a, b in cells[(p, q)]])
-        return [index[(m, q)][n, x, _tuple_degen(a, k), b] for n, x, a, b in cells[(p, q)]]
-
-    def vertical(p, q, m, k):
-        if m < q:
-            return faces(index[(p, m)], [(n, x, a, b[:k] + b[k + 1:])
-                                         for n, x, a, b in cells[(p, q)]])
-        return [index[(p, m)][n, x, a, _tuple_degen(b, k)] for n, x, a, b in cells[(p, q)]]
-    simplices = {pq: tuple([(n, X.simplices[n][x], a, b) for n, x, a, b in level])
-                 for pq, level in cells.items()}
+    blocks = _Blocks(X, shape)
+    simplices = {pq: tuple([(n, name) + pair for n in offsets
+                            for name in map(X.simplices[n].__getitem__,
+                                            blocks.cells[n])
+                            for pair in _pairs(*pq, n)])
+                 for pq, offsets in blocks.base.items()}
     bp = (0, X.basepoint, (0,), (0,)) if X.is_pointed() else None
-    return TruncatedBisimplicialSet.from_operators(shape, simplices, horizontal,
-                                                   vertical, basepoint=bp), cells, last
+    return TruncatedBisimplicialSet.from_operators(
+        shape, simplices,
+        lambda p, q, m, k: blocks.table(X, (p, q), True, m - p, k),
+        lambda p, q, m, k: blocks.table(X, (p, q), False, m - q, k),
+        basepoint=bp), blocks
 
 
 def d_star_map(f):
-    """Functoriality of d_star on simplicial maps."""
-    B, cells, _ = _d_star(f.source)
-    C, _, last = _d_star(f.target)
-    Y = f.target
-
-    def image(n, x, alpha, beta):
-        m, y, a, b = dstar_normalize(Y, last, n, f.positions(n)[x], alpha, beta)
-        return (m, Y.simplices[m][y], a, b)
-    return BisimplicialMap(B, C, {
-        pq: dict(zip(B.simplices[pq], itertools.starmap(image, level)))
-        for pq, level in cells.items()})
+    """Functoriality of d_star on simplicial maps: (n, x, alpha, beta)
+    goes to f(x) = s_w y in Eilenberg-Zilber form, with alpha and beta
+    collapsed by w."""
+    (B, source), (C, target) = _d_star(f.source), _d_star(f.target)
+    ez, assign = f.target.ez_positions, {}
+    for pq in source.base.keys() & target.base.keys():
+        cells, images = [], C.simplices[pq]
+        for n in source.base[pq]:
+            image = f.positions(n)
+            for x in source.cells[n]:
+                y, word = ez[n][image[x]]
+                start = target.start(pq, n - len(word), y)
+                cells += [images[start + j] for j in _collapse(*pq, n, word)]
+        assign[pq] = dict(zip(B.simplices[pq], cells))
+    return BisimplicialMap(B, C, assign)
 
 
 # ---------------------------------------------------------------------

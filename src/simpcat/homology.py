@@ -5,12 +5,14 @@ All arithmetic is arbitrary-precision integer.  Cells are read by
 position only: chains, chain maps, components and edge-path groups take
 the position lists of `TruncatedSimplicialSet.positions` and
 `SimplicialMap.positions`, and names appear only in what is returned.
-Boundary matrices are kept sparse (column dicts).  `smith_invariants`
-first sweeps the transpose, whose rows are the short per-cell columns,
-and splits off a unit pivot from each row that has a +-1 entry, in the
-shortest column; then one sparse elimination loop reduces what is left,
-taking each pivot from a lazy heap of candidates instead of rescanning
-the matrix.
+Boundary matrices are kept sparse (column dicts).  A complex finds the
+invariant factors of its boundaries by reducing its coboundaries in
+order of degree, each column by its last row, and skips ("clears") a
+column whose cell was a pivot one degree down, which d∘d = 0 makes
+sound.  A degree whose pivots are all +-1 has only unit invariants; at
+the first other pivot, that degree's boundary goes to
+`smith_invariants`, a sparse Smith reduction that also serves
+`abelianization`.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class ChainComplex:
     """Finitely generated free integral complex.  `boundaries[i]` maps
     degree i to degree i-1 as a column-sparse matrix {col: {row: coeff}}.
     Each boundary is reduced at most once: `invariants(i)` keeps the
-    Smith invariants of every boundary it has computed."""
+    invariant factors of every boundary it has computed."""
 
     def __init__(self, ranks, boundaries):
         self.ranks = dict(ranks)
@@ -110,6 +112,9 @@ class ChainComplex:
                            for i, m in boundaries.items()}
         self.top = max(self.ranks) if self.ranks else -1
         self._invariants = {}
+        # the unit pivot rows of the last coboundary reduced; None until
+        # `check_dd_zero` passes, since clearing needs d∘d = 0
+        self._cleared = None
 
     def rank(self, i):
         return self.ranks.get(i, 0)
@@ -118,10 +123,54 @@ class ChainComplex:
         return self.boundaries.get(i, {})
 
     def invariants(self, i):
-        """Smith invariants of the boundary out of degree i."""
-        if i not in self._invariants:
-            self._invariants[i] = smith_invariants(self.boundary(i))
-        return self._invariants[i]
+        """Invariant factors of the boundary out of degree i, found with
+        those of every degree below it."""
+        for j in range(1 + len(self._invariants), i + 1):
+            self._invariants[j] = self._reduce(j)
+        return self._invariants.get(i, [])
+
+    def _reduce(self, i):
+        """Invariant factors of boundary i from its transpose, the
+        coboundary out of degree i - 1, reduced column by column in
+        stored order, each by its last row against the pivots before it.
+
+        A column whose cell is a unit pivot row of coboundary i - 2 is
+        skipped: the reduced column with that pivot is a combination of
+        coboundaries ending in +-1 at the cell, so d∘d = 0 puts the
+        cell's coboundary in the span of the other columns.  Unit pivots
+        at distinct rows leave a free cokernel: every factor is 1.  The
+        first pivot that is not +-1 hands the whole boundary to
+        `smith_invariants`; the unit pivots before it still clear."""
+        cleared = self._cleared or ()
+        cob = [{} for _ in range(self.rank(i - 1))]
+        for c, col in self.boundary(i).items():
+            for r, v in col.items():
+                cob[r][c] = v
+        pivots, factors = {}, None
+        for r, col in enumerate(cob):
+            if r in cleared:
+                continue
+            while col:
+                low = max(col)
+                reducer = pivots.get(low)
+                if reducer is None:
+                    break
+                q = col[low] * reducer[low]
+                for row, v in reducer.items():
+                    nv = col.get(row, 0) - q * v
+                    if nv:
+                        col[row] = nv
+                    else:
+                        del col[row]
+            if not col:
+                continue
+            if abs(col[low]) != 1:
+                factors = smith_invariants(self.boundary(i))
+                break
+            pivots[low] = col
+        if self._cleared is not None:
+            self._cleared = pivots
+        return [1] * len(pivots) if factors is None else factors
 
     def check_dd_zero(self):
         for i in sorted(self.boundaries):
@@ -135,6 +184,8 @@ class ChainComplex:
                         acc[r2] = acc.get(r2, 0) + v * w
                 if any(acc.values()):
                     raise SimplicialError(f"boundary composite nonzero at degree {i}")
+        if not self._invariants:
+            self._cleared = {}
 
 
 def _basis(X, n):
@@ -147,13 +198,14 @@ def _basis(X, n):
     return cells, index
 
 
-def normalized_chains(X):
-    """Chains on nondegenerate simplices; degenerate face images vanish.
-    Cells are read by position only."""
+def normalized_chains(X, top=None):
+    """Chains on nondegenerate simplices through degree `top` (X's bound
+    when None); degenerate face images vanish.  Cells are read by
+    position only."""
     cells, index = _basis(X, 0)
     ranks = {0: len(cells)}
     boundaries = {}
-    for n in range(1, X.bound + 1):
+    for n in range(1, (X.bound if top is None else top) + 1):
         below = index
         cells, index = _basis(X, n)
         ranks[n] = len(cells)
@@ -316,12 +368,12 @@ def homology(X, i):
     if i < 0 or i > X.bound - 1:
         raise CertificationError(
             f"degree {i} not certified at truncation bound {X.bound}")
-    return _homology_from_complex(normalized_chains(X), i)
+    return _homology_from_complex(normalized_chains(X, i + 1), i)
 
 
 def homology_list(X, up_to=None):
     top = X.bound - 1 if up_to is None else min(up_to, X.bound - 1)
-    complex_ = normalized_chains(X)
+    complex_ = normalized_chains(X, top + 1)
     return [_homology_from_complex(complex_, i) for i in range(top + 1)]
 
 

@@ -184,9 +184,10 @@ class TruncatedSimplicialSet:
     # -- Eilenberg-Zilber data ----------------------------------------
 
     @functools.cached_property
-    def _ez(self):
-        """{n: {x: (base, word)}}, computed from the degeneracy lists on
-        the first `ez` or `is_degenerate` call."""
+    def ez_positions(self):
+        """{n: list}: the Eilenberg-Zilber form of each degree-n cell by
+        position, (base position, word), computed from the degeneracy
+        lists on first use."""
         below = [(p, ()) for p in range(self.size(0))]
         ez = {0: below}
         for n in range(1, self.bound + 1):
@@ -206,10 +207,15 @@ class TruncatedSimplicialSet:
                     base, word = below[p]
                     level.append((base, normalize_word((j,) + word)))
             ez[n] = below = level
+        return ez
+
+    @functools.cached_property
+    def _ez(self):
+        """{n: {x: (base, word)}}: `ez_positions` by name."""
         cells = self.simplices
         return {n: dict(zip(cells[n], [(cells[n - len(word)][base], word)
                                        for base, word in level]))
-                for n, level in ez.items()}
+                for n, level in self.ez_positions.items()}
 
     def ez(self, n, x):
         """Return (base, word): x = s_{w_0} ... s_{w_k} base, word strictly

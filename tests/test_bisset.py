@@ -2,15 +2,17 @@ import gc
 import weakref
 from itertools import combinations_with_replacement
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from simpcat import bisset
-from simpcat.bisset import (BidegreeShape, box_product, d_star, d_star_map,
-                            dec, diag, wbar)
+from simpcat.bisset import (BidegreeShape, TruncatedBisimplicialSet,
+                            box_product, d_star, d_star_map, dec, diag, wbar)
 from simpcat.homology import homology_list
 from simpcat.scat import pi_functor, pi_levelwise
-from simpcat.sset import (SimplicialMap, _operator_keys, boundary, delta, horn,
-                          product_sset, sphere)
+from simpcat.sset import (SimplicialMap, _monotone_maps, _operator_keys, _tuple_degen,
+                          boundary, delta, enumerate_maps, horn, product_sset,
+                          sphere)
 from strategies import standard
 
 
@@ -194,3 +196,163 @@ def test_diag_and_wbar_have_the_same_homology(Y):
         D, W = diag(B), wbar(B)
         t = min(D.bound, W.bound) - 1
         assert homology_list(D, t) == homology_list(W, t)
+
+
+# ---------------------------------------------------------------------
+# the skeleton against the normalizing construction
+# ---------------------------------------------------------------------
+
+def reference_last_degeneracies(X):
+    """{n: list}: for each degree-n position, the largest j whose s_j has
+    that cell in its image, or -1 for a nondegenerate cell."""
+    last = {n: [-1] * X.size(n) for n in X.degrees()}
+    for n in range(1, X.bound + 1):
+        for j in range(n):
+            for q in X.positions(n - 1, n, j):
+                last[n][q] = j
+    return last
+
+
+def reference_normalize(X, last, n, x, alpha, beta):
+    """Canonical representative of the coend class of (x, alpha, beta),
+    x a position in degree n of X: shrink to the joint image, strip
+    degeneracies of x, repeat."""
+    while True:
+        img = set(alpha) | set(beta)
+        if len(img) != n + 1:
+            pos = {v: k for k, v in enumerate(sorted(img))}
+            for i in reversed(range(n + 1)):
+                if i not in img:
+                    x = X.positions(n, n - 1, i)[x]
+                    n -= 1
+            alpha = tuple(pos[v] for v in alpha)
+            beta = tuple(pos[v] for v in beta)
+            continue
+        j = last[n][x]
+        if j >= 0:
+            x = X.positions(n, n - 1, j)[x]
+            n -= 1
+            alpha = tuple(v - (v > j) for v in alpha)
+            beta = tuple(v - (v > j) for v in beta)
+            continue
+        return (n, x, alpha, beta)
+
+
+def reference_d_star(X):
+    """d_star(X) by normalizing every face through the coend relation,
+    with each bidegree's cells indexed by a dict."""
+    shape = BidegreeShape.staircase(X.bound - 1) if X.bound >= 1 \
+        else BidegreeShape.rectangle(0, 0)
+    cells = {}
+    degrees = [n for n in X.degrees() if X.nondegenerate_positions(n)]
+    for (p, q) in shape.support:
+        level = cells[(p, q)] = []
+        for n in [n for n in degrees if n <= p + q + 1]:
+            onto = [(a, b) for a in _monotone_maps(p, n)
+                    for b in _monotone_maps(q, n) if len(set(a) | set(b)) == n + 1]
+            level += [(n, x, a, b) for x in X.nondegenerate_positions(n)
+                      for a, b in onto]
+    index = {pq: {c: i for i, c in enumerate(level)} for pq, level in cells.items()}
+    last = reference_last_degeneracies(X)
+
+    def faces(at, triples):
+        return [at[reference_normalize(X, last, *c)] for c in triples]
+
+    def horizontal(p, q, m, k):
+        if m < p:
+            return faces(index[(m, q)], [(n, x, a[:k] + a[k + 1:], b)
+                                         for n, x, a, b in cells[(p, q)]])
+        return [index[(m, q)][n, x, _tuple_degen(a, k), b]
+                for n, x, a, b in cells[(p, q)]]
+
+    def vertical(p, q, m, k):
+        if m < q:
+            return faces(index[(p, m)], [(n, x, a, b[:k] + b[k + 1:])
+                                         for n, x, a, b in cells[(p, q)]])
+        return [index[(p, m)][n, x, a, _tuple_degen(b, k)]
+                for n, x, a, b in cells[(p, q)]]
+    simplices = {pq: tuple([(n, X.simplices[n][x], a, b) for n, x, a, b in level])
+                 for pq, level in cells.items()}
+    bp = (0, X.basepoint, (0,), (0,)) if X.is_pointed() else None
+    return TruncatedBisimplicialSet.from_operators(shape, simplices, horizontal,
+                                                   vertical, basepoint=bp)
+
+
+def reference_d_star_map(f):
+    """The image of each cell (n, x, alpha, beta) of d_star of f's
+    source: the representative of (f(x), alpha, beta)."""
+    Y = f.target
+    last = reference_last_degeneracies(Y)
+    index = {n: {x: i for i, x in enumerate(f.source.simplices[n])}
+             for n in f.source.degrees()}
+
+    def image(n, x, alpha, beta):
+        m, y, a, b = reference_normalize(Y, last, n, f.positions(n)[index[n][x]],
+                                         alpha, beta)
+        return (m, Y.simplices[m][y], a, b)
+    return {pq: {c: image(*c) for c in cells}
+            for pq, cells in d_star(f.source).simplices.items()}
+
+
+def assert_same_bisimplicial_set(mine, theirs):
+    assert mine.shape.support == theirs.shape.support
+    assert mine.simplices == theirs.simplices
+    assert mine.basepoint == theirs.basepoint
+    for lines, reference in ((mine.rows, theirs.rows),
+                             (mine.columns, theirs.columns)):
+        assert lines.keys() == reference.keys()
+        for i, line in lines.items():
+            assert line.bound == reference[i].bound
+            for key in _operator_keys(line.bound):
+                assert line.positions(*key) == reference[i].positions(*key)
+
+
+def _inclusion(X, Y):
+    return SimplicialMap(X, Y, {n: {x: x for x in X.simplices[n]}
+                                for n in X.degrees()})
+
+
+def _standard_up_to_3(b):
+    """delta, horn, boundary and sphere with n <= 3 at bound b, each with
+    the map whose d_star is checked: the inclusion into the simplex, or
+    the identity."""
+    simplices = [delta(n, b) for n in range(4)]
+    return ([(D, SimplicialMap.identity(D)) for D in simplices]
+            + [(X, _inclusion(X, simplices[n])) for n in range(1, 4)
+               for X in [horn(n, i, b) for i in range(n + 1)] + [boundary(n, b)]]
+            + [(X, SimplicialMap.identity(X))
+               for X in (sphere(n, b) for n in range(1, 4))])
+
+
+@pytest.mark.parametrize("b", range(8))
+def test_d_star_skeleton_matches_the_normalizing_construction(b):
+    """Equal cells, equal row and column position lists, and equal
+    d_star_map images, on every standard set with n <= 3 at bound b."""
+    for X, f in _standard_up_to_3(b):
+        assert_same_bisimplicial_set(d_star(X), reference_d_star(X))
+        assert d_star_map(f).assign == reference_d_star_map(f)
+
+
+@pytest.mark.parametrize("n, m, b", [(1, 0, 5), (2, 1, 5), (3, 1, 4),
+                                     (3, 2, 4)])
+def test_d_star_map_collapses_degenerate_images(n, m, b):
+    """Every map delta(n) -> delta(m) with m < n sends some nondegenerate
+    simplex to a degenerate one, whose pair d_star_map collapses."""
+    X, Y = delta(n, b), delta(m, b)
+    for f in enumerate_maps(X, Y):
+        assert d_star_map(f).assign == reference_d_star_map(f)
+        assert d_star_map(f).validate() == []
+
+
+def test_skeleton_caches_keep_no_set_alive():
+    """The skeleton caches hold only ints and tuples of ints: once the
+    d_star of a horn inclusion is dropped, both sets and both d_stars
+    are freed."""
+    H, D = horn(2, 1, 5), delta(2, 5)
+    g = d_star_map(_inclusion(H, D))
+    assert bisset._pairs.cache_info().currsize > 0
+    assert bisset._collapse.cache_info().currsize > 0
+    alive = [weakref.ref(obj) for obj in (H, D, g.source, g.target)]
+    del H, D, g
+    gc.collect()
+    assert [ref() for ref in alive] == [None] * 4

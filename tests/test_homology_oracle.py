@@ -10,16 +10,21 @@ them stand the forms they replaced, kept here as they were:
 
 On generated inputs the two sides must build equal chain complexes
 (ranks and boundary dicts) and equal mapping cones, and every Smith
-reduction must agree with the heap loop and with sympy."""
+reduction must agree with the heap loop and with sympy.  The invariant
+factors that a complex finds by its cleared coboundary reduction must
+agree with the heap loop on each whole boundary."""
 
 import heapq
+import importlib
 import math
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from simpcat.bisset import d_star, d_star_map, dec
+from simpcat.cat import cyclic_group, nerve
 from simpcat.homology import (ChainComplex, _chain_map, mapping_cone,
                               normalized_chains, smith_invariants)
 from simpcat.scat import (diag_nerve_iso, diag_nerve_iso_map, pi_functor,
@@ -275,3 +280,82 @@ def test_smith_invariants_of_a_matrix_and_its_transpose(rows):
     transpose = [list(col) for col in zip(*rows)]
     assert smith_invariants(_columns(rows)) == \
         smith_invariants(_columns(transpose)) == _sympy_invariants(rows)
+
+
+# ---------------------------------------------------------------------
+# invariants by cleared coboundary reduction
+# ---------------------------------------------------------------------
+
+def assert_cleared_invariants(complex_):
+    """Each degree's invariant factors, found in order of degree with
+    clearing, equal the heap loop's on the whole boundary."""
+    for i in range(complex_.top + 2):
+        assert complex_.invariants(i) == reference_smith(complex_.boundary(i))
+
+
+def _fallbacks(monkeypatch):
+    """The boundaries that a complex hands to `smith_invariants`."""
+    # the package's `homology` function shadows the submodule attribute
+    module = importlib.import_module("simpcat.homology")
+    calls, smith = [], module.smith_invariants
+    monkeypatch.setattr(module, "smith_invariants",
+                        lambda cols: calls.append(cols) or smith(cols))
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(standard())
+def test_cleared_invariants_of_standard_sets(X):
+    assert_cleared_invariants(normalized_chains(X))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(SMALL)), st.integers(min_value=4, max_value=6),
+       st.sampled_from([dec, d_star]))
+def test_cleared_invariants_of_diagonal_nerves(shape, b, construction):
+    D = diag_nerve_iso(pi_levelwise(construction(SMALL[shape](b))))
+    assert_cleared_invariants(normalized_chains(D))
+
+
+def test_cleared_invariants_of_the_suspended_point():
+    assert_cleared_invariants(normalized_chains(diag_nerve_iso(suspend(s0_scat(2)))))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=1, max_value=2).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))),
+    st.integers(min_value=5, max_value=6))
+def test_cleared_invariants_of_horn_probe_cones(horn_index, b):
+    assert_cleared_invariants(mapping_cone(_horn_probe_map(*horn_index, b)))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_cleared_invariants_of_cyclic_nerves_reach_the_fallback(g, monkeypatch):
+    """BZ/g has H_i = Z/g in odd degrees, so some pivot is not +-1 there
+    and that degree's boundary goes to `smith_invariants`."""
+    calls = _fallbacks(monkeypatch)
+    N = normalized_chains(nerve(cyclic_group(g), 5))
+    assert_cleared_invariants(N)
+    assert [N.invariants(i)[-1:] for i in (2, 4)] == [[g], [g]]
+    assert calls
+
+
+def test_clearing_skips_columns_of_a_horn_probe_cone(monkeypatch):
+    """Some coboundary column with entries is cleared, and every pivot
+    is a unit, so no degree reaches the fallback."""
+    calls = _fallbacks(monkeypatch)
+    cone = mapping_cone(_horn_probe_map(2, 1, 6))
+    skipped = 0
+    for i in range(1, cone.top + 2):
+        # the columns of coboundary i - 1 that have entries
+        cells = {r for col in cone.boundary(i).values() for r in col}
+        skipped += len(cells & set(cone._cleared))
+        cone.invariants(i)
+    assert skipped and not calls
+    assert_cleared_invariants(cone)
+
+
+def test_a_complex_not_checked_for_dd_zero_is_not_cleared():
+    complex_ = ChainComplex({0: 2, 1: 1}, {1: {0: {0: 1, 1: -1}}})
+    assert complex_.invariants(1) == [1]
+    assert complex_._cleared is None
