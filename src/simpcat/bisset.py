@@ -26,7 +26,7 @@ import itertools
 import weakref
 
 from .sset import (MAX_VIOLATIONS, SimplicialError, SimplicialMap,
-                   TruncatedSimplicialSet, _monotone_maps, _operator_keys)
+                   TruncatedSimplicialSet, _monotone_maps)
 
 
 class BidegreeShape:
@@ -95,12 +95,6 @@ class TruncatedBisimplicialSet:
                    for p, top in shape.column_top.items()}
         return cls(shape, rows, columns, basepoint)
 
-    # the names view {(p, q, k): {x: y}}, read off the rows' and columns' own
-    hfaces = property(lambda self: _joined(self.rows, "faces", True))
-    hdegens = property(lambda self: _joined(self.rows, "degens", True))
-    vfaces = property(lambda self: _joined(self.columns, "faces", False))
-    vdegens = property(lambda self: _joined(self.columns, "degens", False))
-
     def is_pointed(self):
         return self.basepoint is not None
 
@@ -109,14 +103,6 @@ class TruncatedBisimplicialSet:
         if q not in self.rows:
             raise SimplicialError(f"no bidegrees with vertical index {q}")
         return self.rows[q]
-
-    def _row(self, q):
-        """Cells and horizontal tables of row q, as checker callbacks."""
-        return self.rows[q].simplices.__getitem__, self.rows[q].table
-
-    def _column(self, p):
-        """Cells and vertical tables of column p, as checker callbacks."""
-        return self.columns[p].simplices.__getitem__, self.columns[p].table
 
     def audit(self):
         """Rows and columns are simplicial sets, and each horizontal
@@ -127,31 +113,17 @@ class TruncatedBisimplicialSet:
         for p, column in sorted(self.columns.items()):
             v += [f"column {p}: {msg}" for msg in column.audit()]
         if not v:
-            for p in sorted(self.columns):
+            for p, X in sorted(self.columns.items()):
                 for m in (p - 1, p + 1):
                     for k in range(p + 1) if m in self.columns else ():
                         op = f"d_{k}" if m < p else f"s_{k}"
-                        v += _prefixed(f"horizontal {op} from column {p}: ",
-                                       self._commutation_failures(p, m, k))
+                        v += _prefixed(
+                            f"horizontal {op} from column {p}: ",
+                            _between(X, self.columns[m],
+                                     lambda q: self.rows[q].positions(p, m, k)))
         if self.basepoint is not None and not self.rows[0].has(0, self.basepoint):
             v.append("basepoint is not a (0,0)-simplex")
         return v[:MAX_VIOLATIONS]
-
-    def _commutation_failures(self, p, m, k):
-        """Each vertical operator, and each column-p cell, on which the
-        horizontal d_k (m = p - 1) or s_k (m = p + 1) from column p to
-        column m does not commute with it, compared as composed lists."""
-        source, target = self.columns[p], self.columns[m]
-        h = [self.rows[q].positions(p, m, k)
-             for q in range(min(source.bound, target.bound) + 1)]
-        for q, q2, j in _operator_keys(len(h) - 1):
-            left = list(map(h[q2].__getitem__, source.positions(q, q2, j)))
-            right = list(map(target.positions(q, q2, j).__getitem__, h[q]))
-            if left != right:
-                op = "d" if q2 < q else "s"
-                yield from (f"{op}_{j} not preserved on {x!r} at degree {q}"
-                            for x, a, b in zip(source.simplices[q], left, right)
-                            if a != b)
 
     def __repr__(self):
         return (f"TruncatedBisimplicialSet({len(self.shape.support)} bidegrees, "
@@ -171,25 +143,28 @@ class BisimplicialMap:
         """Each row and each column of the assignment is a map of
         simplicial sets, on the bidegrees both shapes share."""
         B, C = self.source, self.target
+        images = {(p, q): [C.rows[q]._index(p).get(level.get(x))
+                           for x in B.simplices[(p, q)]]
+                  for (p, q), level in self.assign.items()
+                  if (p, q) in B.shape and (p, q) in C.shape}
         v = []
-        for q, top in sorted(B.shape.row_top.items()):
-            if q in C.shape.row_top:
-                v += _prefixed(f"row {q}: ", SimplicialMap.commutation_failures(
-                    min(top, C.shape.row_top[q]), *B._row(q), *C._row(q),
-                    lambda p: self.assign.get((p, q))))
-        for p, top in sorted(B.shape.column_top.items()):
-            if p in C.shape.column_top:
-                v += _prefixed(f"column {p}: ", SimplicialMap.commutation_failures(
-                    min(top, C.shape.column_top[p]), *B._column(p), *C._column(p),
-                    lambda q: self.assign.get((p, q))))
+        for name, lines, others, at in (
+                ("row", B.rows, C.rows, lambda q, p: (p, q)),
+                ("column", B.columns, C.columns, lambda p, q: (p, q))):
+            for i, X in sorted(lines.items()):
+                if i in others:
+                    v += _prefixed(f"{name} {i}: ", _between(
+                        X, others[i], lambda n: images.get(at(i, n))))
         return v[:MAX_VIOLATIONS]
 
 
-def _joined(lines, part, horizontal):
-    """The names view `part` ("faces" or "degens") of each row or column
-    in `lines`, keyed by (p, q, k)."""
-    return {(n, i, k) if horizontal else (i, n, k): t
-            for i, X in lines.items() for (n, k), t in getattr(X, part).items()}
+def _between(X, Y, image):
+    """What `SimplicialMap.commutation_failures` finds for the images
+    `image(n)` from X to Y, up to the smaller of their bounds."""
+    bound = min(X.bound, Y.bound)
+    return SimplicialMap.commutation_failures(
+        bound, X.simplices.__getitem__, X.positions, Y.positions,
+        [image(n) for n in range(bound + 1)])
 
 
 def _prefixed(prefix, failures):

@@ -110,9 +110,6 @@ class FinCategory:
     def hom(self, a, b):
         return self._homs.get((a, b), ())
 
-    def is_identity(self, m):
-        return self.ident.get(self.src[m]) == m and self.src[m] == self.tgt[m]
-
     def inverse(self, m):
         """Two-sided inverse, or None."""
         g = self._inverses[self._index[1][m]]

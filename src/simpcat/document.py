@@ -67,7 +67,7 @@ def _encode_sset(X):
         part, op = ("faces", f"d_{k}") if m < n else ("degens", f"s_{k}")
         if (n, m, k) in X._failed:
             # a table of names that did not convert wholly
-            stray = [x for x in X.table(n, m, k) or () if not X.has(n, x)]
+            stray = X._strays.get((n, m, k))
             raise DocumentError(f"{op} out of degree {n}: " + (
                 f"key {stray[0]!r} is not a cell of its degree" if stray
                 else X._failed[n, m, k][0]))
@@ -463,8 +463,12 @@ def parse_document(text):
                 assign, memo = {}, {}
                 for degree, table in _need(field("assign"), dict,
                                    "'assign'").items():
-                    _put(assign, _ints(degree, 1, "'assign'")[0],
-                         _table(table, f"assign {degree!r}", memo), "'assign'")
+                    (n,) = _ints(degree, 1, "'assign'")
+                    if not 0 <= n <= src.bound:
+                        raise DocumentError(f"'assign': degree {degree!r} is "
+                                            f"outside 0..{src.bound}")
+                    _put(assign, n, _table(table, f"assign {degree!r}", memo),
+                         "'assign'")
                 obj = SimplicialMap(src, tgt, assign)
             else:
                 raise DocumentError(f"unknown entity kind {kind!r}")

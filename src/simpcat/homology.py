@@ -426,15 +426,6 @@ def _pi0_images(f):
     return src, tgt, [label[image[comp[0]]] for comp in src]
 
 
-def pi0_map(f):
-    """Induced component map as a dict, plus whether it is a bijection."""
-    src, tgt, images = _pi0_images(f)
-    names = _vertex_names(f.target, tgt)
-    induced = dict(zip(_vertex_names(f.source, src),
-                       map(names.__getitem__, images)))
-    return induced, _bijective(images, tgt)
-
-
 def _bijective(images, tgt):
     return len(images) == len(tgt) and len(set(images)) == len(tgt)
 

@@ -34,6 +34,7 @@ from .sset import (MAX_VIOLATIONS, SimplicialMap, TruncatedSimplicialSet,
 
 # The two simplicial sets of a simplicial category: the attribute of
 # each level that lists the cells, and of each structure functor that maps them.
+# `Functor._numbered` holds the same two maps as position lists, in this order.
 _PARTS = (("objects", "obj_map"), ("morphisms", "mor_map"))
 
 
@@ -73,13 +74,6 @@ class SimplicialCategory:
         when it is missing."""
         return (self.faces if m < n else self.degens).get((n, k))
 
-    def _part(self, cells, mapping):
-        """Objects or morphisms of every level with their structure
-        maps, as checker callbacks: `cells` and `mapping` name the
-        attributes of `FinCategory` and `Functor`."""
-        return (lambda n: getattr(self.levels[n], cells),
-                lambda n, m, k: getattr(self.table(n, m, k), mapping, None))
-
     def is_pointed(self):
         return self.basepoints is not None
 
@@ -94,7 +88,9 @@ class SimplicialCategory:
         for cells, mapping in _PARTS:
             v += [f"{cells}: {msg}" for msg in itertools.islice(
                 TruncatedSimplicialSet.identity_failures(
-                    self.bound, *self._part(cells, mapping)), MAX_VIOLATIONS)]
+                    self.bound, lambda n: getattr(self.levels[n], cells),
+                    lambda n, m, k: getattr(self.table(n, m, k), mapping, None)),
+                MAX_VIOLATIONS)]
         if self.basepoints is not None:
             for n in range(self.bound + 1):
                 if self.basepoints[n] not in self.levels[n].objects:
@@ -123,17 +119,21 @@ class SimplicialFunctor:
         return self.levels[n]
 
     def validate(self, pointed=False):
-        v = []
+        """The levels' failures alone, if any, since the commutation
+        checks read the levels' position lists; else those checks'."""
         S, T = self.source, self.target
         bound = min(S.bound, T.bound)
-        for n in range(bound + 1):
-            for msg in self.levels[n].validate():
-                v.append(f"level {n}: {msg}")
-        for cells, mapping in _PARTS:
+        v = [f"level {n}: {msg}" for n in range(bound + 1)
+             for msg in self.levels[n].validate()]
+        if v:
+            return v[:MAX_VIOLATIONS]
+        for part, (cells, _) in enumerate(_PARTS):
             v += [f"{cells}: {msg}" for msg in itertools.islice(
                 SimplicialMap.commutation_failures(
-                    bound, *S._part(cells, mapping), *T._part(cells, mapping),
-                    lambda n: getattr(self.levels.get(n), mapping, None)),
+                    bound, lambda n: getattr(S.levels[n], cells),
+                    lambda n, m, k: S.table(n, m, k)._numbered[part],
+                    lambda n, m, k: T.table(n, m, k)._numbered[part],
+                    [self.levels[n]._numbered[part] for n in range(bound + 1)]),
                 MAX_VIOLATIONS)]
         if pointed:
             for n in range(bound + 1):

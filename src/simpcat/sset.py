@@ -3,19 +3,20 @@
 A `TruncatedSimplicialSet` stores every simplex up to a dimension bound
 together with total face and degeneracy tables, each a position list:
 the position of each image in its degree's stored order, indexed by the
-position of the cell.  `positions` reads them, and `faces`, `degens`,
-`table`, `face` and `degen` read a names view built from them on first
-read.  Documents decode their tables straight into position lists, and
-dicts of names enter only through `from_names` (mapping spaces, and
-documents whose tables do not convert), which converts each table once
-and keeps what did not convert for the audit.  A `SimplicialMap` holds its
-images as dicts of names or as position lists.  Eilenberg-Zilber data
-(each simplex as an iterated degeneracy of a unique nondegenerate base)
-and the nondegenerate cells (those outside every degeneracy's image)
-are derived from the degeneracy lists on first use, by `ez`,
-`is_degenerate`, `nondegenerate` or `nondegenerate_positions`, so they
-always agree with the tables and a set that is never asked for them
-never computes them.
+position of the cell, and read only by `positions`.  Documents decode
+their tables straight into position lists, and dicts of names enter
+only through `from_names` (mapping spaces, and documents whose tables
+do not convert), which converts each table once and keeps only what did
+not convert, for the audit.  A `SimplicialMap` holds its images as
+dicts of names or as position lists; `commutation_failures` checks it,
+and every other map of simplicial objects, on position lists.
+
+Eilenberg-Zilber data (each simplex as an iterated degeneracy of a
+unique nondegenerate base) and the nondegenerate cells (those outside
+every degeneracy's image) are derived from the degeneracy lists on
+first use, by `ez`, `is_degenerate`, `nondegenerate` or
+`nondegenerate_positions`, so they always agree with the tables and a
+set that is never asked for them never computes them.
 
 A bisimplicial set stores its rows and columns as such sets.
 
@@ -78,6 +79,10 @@ class TruncatedSimplicialSet:
     `tables` holds each operator's position list, keyed by (n, m, k) as
     in `positions`; the document loader writes them directly."""
 
+    # the stray keys of each table that did not convert; only `from_names`
+    # sets them, and every other set reads this shared empty default
+    _strays = {}
+
     def __init__(self, bound, simplices, tables, basepoint=None):
         self.bound = bound
         self.simplices = {n: tuple(simplices.get(n, ())) for n in range(bound + 1)}
@@ -100,52 +105,24 @@ class TruncatedSimplicialSet:
     def from_names(cls, bound, simplices, table, basepoint=None):
         """Build from tables of names: `table(n, m, k)` returns the
         operator as a dict {cell: cell}, or None when it is missing.
-        Each table is converted once; the dicts are kept as the names
-        view, and what did not convert as failures for `audit` and
-        `positions`."""
+        Each table is converted once; what did not convert is kept for
+        `audit` and `positions`, and its stray keys for the encoder."""
         given = {key: table(*key) for key in _operator_keys(bound)}
         cells = {n: tuple(simplices.get(n, ())) for n in range(bound + 1)}
         lists, failed = _convert(cells, given)
         X = cls(bound, cells, lists, basepoint)
         X._failed = failed
-        X.faces, X.degens = ({(n, k): t for (n, m, k), t in given.items()
-                              if m == n + step and t is not None}
-                             for step in (-1, 1))
+        X._strays = {(n, m, k): [x for x in given[n, m, k] if not X.has(n, x)]
+                     for n, m, k in failed if given[n, m, k] is not None}
         return X
 
     # -- basic access -------------------------------------------------
-
-    @functools.cached_property
-    def faces(self):
-        return self._named(-1)
-
-    @functools.cached_property
-    def degens(self):
-        return self._named(1)
-
-    def _named(self, step):
-        """The position lists into degree n + step as dicts of names,
-        keyed by (n, k)."""
-        cells = self.simplices
-        return {(n, k): dict(zip(cells[n], map(cells[m].__getitem__, t)))
-                for (n, m, k), t in self._lists.items() if m == n + step}
 
     def degrees(self):
         return range(self.bound + 1)
 
     def size(self, n):
         return len(self.simplices[n])
-
-    def face(self, n, i, x):
-        return self.faces[(n, i)][x]
-
-    def degen(self, n, j, x):
-        return self.degens[(n, j)][x]
-
-    def table(self, n, m, k):
-        """Table of d_k (m = n - 1) or s_k (m = n + 1) on degree n, or
-        None when it is missing."""
-        return (self.faces if m < n else self.degens).get((n, k))
 
     def positions(self, n, m, k):
         """The table of d_k (m = n - 1) or s_k (m = n + 1) on degree n as
@@ -414,33 +391,30 @@ class SimplicialMap:
         return SimplicialMap(other.source, self.target, assign)
 
     @staticmethod
-    def commutation_failures(bound, source_cells, source_table, target_cells,
-                             target_table, assign):
-        """Yield every way `assign(n)` (a dict, or None when missing) fails
-        to be a map of simplicial sets up to `bound`: cells without an
-        image among the target's cells first, then each operator it does
-        not commute with.  Cells and tables are given as for
-        `TruncatedSimplicialSet.identity_failures`."""
-        images = [assign(n) or {} for n in range(bound + 1)]
+    def commutation_failures(bound, cells, source, target, images):
+        """Yield every way `images` fails to be a map of simplicial sets
+        up to `bound`: cells without a valid image first, then each
+        operator, in `_operator_keys` order, that it does not commute
+        with.  `images[n]` lists the target position of each degree-n
+        cell's image (None for a cell without one), or is None for a
+        missing degree; `source` and `target` return position lists as
+        `positions` does, and `cells(n)` names cells in the messages."""
+        images = [images[n] or [None] * len(cells(n)) for n in range(bound + 1)]
         clean = True
-        for n in range(bound + 1):
-            targets = frozenset(target_cells(n))
-            for x in source_cells(n):
-                if images[n].get(x) not in targets:
-                    clean = False
-                    yield f"no valid image for {x!r} at degree {n}"
+        for n, level in enumerate(images):
+            if None in level:
+                clean = False
+                yield from (f"no valid image for {x!r} at degree {n}"
+                            for x, y in zip(cells(n), level) if y is None)
         if not clean:
             return
-        for n in range(bound + 1):
-            for m in (n - 1, n + 1):
-                if not 0 <= m <= bound:
-                    continue
-                f, g, op = images[n], images[m], "d" if m < n else "s"
-                for k in range(n + 1):
-                    s, t = source_table(n, m, k), target_table(n, m, k)
-                    for x in source_cells(n):
-                        if g[s[x]] != t[f[x]]:
-                            yield f"{op}_{k} not preserved on {x!r} at degree {n}"
+        for n, m, k in _operator_keys(bound):
+            left = list(map(images[m].__getitem__, source(n, m, k)))
+            right = list(map(target(n, m, k).__getitem__, images[n]))
+            if left != right:
+                op = "d" if m < n else "s"
+                yield from (f"{op}_{k} not preserved on {x!r} at degree {n}"
+                            for x, a, b in zip(cells(n), left, right) if a != b)
 
     @staticmethod
     def commuting_maps(keys, source, target, fixed=None):
@@ -548,17 +522,30 @@ class SimplicialMap:
                 return
 
     def validate(self, pointed=False):
+        """Keys that are not source cells, then what
+        `commutation_failures` finds, then the basepoint when `pointed`."""
         X, Y = self.source, self.target
-        v = list(itertools.islice(self.commutation_failures(
-            X.bound, X.simplices.__getitem__, X.table,
-            lambda n: Y.simplices.get(n, ()), Y.table, self.assign.get),
-            MAX_VIOLATIONS))
+        v = [f"the map defined on non-cell {x!r} at degree {n}"
+             for n, level in self.assign.items() for x in level if not X.has(n, x)]
+        # a source that is empty past the target's bound reads no table there
+        v += itertools.islice(self.commutation_failures(
+            X.bound, X.simplices.__getitem__, X.positions,
+            lambda n, m, k: Y.positions(n, m, k) if max(n, m) <= Y.bound else (),
+            [self._images(n) for n in X.degrees()]), MAX_VIOLATIONS)
         if pointed:
             if not (X.is_pointed() and Y.is_pointed()):
                 v.append("pointed validation on unpointed object")
             elif self.assign.get(0, {}).get(X.basepoint) != Y.basepoint:
                 v.append("basepoint not preserved")
         return v[:MAX_VIOLATIONS]
+
+    def _images(self, n):
+        """Degree n's images as target positions, None for a cell with no
+        image among the target's cells; None for a degree with none."""
+        if n in self._positions or n not in self.assign:
+            return self._positions.get(n)
+        index = self.target._index(n) if n <= self.target.bound else {}
+        return [index.get(self.assign[n].get(x)) for x in self.source.simplices[n]]
 
     def is_pointed(self):
         return (self.source.is_pointed() and self.target.is_pointed()

@@ -13,6 +13,7 @@ from simpcat.scat import pi_functor, pi_levelwise
 from simpcat.sset import (SimplicialMap, _monotone_maps, _operator_keys, _tuple_degen,
                           boundary, delta, enumerate_maps, horn, product_sset,
                           sphere)
+from helpers import named_tables
 from strategies import standard
 
 
@@ -46,6 +47,7 @@ def brute_d_star_classes(X, p, q):
                     cells.append((n, x, alpha, beta))
     for c in cells:
         parent.setdefault(c, c)
+    tables = named_tables(X)
     for n in X.degrees():
         for x in X.simplices[n]:
             # face relations: (d_i x, a, b) ~ (x, delta_i a, delta_i b)
@@ -54,14 +56,14 @@ def brute_d_star_classes(X, p, q):
                     for a in monotone_maps(p, n - 1):
                         for b in monotone_maps(q, n - 1):
                             lift = lambda t: tuple(v if v < i else v + 1 for v in t)
-                            union((n - 1, X.face(n, i, x), a, b),
+                            union((n - 1, tables[n, n - 1, i][x], a, b),
                                   (n, x, lift(a), lift(b)))
             if n < X.bound:
                 for j in range(n + 1):
                     for a in monotone_maps(p, n + 1):
                         for b in monotone_maps(q, n + 1):
                             drop = lambda t: tuple(v if v <= j else v - 1 for v in t)
-                            union((n + 1, X.degen(n, j, x), a, b),
+                            union((n + 1, tables[n, n + 1, j][x], a, b),
                                   (n, x, drop(a), drop(b)))
     return {c: find(c) for c in cells}
 

@@ -10,6 +10,8 @@ from simpcat.cat import Functor
 from simpcat.scat import SimplicialFunctor, s0_scat
 from simpcat.sset import SimplicialMap, TruncatedSimplicialSet, delta
 
+from helpers import named_tables
+
 
 def _position_lists(X):
     """The stored position lists of X, each with the positions of its
@@ -94,18 +96,17 @@ def test_every_single_entry_corruption_is_reported(make):
 def test_row_whose_twin_cell_breaks_s1_s0_is_reported():
     B = box_product(delta(0, 2), delta(0, 0))      # one row, p = 0..2
     R = B.row(0)
+    tables = named_tables(R)
     v = R.simplices[0][0]
-    s0v = R.degen(0, 0, v)
+    s0v = tables[0, 1, 0][v]
     twin = ("twin", 0)
     simplices = dict(R.simplices)
     simplices[2] = simplices[2] + (twin,)
-    faces = {key: dict(t) for key, t in R.faces.items()}
     for i in range(3):
-        faces[(2, i)][twin] = s0v                   # same faces as s_0 s_0 v
-    degens = {key: dict(t) for key, t in R.degens.items()}
-    degens[(1, 1)][s0v] = twin                      # s_1 s_0 v != s_0 s_0 v
+        tables[2, 1, i][twin] = s0v                 # same faces as s_0 s_0 v
+    tables[1, 2, 1][s0v] = twin                     # s_1 s_0 v != s_0 s_0 v
     row = TruncatedSimplicialSet.from_names(
-        R.bound, simplices, lambda n, m, k: (faces if m < n else degens)[n, k])
+        R.bound, simplices, lambda *key: tables[key])
     column = TruncatedSimplicialSet(0, {0: simplices[2]}, {})
     C = TruncatedBisimplicialSet(B.shape, {0: row}, {**B.columns, 2: column})
     assert any("s_1 s_0 != s_0 s_0" in msg for msg in C.audit())
@@ -114,11 +115,11 @@ def test_row_whose_twin_cell_breaks_s1_s0_is_reported():
 def test_missing_bisimplicial_degeneracy_entry_is_reported():
     B = dec(delta(1, 3))
     R = B.row(1)
-    degens = {key: dict(t) for key, t in R.degens.items()}
-    table = degens[(0, 0)]
+    tables = named_tables(R)
+    table = tables[0, 1, 0]
     del table[next(iter(table))]
     row = TruncatedSimplicialSet.from_names(
-        R.bound, R.simplices, lambda n, m, k: (R.faces if m < n else degens)[n, k])
+        R.bound, R.simplices, lambda *key: tables[key])
     C = TruncatedBisimplicialSet(B.shape, {**B.rows, 1: row}, B.columns)
     assert any("undefined" in msg for msg in C.audit())
 
@@ -139,11 +140,22 @@ def test_stray_table_key_is_reported(part, key, stray, value, message):
     """A table key that is not a cell of its degree, in an object built
     from names in code: the conversion keeps it, and the audit names it."""
     X = delta(1, 2)
-    tables = {"faces": {k: dict(t) for k, t in X.faces.items()},
-              "degens": {k: dict(t) for k, t in X.degens.items()}}
-    tables[part][key][stray] = value
+    tables = named_tables(X)
+    n, k = key
+    tables[n, n - 1 if part == "faces" else n + 1, k][stray] = value
     Y = TruncatedSimplicialSet.from_names(
-        X.bound, X.simplices,
-        lambda n, m, k: tables["faces" if m < n else "degens"][n, k])
+        X.bound, X.simplices, lambda *key: tables[key])
     assert Y.audit() == [message]
     assert Y.nondegenerate(1) == X.nondegenerate(1)
+
+
+def test_map_into_a_smaller_bound_reports_the_cells_past_it():
+    """Cells past the target's bound have no image; a source with none
+    there validates without reading the target's missing tables."""
+    X, Y = delta(0, 3), delta(0, 1)
+    f = SimplicialMap(X, Y, {n: {x: x for x in X.simplices[n]}
+                             for n in X.degrees()})
+    assert f.validate() == ["no valid image for (0, 0, 0) at degree 2",
+                            "no valid image for (0, 0, 0, 0) at degree 3"]
+    empty = TruncatedSimplicialSet.from_operators(3, {}, lambda n, m, k: [])
+    assert SimplicialMap(empty, Y, {}).validate() == []

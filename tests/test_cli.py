@@ -238,6 +238,15 @@ def _point_and(*entities, **top):
 _POINT_DATA = sset_to_entry("Y", point(1))["data"]
 
 
+def _point_map(**levels):
+    """The identity of the point document's Y, with `levels` set."""
+    assign = {str(n): {json.dumps([0] * (n + 1)): [0] * (n + 1)}
+              for n in range(3)}
+    return json.dumps(_point_and({"name": "f", "kind": "simplicial_map",
+                                  "source": "Y", "target": "Y",
+                                  "assign": dict(assign, **levels)}))
+
+
 @pytest.mark.parametrize("text", [
     json.dumps(_point_doc(builder={"type": "delta", "n": "x", "bound": 2})),
     json.dumps(_point_doc(builder={"type": "delta", "n": 1.5, "bound": 2})),
@@ -261,10 +270,14 @@ _POINT_DATA = sset_to_entry("Y", point(1))["data"]
                            "source": "Y", "target": "Y", "assign": [1]})),
     json.dumps(_point_and({"name": "Z", "kind": "simplicial_set",
                            "data": dict(_POINT_DATA, bound="1")})),
+    _point_map(**{"0": {"[0]": [0], "[7]": [0]}}),
+    _point_map(**{"9": {}}),
+    _point_map(**{"-1": {}}),
 ], ids=["n-string", "n-float", "array", "null", "entities-string",
         "config-list", "builder-number", "name-list", "type-list",
         "reference-list", "suites-number", "closure-bound-string",
-        "assign-list", "data-bound-string"])
+        "assign-list", "data-bound-string", "assign-stray-cell",
+        "assign-degree-past-bound", "assign-degree-negative"])
 def test_malformed_document_shape_is_bad_input(tmp_path, text, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)

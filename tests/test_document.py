@@ -12,6 +12,8 @@ from simpcat.document import (DocumentError, canonical_json,
                               sset_to_entry)
 from simpcat.sset import TruncatedSimplicialSet, boundary, delta, sphere
 
+from helpers import named_tables
+
 
 def doc_text(entities, suites=None, config=None):
     return json.dumps({"schema": "simpcat-document/1",
@@ -137,11 +139,10 @@ def test_encode_name_rejects_bool():
 
 def test_stray_table_key_is_a_named_encode_error():
     X = delta(1, 2)
-    faces = {k: dict(t) for k, t in X.faces.items()}
-    faces[(1, 0)][(5, 5)] = (0,)
+    tables = named_tables(X)
+    tables[1, 0, 0][(5, 5)] = (0,)
     Y = TruncatedSimplicialSet.from_names(
-        X.bound, X.simplices,
-        lambda n, m, k: faces[n, k] if m < n else X.degens[n, k])
+        X.bound, X.simplices, lambda *key: tables[key])
     with pytest.raises(DocumentError,
                        match=r"d_0 out of degree 1: key \(5, 5\) is not a cell"):
         sset_to_entry("y", Y)

@@ -27,6 +27,7 @@ from simpcat.scat import (SimplicialFunctor, constant_scat,
 from simpcat.sset import (SimplicialMap, boundary, delta, enumerate_maps,
                           sphere, two_point)
 
+from helpers import is_identity, named_tables
 from strategies import categories, groupoids, standard
 
 # the largest product of candidate images the brute force walks
@@ -44,7 +45,7 @@ def reference_functors(C, D):
     hom-set pruning, then morphism images closed under composition."""
     between = {}
     for m in C.morphisms:
-        if not C.is_identity(m):
+        if not is_identity(C, m):
             between.setdefault((C.src[m], C.tgt[m]), []).append(m)
     adj = {o: set() for o in C.objects}
     for (a, b) in between:
@@ -77,7 +78,7 @@ def reference_functors(C, D):
         assignments = [{}]
         for k, m in enumerate(morphs):
             a, b = obj_map[C.src[m]], obj_map[C.tgt[m]]
-            if C.is_identity(m):
+            if is_identity(C, m):
                 options = [D.ident[a]]
             else:
                 options = D.hom(a, b)
@@ -160,7 +161,7 @@ def reference_simplicial_functors(S, T):
 def extend_from_nondegenerate(X, Y, partial):
     """The assignment sending s_w b to s_w partial[b] for each simplex
     with Eilenberg-Zilber pair (b, w)."""
-    assign = {}
+    assign, tables = {}, named_tables(Y)
     for n in X.degrees():
         assign[n] = {}
         for x in X.simplices[n]:
@@ -168,7 +169,7 @@ def extend_from_nondegenerate(X, Y, partial):
             k = n - len(word)
             y = partial[(k, base)]
             for pos, j in enumerate(reversed(word)):
-                y = Y.degen(k + pos, j, y)
+                y = tables[k + pos, k + pos + 1, j][y]
             assign[n][x] = y
     return SimplicialMap(X, Y, assign)
 
@@ -178,12 +179,13 @@ def reference_maps(X, Y, fixed=None):
     simplices of X in degree order, checking faces."""
     fixed = fixed or {}
     cells = [(n, x) for n in X.degrees() for x in X.nondegenerate(n)]
+    xt, yt = named_tables(X), named_tables(Y)
 
     def image_of(partial, n, x):
         base, word = X.ez(n, x)
         y = partial[(n - len(word), base)]
         for pos, j in enumerate(reversed(word)):
-            y = Y.degen(n - len(word) + pos, j, y)
+            y = yt[n - len(word) + pos, n - len(word) + pos + 1, j][y]
         return y
 
     results = []
@@ -196,7 +198,7 @@ def reference_maps(X, Y, fixed=None):
         n, x = cells[k]
         candidates = [fixed[(n, x)]] if (n, x) in fixed else Y.simplices[n]
         for y in candidates:
-            if all(image_of(partial, n - 1, X.face(n, i, x)) == Y.face(n, i, y)
+            if all(image_of(partial, n - 1, xt[n, n - 1, i][x]) == yt[n, n - 1, i][y]
                    for i in (range(n + 1) if n >= 1 else ())):
                 partial[(n, x)] = y
                 extend(k + 1)

@@ -32,6 +32,8 @@ from simpcat.sset import (SimplicialMap, boundary, c_sigma, colimit_sset,
                           coproduct, delta, horn, product_sset, quotient,
                           sphere, truncate, two_point)
 
+from helpers import named_tables
+
 
 def _sha(payload):
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -50,11 +52,13 @@ def _table(table):
 
 
 def _bisset(B):
-    tables = {}
-    for kind in ("hfaces", "hdegens", "vfaces", "vdegens"):
-        ops = getattr(B, kind)
-        tables[kind] = {",".join(map(str, key)): _table(ops[key])
-                        for key in sorted(ops)}
+    tables = {"hfaces": {}, "hdegens": {}, "vfaces": {}, "vdegens": {}}
+    for side, lines in (("h", B.rows), ("v", B.columns)):
+        for i, X in lines.items():
+            for (n, m, k), t in named_tables(X).items():
+                key = (n, i, k) if side == "h" else (i, n, k)
+                tables[side + ("faces" if m < n else "degens")][
+                    ",".join(map(str, key))] = _table(t)
     return {"order": {f"{p},{q}": [encode_name(x) for x in B.simplices[(p, q)]]
                       for (p, q) in B.shape.sorted()},
             "tables": tables,

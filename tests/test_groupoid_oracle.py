@@ -29,6 +29,7 @@ from simpcat.names import ordered, sort_key
 from simpcat.scat import _induced_colimit_functor, pi_functor, pi_levelwise
 from simpcat.sset import SimplicialMap, delta, horn, sphere, truncate
 
+from helpers import is_identity
 from strategies import groupoids, standard
 
 
@@ -206,10 +207,10 @@ def reference_colimit(cats, edges, bound):
                 parent[hi] = lo
     generators = {(i, m): (find((i, C.src[m])), find((i, C.tgt[m])))
                   for i, C in enumerate(cats) for m in C.morphisms
-                  if not C.is_identity(m)}
+                  if not is_identity(C, m)}
 
     def word(i, m):
-        return () if cats[i].is_identity(m) else (((i, m), 1),)
+        return () if is_identity(cats[i], m) else (((i, m), 1),)
     relations = [(word(i, f) + word(i, g), word(i, h))
                  for i, C in enumerate(cats) for (g, f), h in C.comp.items()]
     relations += [(word(i, m), word(j, F.mor_map[m]))
@@ -220,7 +221,7 @@ def reference_colimit(cats, edges, bound):
     for i, C in enumerate(cats):
         obj_map = {o: find((i, o)) for o in C.objects}
         cocones.append((obj_map, {
-            m: ref.category.ident[obj_map[C.src[m]]] if C.is_identity(m)
+            m: ref.category.ident[obj_map[C.src[m]]] if is_identity(C, m)
             else ref.genmap[(i, m)] for m in C.morphisms}))
     return ref, cocones
 

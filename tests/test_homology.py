@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from simpcat.cat import cyclic_group, nerve
 from simpcat.homology import (AbelianGroupDescriptor, CertificationError,
-                              ChainComplex, ProbeVerdict,
-                              _homology_from_complex, abelianization,
+                              ChainComplex, ProbeVerdict, _bijective,
+                              _homology_from_complex, _pi0_images,
+                              _vertex_names, abelianization,
                               edge_path_group, homology, homology_list,
-                              mapping_cone, normalized_chains, pi0, pi0_map,
+                              mapping_cone, normalized_chains, pi0,
                               smith_invariants, weak_equivalence_probe)
 from simpcat.sset import (SimplicialError, SimplicialMap,
                           TruncatedSimplicialSet, boundary, c_sigma, delta,
                           enumerate_maps, horn, point, product_sset, quotient,
                           sphere)
+
+from helpers import named_tables
 
 
 def test_descriptor_invariants():
@@ -132,13 +135,13 @@ def _moore_homology(X):
     sum of (-1)^i d_i."""
     index = {n: {x: k for k, x in enumerate(X.simplices[n])}
              for n in X.degrees()}
-    boundaries = {}
+    boundaries, tables = {}, named_tables(X)
     for n in range(1, X.bound + 1):
         cols = {}
         for c, x in enumerate(X.simplices[n]):
             col = {}
             for i in range(n + 1):
-                r = index[n - 1][X.face(n, i, x)]
+                r = index[n - 1][tables[n, n - 1, i][x]]
                 col[r] = col.get(r, 0) + (-1) ** i
             cols[c] = {r: v for r, v in col.items() if v}
         boundaries[n] = cols
@@ -165,9 +168,10 @@ def test_normalized_chains_dd_zero():
 
 def test_missing_degeneracy_table_is_named_as_the_audit_names_it():
     D = delta(1, 2)
+    tables = named_tables(D)
     X = TruncatedSimplicialSet.from_names(
         2, D.simplices,
-        lambda n, m, k: None if (n, m, k) == (1, 2, 0) else D.table(n, m, k))
+        lambda n, m, k: None if (n, m, k) == (1, 2, 0) else tables[n, m, k])
     assert X.audit() == ["missing degeneracy table s_0 at degree 1"]
     with pytest.raises(SimplicialError,
                        match="^missing degeneracy table s_0 at degree 1$"):
@@ -177,6 +181,15 @@ def test_missing_degeneracy_table_is_named_as_the_audit_names_it():
 def test_pi0():
     assert len(pi0(boundary(1, 2))) == 2
     assert len(pi0(sphere(1, 3))) == 1
+
+
+def pi0_map(f):
+    """Induced component map as a dict, plus whether it is a bijection."""
+    src, tgt, images = _pi0_images(f)
+    names = _vertex_names(f.target, tgt)
+    induced = dict(zip(_vertex_names(f.source, src),
+                       map(names.__getitem__, images)))
+    return induced, _bijective(images, tgt)
 
 
 def test_pi0_map():

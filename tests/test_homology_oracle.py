@@ -32,6 +32,7 @@ from simpcat.scat import (diag_nerve_iso, diag_nerve_iso_map, pi_functor,
 from simpcat.sset import (SimplicialMap, boundary, delta, horn, sphere,
                           two_point)
 
+from helpers import named_tables
 from strategies import standard
 
 
@@ -44,13 +45,13 @@ def reference_chains(X):
     basis = {n: {x: k for k, x in enumerate(X.nondegenerate(n))}
              for n in X.degrees()}
     ranks = {n: len(basis[n]) for n in basis}
-    boundaries = {}
+    boundaries, tables = {}, named_tables(X)
     for n in range(1, X.bound + 1):
         cols = {}
         for x, c in basis[n].items():
             acc = {}
             for i in range(n + 1):
-                y = X.face(n, i, x)
+                y = tables[n, n - 1, i][x]
                 r = basis[n - 1].get(y)
                 if r is not None:
                     acc[r] = acc.get(r, 0) + (1 if i % 2 == 0 else -1)

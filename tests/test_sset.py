@@ -10,6 +10,7 @@ from simpcat.sset import (SimplicialError, SimplicialMap,
                           generated_subcomplex, horn, normalize_word, point,
                           product_sset, quotient, sphere, truncate, two_point)
 
+from helpers import named_tables
 from strategies import standard
 
 
@@ -176,9 +177,9 @@ def eager_ez(X):
     those outside the image of every degeneracy, and each cell is found
     as s_{w_0} ... s_{w_{k-1}} y for exactly one nondegenerate y and one
     strictly decreasing word w."""
-    nondegenerate, ez = {}, {}
+    nondegenerate, ez, tables = {}, {}, named_tables(X)
     for n in X.degrees():
-        images = {X.degens[(n - 1, j)][y]
+        images = {tables[n - 1, n, j][y]
                   for j in range(n) for y in X.simplices[n - 1]}
         nondegenerate[n] = tuple(x for x in X.simplices[n] if x not in images)
         ez[n] = {}
@@ -187,7 +188,7 @@ def eager_ez(X):
                 for y in nondegenerate[n - k]:
                     x = y
                     for m, j in enumerate(reversed(word), start=n - k):
-                        x = X.degens[(m, j)][x]
+                        x = tables[m, m + 1, j][x]
                     assert x not in ez[n], (n, x)
                     ez[n][x] = (y, word)
         assert set(ez[n]) == set(X.simplices[n])
@@ -219,9 +220,10 @@ def test_missing_degeneracy_table_is_reported_by_the_audit():
     code without one degeneracy table constructs, and its audit names the
     table instead of the constructor raising a KeyError."""
     D = delta(1, 2)
+    tables = named_tables(D)
     X = TruncatedSimplicialSet.from_names(
         2, D.simplices,
-        lambda n, m, k: None if (n, m, k) == (1, 2, 0) else D.table(n, m, k))
+        lambda n, m, k: None if (n, m, k) == (1, 2, 0) else tables[n, m, k])
     assert "missing degeneracy table s_0 at degree 1" in X.audit()
 
 
@@ -238,13 +240,15 @@ def _dec_rows(X):
 @settings(max_examples=40, deadline=None)
 @given(standard() | standard(st.integers(min_value=1, max_value=3)).flatmap(_dec_rows))
 def test_from_names_round_trip(X):
-    """Converting a set's names view back gives its position lists, its
-    audit and its names view."""
-    Y = TruncatedSimplicialSet.from_names(X.bound, X.simplices, X.table,
+    """Converting a set's tables of names back gives its position lists,
+    its audit and its tables of names."""
+    tables = named_tables(X)
+    Y = TruncatedSimplicialSet.from_names(X.bound, X.simplices,
+                                          lambda *key: tables[key],
                                           basepoint=X.basepoint)
     assert all(Y.positions(*key) == X.positions(*key) for key in _operator_keys(X))
     assert Y.audit() == X.audit()
-    assert (Y.faces, Y.degens) == (X.faces, X.degens)
+    assert named_tables(Y) == tables
 
 
 def test_enumerated_maps_equal_maps_built_from_names():
